@@ -47,7 +47,6 @@ from .compose import (
     BoundConfig,
     BoundReport,
     ClusterDecomposition,
-    Projection,
     base_case,
     compositional_bound,
     decompose,

@@ -12,17 +12,20 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import io as sysio
-from .compose import BaseCaseKind, BoundConfig, BoundReport, compositional_bound
-from .core import StateSpaceTooLargeError, System, build_transition_graph
+from .compose import BASE_TAGS, BaseCaseKind, BoundConfig, BoundReport, compositional_bound
+from .core import DEFAULT_VAR_CAP, StateSpaceTooLargeError, System, build_transition_graph
 from .gen import GenerationError, GeneratorSpec, generate, provenance
 from .oracle import (
+    DEFAULT_RD_STATE_CAP,
     MAX_BOUND,
     SimplePathSearchTooLargeError,
     check_conjecture,
     compute_topo_report,
+    exp_bound,
     longest_simple_path,
     recurrence_diameter_bruteforce,
     traversal_walk,
@@ -75,18 +78,36 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--max-eff", type=int, default=2, help="random-family effect size cap")
 
 
+def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-vars", type=int, default=DEFAULT_VAR_CAP, help="explicit-state variable cap"
+    )
+    parser.add_argument(
+        "--rd-states", type=int, default=DEFAULT_RD_STATE_CAP, help="simple-path search state cap"
+    )
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--solver-cmd", help=f"solver command (default ${SOLVER_ENV_VAR} or bundled)")
+    parser.add_argument("--timeout-ms", type=int, default=60_000, help="per-query timeout")
+    parser.add_argument("--schedule", choices=("linear", "binary"), default="linear")
+
+
+def _read_system(path: Path, fmt: str | None) -> tuple[System, str]:
+    """Returns (system, problem name) for one system file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc}", EXIT_CONFIG) from exc
+    return sysio.parse_system(text, fmt or sysio.detect_format(path.name)), path.stem
+
+
 def _load_system(args: argparse.Namespace) -> tuple[System, str]:
     """Returns (system, problem name)."""
     if args.input and args.gen:
         raise _CliError("--input and --gen are mutually exclusive", EXIT_CONFIG)
     if args.input:
-        path = Path(args.input)
-        fmt = args.format or sysio.detect_format(path.name)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(f"cannot read {path}: {exc}", EXIT_CONFIG) from exc
-        return sysio.parse_system(text, fmt), path.stem
+        return _read_system(Path(args.input), args.format)
     if args.gen:
         size = args.m if args.gen == "clique" else args.n
         if args.gen == "random":
@@ -107,7 +128,7 @@ def _load_system(args: argparse.Namespace) -> tuple[System, str]:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    if getattr(args, "solver_cmd", None):
+    if args.solver_cmd:
         return SolverConfig.from_string(args.solver_cmd, timeout_ms=args.timeout_ms)
     return SolverConfig.from_env(timeout_ms=args.timeout_ms)
 
@@ -141,13 +162,10 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 def cmd_rd(args: argparse.Namespace) -> int:
     system, name = _load_system(args)
-    encode = encode_explicit if args.encoding == "explicit" else encode_factored
 
     if args.emit_smt:
         out_dir = Path(args.emit_smt)
         out_dir.mkdir(parents=True, exist_ok=True)
-        from .oracle import exp_bound
-
         max_k = args.max_k if args.max_k is not None else min(exp_bound(system), 12)
         if max_k < 1:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
@@ -182,73 +200,59 @@ def cmd_rd(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bound_one(
-    path_or_system, args: argparse.Namespace, cfg: BoundConfig, kind: BaseCaseKind
-) -> BoundReport:
-    if isinstance(path_or_system, tuple):
-        system, name = path_or_system
-    else:
-        path = Path(path_or_system)
-        fmt = args.format or sysio.detect_format(path.name)
-        system = sysio.parse_system(path.read_text(encoding="utf-8"), fmt)
-        name = path.stem
-    return compositional_bound(system, kind, cfg, problem=name)
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise _CliError("--jobs must be at least 1", EXIT_CONFIG)
     kind = BaseCaseKind(
         tag=args.base, rd_state_cap=args.rd_state_cap, td_trigger=args.td_trigger
     )
-    use_solver = not args.bruteforce
     cfg = BoundConfig(
-        solver=_solver_config(args) if use_solver else None,
+        solver=None if args.bruteforce else _solver_config(args),
         schedule=args.schedule,
         max_vars=args.max_vars,
         rd_max_states=args.rd_states,
     )
 
-    problems: list = []
+    # A bad batch file fails alone; a bad --input/--gen is a config error up front.
     if args.batch:
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
             raise _CliError(f"--batch {batch_dir} is not a directory", EXIT_CONFIG)
-        for path in sorted(batch_dir.iterdir()):
-            if path.suffix in (".json", ".txt", ".fts"):
-                problems.append(path)
-        if not problems:
+        loaders = {
+            str(path): partial(_read_system, path, args.format)
+            for path in sorted(batch_dir.iterdir())
+            if path.suffix in (".json", ".txt", ".fts")
+        }
+        if not loaders:
             raise _CliError(f"no .json/.txt/.fts files in {batch_dir}", EXIT_CONFIG)
     else:
-        problems.append(_load_system(args))
+        loaded = _load_system(args)
+        loaders = {loaded[1]: lambda: loaded}
 
-    reports: list[BoundReport | None] = [None] * len(problems)
-    failures: list[tuple[str, Exception]] = []
-
-    def work(index: int) -> None:
+    def work(load) -> BoundReport | Exception:
         try:
-            reports[index] = _bound_one(problems[index], args, cfg, kind)
+            system, name = load()
+            return compositional_bound(system, kind, cfg, problem=name)
         except Exception as exc:  # recorded, batch continues
-            failures.append((str(problems[index]), exc))
+            return exc
 
-    if args.jobs > 1 and len(problems) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, range(len(problems))))
-    else:
-        for index in range(len(problems)):
-            work(index)
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = dict(zip(loaders, pool.map(work, loaders.values())))
+    reports = [o for o in outcomes.values() if isinstance(o, BoundReport)]
+    failures = {label: o for label, o in outcomes.items() if isinstance(o, Exception)}
 
-    done = [r for r in reports if r is not None]
-    for report in done:
+    for report in reports:
         flags = " degraded" if report.degraded else ""
         print(
             f"{report.problem}: total={_fmt_bound(report.total)} base={report.base.tag} "
             f"clusters={report.num_clusters}{flags}"
         )
-    for name, exc in failures:
-        print(f"{name}: FAILED {exc}", file=sys.stderr)
+    for label, exc in failures.items():
+        print(f"{label}: FAILED {exc}", file=sys.stderr)
     if args.csv:
-        sysio.write_report(done, args.csv)
+        sysio.write_report(reports, args.csv)
     if failures:
-        parse_failure = any(isinstance(e, sysio.SystemParseError) for _, e in failures)
+        parse_failure = any(isinstance(e, sysio.SystemParseError) for e in failures.values())
         return EXIT_PARSE if parse_failure else EXIT_HARD
     return EXIT_OK
 
@@ -307,38 +311,31 @@ def build_parser() -> argparse.ArgumentParser:
     topo = sub.add_parser("topo", help="exact topological properties")
     _add_input_flags(topo)
     topo.add_argument("--witness", action="store_true", help="print rd/td witnesses")
-    topo.add_argument("--csv", metavar="PATH", help="append a CSV report")
-    topo.add_argument("--max-vars", type=int, default=20, help="explicit-state variable cap")
-    topo.add_argument("--rd-states", type=int, default=4096, help="simple-path search state cap")
+    topo.add_argument("--csv", metavar="PATH", help="write a CSV report")
+    _add_cap_flags(topo)
     topo.set_defaults(func=cmd_topo)
 
     rd = sub.add_parser("rd", help="longest simple path via an SMT solver")
     _add_input_flags(rd)
     rd.add_argument("--encoding", choices=("explicit", "factored"), default="factored")
-    rd.add_argument("--schedule", choices=("linear", "binary"), default="linear")
-    rd.add_argument("--solver-cmd", help=f"solver command (default ${SOLVER_ENV_VAR} or bundled)")
-    rd.add_argument("--timeout-ms", type=int, default=60_000, help="per-query timeout")
+    _add_solver_flags(rd)
     rd.add_argument("--bruteforce", action="store_true", help="bypass the solver")
     rd.add_argument("--emit-smt", metavar="DIR", help="write scripts instead of solving")
     rd.add_argument("--max-k", type=int, help="largest k for --emit-smt (default min(exp, 12))")
-    rd.add_argument("--max-vars", type=int, default=20)
-    rd.add_argument("--rd-states", type=int, default=4096)
+    _add_cap_flags(rd)
     rd.set_defaults(func=cmd_rd)
 
     bound = sub.add_parser("bound", help="compositional plan-length bound")
     _add_input_flags(bound)
     bound.add_argument("--batch", metavar="DIR", help="bound every system file in a directory")
-    bound.add_argument("--base", choices=("exp", "td", "rd", "b1", "b2"), default="b2")
+    bound.add_argument("--base", choices=BASE_TAGS, default="b2")
     bound.add_argument("--rd-state-cap", type=int, default=50, help="b2 state-count cutoff")
     bound.add_argument("--td-trigger", type=int, default=2, help="b1 traversal-diameter cutoff")
-    bound.add_argument("--solver-cmd", help=f"solver command (default ${SOLVER_ENV_VAR} or bundled)")
-    bound.add_argument("--timeout-ms", type=int, default=60_000)
-    bound.add_argument("--schedule", choices=("linear", "binary"), default="linear")
+    _add_solver_flags(bound)
     bound.add_argument("--bruteforce", action="store_true", help="never call a solver")
     bound.add_argument("--csv", metavar="PATH", help="write per-problem CSV rows")
     bound.add_argument("--jobs", type=int, default=1, help="parallel problems")
-    bound.add_argument("--max-vars", type=int, default=20)
-    bound.add_argument("--rd-states", type=int, default=4096)
+    _add_cap_flags(bound)
     bound.set_defaults(func=cmd_bound)
 
     conj = sub.add_parser("conjecture", help="td/rd coincidence harness")

@@ -1,5 +1,6 @@
-"""Projection abstraction, variable-dependency clustering, and composition of
-per-cluster topology values into a plan-length bound for the whole system.
+"""Variable-dependency clustering, projection onto each cluster, and
+composition of per-cluster topology values into a plan-length bound for the
+whole system.
 
 Clusters are the strongly connected components of the variable dependency
 graph in topological order. Each cluster's projected subsystem gets a base
@@ -32,24 +33,15 @@ from .oracle import (
     strongly_connected_components,
     traversal_diameter,
 )
-from .smt import RdResult, SolverConfig, SolverError, rd_via_smt
+from .smt import SolverConfig, SolverError, rd_via_smt
 
 BASE_TAGS = ("exp", "td", "rd", "b1", "b2")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """A subsystem obtained by restricting every action to a variable subset;
-    actions whose restricted effect is empty are dropped."""
-
-    parent: System
-    var_ids: tuple[int, ...]
-    system: System
-
-
 def project(system: System, var_ids) -> System:
     """Restrict preconditions and effects to ``var_ids``; variables are
-    renumbered densely, keeping their names."""
+    renumbered densely, keeping their names, and actions whose restricted
+    effect is empty are dropped."""
     ids = tuple(sorted(set(var_ids)))
     if any(not system.domain_mask >> i & 1 for i in ids):
         raise ValueError("projection variables must lie inside the used domain")
@@ -68,11 +60,6 @@ def project(system: System, var_ids) -> System:
             continue  # would only produce self-loops
         actions.append(Action(restrict(action.pre), eff))
     return System(variables, tuple(actions))
-
-
-def projection(system: System, var_ids) -> Projection:
-    ids = tuple(sorted(set(var_ids)))
-    return Projection(parent=system, var_ids=ids, system=project(system, ids))
 
 
 def dependency_graph(system: System) -> dict[int, set[int]]:
@@ -178,7 +165,6 @@ class ClusterBound:
     var_names: tuple[str, ...]
     value: int
     property_used: str  # "exp" | "td" | "rd"
-    time_ms: float
     rd_queries: int = 0
     rd_time_ms: float = 0.0
     td_time_ms: float = 0.0
@@ -220,131 +206,92 @@ class BoundReport:
         return max((len(c.var_names) for c in self.per_cluster), default=0)
 
 
-def _rd_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int, float, bool]:
-    """Longest-simple-path value for one cluster.
-
-    Returns (value or None, solver queries, solver time ms, timed_out).
-    SMT first when a solver is configured; brute force as the fallback while
-    the explicit caps allow it; None when nothing applies.
-    """
+def _rd_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int]:
+    """Longest-simple-path value of one cluster and the solver queries spent:
+    the SMT search when a solver is configured (None when it timed out), else
+    brute force within the explicit caps (None beyond them)."""
     if not subsystem.actions:
-        return 0, 0, 0.0, False
+        return 0, 0
+    queries = 0
     if cfg.solver is not None:
         try:
-            result: RdResult = rd_via_smt(
+            result = rd_via_smt(
                 subsystem,
                 encoding="factored",
                 cfg=cfg.solver,
                 schedule=cfg.schedule,
                 max_vars=cfg.max_vars,
             )
-        except SolverError:
-            result = None
-        if result is not None:
-            if result.exact:
-                return result.rd, result.total_queries, result.total_time_ms, False
-            return None, result.total_queries, result.total_time_ms, True
+        except SolverError as exc:
+            queries = len(exc.queries)
+        else:
+            return (result.rd if result.exact else None), result.total_queries
     try:
-        value = recurrence_diameter_bruteforce(
+        return recurrence_diameter_bruteforce(
             subsystem, max_states=cfg.rd_max_states, max_vars=cfg.max_vars
-        )
-        return value, 0, 0.0, False
+        ), queries
     except (SimplePathSearchTooLargeError, StateSpaceTooLargeError):
-        return None, 0, 0.0, True
+        return None, queries
+
+
+def _td_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int]:
+    """Traversal diameter of one cluster (no solver queries); None past the cap."""
+    try:
+        return traversal_diameter(subsystem, max_vars=cfg.max_vars), 0
+    except StateSpaceTooLargeError:
+        return None, 0
 
 
 def _base_case_detailed(
     subsystem: System, kind: BaseCaseKind, cfg: BoundConfig, var_names: tuple[str, ...]
 ) -> ClusterBound:
-    started = time.perf_counter()
+    elapsed_ms = {"td": 0.0, "rd": 0.0}
     rd_queries = 0
-    rd_time = 0.0
-    td_time = 0.0
     degraded = False
 
-    def td_value() -> int | None:
-        nonlocal td_time, degraded
-        t0 = time.perf_counter()
-        try:
-            return traversal_diameter(subsystem, max_vars=cfg.max_vars)
-        except StateSpaceTooLargeError:
-            degraded = True
-            return None
-        finally:
-            td_time += (time.perf_counter() - t0) * 1000.0
-
-    def rd_value() -> int | None:
-        nonlocal rd_queries, rd_time, degraded
-        t0 = time.perf_counter()
-        value, queries, solver_ms, timed_out = _rd_detailed(subsystem, cfg)
-        rd_time += (time.perf_counter() - t0) * 1000.0
+    def evaluate(prop: str) -> int | None:
+        """td or rd of the cluster; None (and degraded) when it is out of reach."""
+        nonlocal rd_queries, degraded
+        started = time.perf_counter()
+        detailed = _rd_detailed if prop == "rd" else _td_detailed
+        value, queries = detailed(subsystem, cfg)
+        elapsed_ms[prop] += (time.perf_counter() - started) * 1000.0
         rd_queries += queries
-        if timed_out:
-            degraded = True
+        degraded |= value is None
         return value
 
+    # rd iff the tag asks for it, or a hybrid's cheap properties say it can
+    # tighten td; otherwise td; the state-count bound as the last resort.
+    tag = kind.tag
     value: int | None = None
-    used = kind.tag
-    if kind.tag == "exp":
-        value = exp_bound(subsystem)
-        used = "exp"
-    elif kind.tag == "td":
-        value = td_value()
-        used = "td"
-    elif kind.tag == "rd":
-        value = rd_value()
-        used = "rd"
+    used = "exp"
+    if tag != "exp":
+        td = None if tag == "rd" else evaluate("td")
+        if tag == "rd" or (
+            tag in ("b1", "b2")
+            and td is not None
+            and td > kind.td_trigger
+            and (tag == "b1" or exp_bound(subsystem) <= kind.rd_state_cap)
+        ):
+            value, used = evaluate("rd"), "rd"
         if value is None:
-            value = td_value()
-            used = "td"
-    elif kind.tag == "b1":
-        td_val = td_value()
-        if td_val is not None and td_val > kind.td_trigger:
-            value = rd_value()
-            used = "rd"
-            if value is None:
-                value = td_val
-                used = "td"
-        else:
-            value = td_val
-            used = "td"
-    elif kind.tag == "b2":
-        if exp_bound(subsystem) <= kind.rd_state_cap:
-            td_val = td_value()
-            if td_val is not None and td_val > kind.td_trigger:
-                value = rd_value()
-                used = "rd"
-                if value is None:
-                    value = td_val
-                    used = "td"
-            else:
-                value = td_val
-                used = "td"
-        else:
-            value = td_value()
-            used = "td"
+            value, used = (evaluate("td") if tag == "rd" else td), "td"
     if value is None:
-        # Last resort: the state-count bound always exists.
-        value = exp_bound(subsystem)
-        used = "exp"
-        degraded = True
+        value, used = exp_bound(subsystem), "exp"
     return ClusterBound(
         var_names=var_names,
         value=value,
         property_used=used,
-        time_ms=(time.perf_counter() - started) * 1000.0,
         rd_queries=rd_queries,
-        rd_time_ms=rd_time,
-        td_time_ms=td_time,
+        rd_time_ms=elapsed_ms["rd"],
+        td_time_ms=elapsed_ms["td"],
         degraded=degraded,
     )
 
 
 def base_case(subsystem: System, kind: BaseCaseKind, cfg: BoundConfig | None = None) -> int:
     """The configured topological property of one (sub)system."""
-    cfg = cfg or BoundConfig()
-    names = tuple(subsystem.variables[i].name for i in subsystem.domain)
-    return _base_case_detailed(subsystem, kind, cfg, names).value
+    return _base_case_detailed(subsystem, kind, cfg or BoundConfig(), ()).value
 
 
 def compose_values(values) -> int:

@@ -57,7 +57,6 @@ class SystemDocument:
 
     system: System
     metadata: dict = field(default_factory=dict)
-    format: str = "json"
 
 
 def detect_format(path_or_text: str) -> str:
@@ -154,7 +153,7 @@ def _parse_json(text: str) -> SystemDocument:
     if not isinstance(metadata, dict):
         metadata = {}
     system = System(tuple(Variable(i, n) for i, n in enumerate(names)), tuple(actions))
-    return SystemDocument(system=system, metadata=metadata, format="json")
+    return SystemDocument(system=system, metadata=metadata)
 
 
 def _parse_literals(
@@ -254,7 +253,7 @@ def _parse_compact(text: str) -> SystemDocument:
     if names is None:
         raise SystemParseError("missing vars: header")
     system = System(tuple(Variable(i, n) for i, n in enumerate(names)), tuple(actions))
-    return SystemDocument(system=system, metadata={}, format="compact")
+    return SystemDocument(system=system, metadata={})
 
 
 def _assignment_json(system: System, state: PartialState) -> dict[str, bool]:

@@ -330,10 +330,6 @@ class RdResult:
     def total_queries(self) -> int:
         return len(self.queries)
 
-    @property
-    def total_time_ms(self) -> float:
-        return sum(v.elapsed_ms for _, v in self.queries)
-
 
 def rd_via_smt(
     system: System,

@@ -180,6 +180,17 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "--batch", str(batch))
         assert code == 2
 
+    def test_jobs_below_one_is_config_error(self, capsys, tmp_path):
+        target = tmp_path / "b.csv"
+        for jobs in ("0", "-3"):
+            code, out, _ = run(
+                capsys,
+                "bound", "--gen", "lotus", "--n", "3", "--bruteforce",
+                "--jobs", jobs, "--csv", str(target),
+            )
+            assert code == 2
+            assert out == "" and not target.exists()
+
 
 class TestConjecture:
     def test_star_like_summary(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statebound.compose import (
+    BASE_TAGS,
     BaseCaseKind,
     BoundConfig,
     base_case,
@@ -13,7 +14,6 @@ from statebound.compose import (
     decompose,
     dependency_graph,
     project,
-    projection,
 )
 from statebound.core import Action, PartialState, System
 from statebound.gen import disjoint_union, gen_lotus
@@ -53,7 +53,7 @@ class TestProject:
         assert len(sub.actions) == 1
 
     def test_projection_actions_are_restrictions(self, clique2):
-        proj = projection(clique2, (1,))
+        sub = project(clique2, (1,))
         parent_restrictions = set()
         for action in clique2.actions:
             pre = PartialState.from_items(
@@ -64,7 +64,7 @@ class TestProject:
             )
             if eff.mask:
                 parent_restrictions.add(Action(pre, eff))
-        assert set(proj.system.actions) == parent_restrictions
+        assert set(sub.actions) == parent_restrictions
 
 
 class TestDependencyGraph:
@@ -114,6 +114,11 @@ class TestDecompose:
             assert len(flat) == len(set(flat))
 
 
+_SLEEPER = SolverConfig(
+    command=(sys.executable, "-c", "import time; time.sleep(30)"), timeout_ms=150
+)
+
+
 class TestBaseCase:
     def test_b1_star_short_circuits(self, star3):
         kind = BaseCaseKind("b1")
@@ -142,15 +147,77 @@ class TestBaseCase:
             BaseCaseKind("b1", td_trigger=-1)
 
     def test_rd_timeout_degrades_to_td(self, clique2):
-        sleeper = SolverConfig(
-            command=(sys.executable, "-c", "import time; time.sleep(30)"),
-            timeout_ms=150,
-        )
-        cfg = BoundConfig(solver=sleeper)
+        cfg = BoundConfig(solver=_SLEEPER)
         report = compositional_bound(clique2, BaseCaseKind("rd"), cfg)
         assert report.degraded
         assert report.per_cluster[0].property_used == "td"
         assert report.total == 3  # td of the clique
+
+    def test_solver_error_counts_spent_queries(self, clique2):
+        garbage = SolverConfig(command=(sys.executable, "-c", "print('garbage')"))
+        report = compositional_bound(clique2, BaseCaseKind("rd"), BoundConfig(solver=garbage))
+        # brute force takes over after the failed query, which still counts
+        assert report.per_cluster[0].property_used == "rd"
+        assert not report.degraded
+        assert report.rd_queries == 1
+
+# Per base-case setting, system -> the outcome of each tag in BASE_TAGS order,
+# written property:value with a trailing "!" when the cluster is degraded.
+# toggles2 has two identical clusters; every cluster must match.
+_POLICY_TABLE = {
+    "defaults": ({}, BoundConfig(), {
+        "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
+        "star3": "exp:3 td:1 rd:1 td:1 td:1",
+        "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
+        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
+    }),
+    "rd_state_cap=2": ({"rd_state_cap": 2}, BoundConfig(), {
+        "clique2": "exp:3 td:3 rd:3 rd:3 td:3",
+        "star3": "exp:3 td:1 rd:1 td:1 td:1",
+        "lotus7": "exp:7 td:7 rd:2 rd:2 td:7",
+        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
+    }),
+    "td_trigger=0": ({"td_trigger": 0}, BoundConfig(), {
+        "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
+        "star3": "exp:3 td:1 rd:1 rd:1 rd:1",
+        "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
+        "toggles2": "exp:1 td:1 rd:1 rd:1 rd:1",
+    }),
+    # td and rd both exceed the variable cap: the state-count bound remains
+    "max_vars=0": ({}, BoundConfig(max_vars=0), {
+        "clique2": "exp:3 exp:3! exp:3! exp:3! exp:3!",
+        "star3": "exp:3 exp:3! exp:3! exp:3! exp:3!",
+        "lotus7": "exp:7 exp:7! exp:7! exp:7! exp:7!",
+        "toggles2": "exp:1 exp:1! exp:1! exp:1! exp:1!",
+    }),
+    # no solver and brute force over its state cap: rd falls back to td
+    "rd_max_states=2": ({}, BoundConfig(rd_max_states=2), {
+        "clique2": "exp:3 td:3 td:3! td:3! td:3!",
+        "star3": "exp:3 td:1 td:1! td:1 td:1",
+        "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
+        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
+    }),
+    "sleeper": ({}, BoundConfig(solver=_SLEEPER), {
+        "clique2": "exp:3 td:3 td:3! td:3! td:3!",
+        "star3": "exp:3 td:1 td:1! td:1 td:1",
+        "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
+        "toggles2": "exp:1 td:1 td:1! td:1 td:1",
+    }),
+}
+
+
+@pytest.mark.parametrize("setting", list(_POLICY_TABLE))
+def test_base_case_policy_table(setting, request):
+    kind_args, cfg, expected = _POLICY_TABLE[setting]
+    systems = {name: request.getfixturevalue(name) for name in ("clique2", "star3", "toggles2")}
+    systems["lotus7"] = gen_lotus(7)
+    for name, row in expected.items():
+        for tag, cell in zip(BASE_TAGS, row.split()):
+            used, value = cell.rstrip("!").split(":")
+            want = (int(value), used, cell.endswith("!"))
+            report = compositional_bound(systems[name], BaseCaseKind(tag, **kind_args), cfg)
+            got = {(c.value, c.property_used, c.degraded) for c in report.per_cluster}
+            assert got == {want}, (name, tag)
 
 
 class TestComposeValues:
