@@ -44,6 +44,9 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_HARD = 4
 
+# Count flags, on whichever subcommand has them; each must be at least 1.
+_COUNT_FLAGS = ("jobs", "max_vars", "rd_states", "timeout_ms", "max_k")
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int) -> None:
@@ -165,10 +168,10 @@ def cmd_rd(args: argparse.Namespace) -> int:
 
     if args.emit_smt:
         out_dir = Path(args.emit_smt)
-        out_dir.mkdir(parents=True, exist_ok=True)
         max_k = args.max_k if args.max_k is not None else min(exp_bound(system), 12)
         if max_k < 1:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for k in range(1, max_k + 1):
             if args.encoding == "explicit":
                 doc = encode_explicit(system, k, max_vars=args.max_vars)
@@ -201,8 +204,6 @@ def cmd_rd(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise _CliError("--jobs must be at least 1", EXIT_CONFIG)
     kind = BaseCaseKind(
         tag=args.base, rd_state_cap=args.rd_state_cap, td_trigger=args.td_trigger
     )
@@ -354,6 +355,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in _COUNT_FLAGS:
+            value = getattr(args, dest, None)
+            if value is not None and value < 1:
+                flag = "--" + dest.replace("_", "-")
+                raise _CliError(f"{flag} must be at least 1", EXIT_CONFIG)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

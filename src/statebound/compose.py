@@ -13,7 +13,6 @@ to right as bound = bound + (bound + 1) * next.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     StateSpaceTooLargeError,
     System,
     Variable,
+    timed_ms,
 )
 from .oracle import (
     DEFAULT_RD_STATE_CAP,
@@ -225,7 +225,7 @@ def _rd_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int]:
         except SolverError as exc:
             queries = len(exc.queries)
         else:
-            return (result.rd if result.exact else None), result.total_queries
+            return (result.rd if result.exact else None), len(result.queries)
     try:
         return recurrence_diameter_bruteforce(
             subsystem, max_states=cfg.rd_max_states, max_vars=cfg.max_vars
@@ -252,10 +252,9 @@ def _base_case_detailed(
     def evaluate(prop: str) -> int | None:
         """td or rd of the cluster; None (and degraded) when it is out of reach."""
         nonlocal rd_queries, degraded
-        started = time.perf_counter()
         detailed = _rd_detailed if prop == "rd" else _td_detailed
-        value, queries = detailed(subsystem, cfg)
-        elapsed_ms[prop] += (time.perf_counter() - started) * 1000.0
+        (value, queries), ms = timed_ms(detailed, subsystem, cfg)
+        elapsed_ms[prop] += ms
         rd_queries += queries
         degraded |= value is None
         return value
@@ -318,18 +317,18 @@ def compositional_bound(
     """Decompose, evaluate the base case per cluster, and fold the values in
     topological order into one plan-length upper bound."""
     cfg = cfg or BoundConfig()
-    started = time.perf_counter()
-    decomposition = decompose(system)
-    per_cluster: list[ClusterBound] = []
-    for cluster in decomposition.clusters:
-        sub = project(system, cluster)
+
+    def cluster_bound(cluster: tuple[int, ...]) -> ClusterBound:
         names = tuple(system.variables[v].name for v in cluster)
-        per_cluster.append(_base_case_detailed(sub, kind, cfg, names))
-    total = compose_values(c.value for c in per_cluster)
+        return _base_case_detailed(project(system, cluster), kind, cfg, names)
+
+    per_cluster, total_time_ms = timed_ms(
+        lambda: tuple(map(cluster_bound, decompose(system).clusters))
+    )
     return BoundReport(
         problem=problem,
         base=kind,
-        total=total,
-        per_cluster=tuple(per_cluster),
-        total_time_ms=(time.perf_counter() - started) * 1000.0,
+        total=compose_values(c.value for c in per_cluster),
+        per_cluster=per_cluster,
+        total_time_ms=total_time_ms,
     )

@@ -8,6 +8,7 @@ million states when asked to.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -15,6 +16,13 @@ from typing import Iterable, Iterator, Mapping
 # Explicit state-space construction is exponential; refuse beyond this many
 # used variables unless the caller raises the cap knowingly.
 DEFAULT_VAR_CAP = 20
+
+
+def timed_ms(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)``; returns (its result, wall time in ms)."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - started) * 1000.0
 
 
 class DomainMismatchError(ValueError):
@@ -84,10 +92,6 @@ class PartialState:
         if not self.mask >> var_id & 1:
             raise KeyError(var_id)
         return bool(self.bits >> var_id & 1)
-
-    def issubset(self, other: "PartialState") -> bool:
-        """True iff every maplet of self also holds in other."""
-        return (self.mask & other.mask) == self.mask and (other.bits & self.mask) == self.bits
 
     def __contains__(self, var_id: int) -> bool:
         return bool(self.mask >> var_id & 1)
@@ -194,11 +198,6 @@ class System:
             raise DomainMismatchError("assignment does not cover the used domain exactly")
         return FullState(partial.mask, partial.bits)
 
-    def full_states(self) -> Iterator[FullState]:
-        """All valid states, in vertex-id order."""
-        for code in range(1 << self.num_domain_vars):
-            yield self.state_of_index(code)
-
     def state_of_index(self, code: int) -> FullState:
         """Vertex id -> full state; domain position p carries bit p of the id."""
         bits = 0
@@ -274,9 +273,6 @@ class TransitionGraph:
         for u, succs in enumerate(self.adj):
             for v in succs:
                 yield u, v
-
-    def state_of(self, vertex: int) -> FullState:
-        return self.system.state_of_index(vertex)
 
 
 def _compact_mask(mask: int, positions: Mapping[int, int]) -> int:

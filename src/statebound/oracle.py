@@ -8,7 +8,6 @@ obviously correct and deterministic over being clever.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -21,6 +20,7 @@ from .core import (
     TransitionGraph,
     build_transition_graph,
     execute_sequence,
+    timed_ms,
 )
 
 # Values are saturated here instead of overflowing; a result equal to
@@ -364,25 +364,9 @@ def compute_topo_report(
 ) -> TopoReport:
     """Compute exp/d/rd/td on the explicit state space, timing each."""
     timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    graph = build_transition_graph(system, max_vars=max_vars)
-    timings["graph_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    exp = exp_bound(system)
-    timings["exp_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    d = diameter(graph)
-    timings["d_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    rd = recurrence_diameter_bruteforce(graph, max_states=max_states)
-    timings["rd_ms"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    td = traversal_diameter(graph)
-    timings["td_ms"] = (time.perf_counter() - t0) * 1000.0
-
+    graph, timings["graph_ms"] = timed_ms(build_transition_graph, system, max_vars=max_vars)
+    exp, timings["exp_ms"] = timed_ms(exp_bound, system)
+    d, timings["d_ms"] = timed_ms(diameter, graph)
+    rd, timings["rd_ms"] = timed_ms(recurrence_diameter_bruteforce, graph, max_states=max_states)
+    td, timings["td_ms"] = timed_ms(traversal_diameter, graph)
     return TopoReport(exp=exp, d=d, rd=rd, td=td, timings=timings, problem=problem)

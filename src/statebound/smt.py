@@ -13,8 +13,9 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
 Each query spawns one external solver process (configurable command; the
 bundled ``statebound-solve`` is the default) and reads back the first output
-token. The search over k is monotone, so either a linear scan or doubling
-plus binary search yields the exact value.
+token. Satisfiability is monotone in k, so one search narrows a bracket
+between the largest k known sat and the smallest k known unsat; the linear
+or binary schedule only picks the next k to ask.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import shlex
 import subprocess
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_graph
+from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_graph, timed_ms
 from .oracle import exp_bound
 
 SOLVER_ENV_VAR = "STATEBOUND_SOLVER"
@@ -249,30 +249,28 @@ class SolverVerdict:
     raw: str = ""
     model: dict[str, bool] | None = None
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
 
 def run_solver(doc: SmtDocument, cfg: SolverConfig) -> SolverVerdict:
     """Run one query in a fresh solver process and classify the response."""
-    text = doc.rendering
+    (status, raw, model), elapsed_ms = timed_ms(_exchange, doc.rendering, doc.get_model, cfg)
+    return SolverVerdict(status, elapsed_ms, raw=raw, model=model)
+
+
+def _exchange(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
+    """Hand one script to a fresh solver process; returns (status, raw first
+    token or error text, model when asked for and sat)."""
     command = list(cfg.command)
-    uses_file = any("{script}" in part for part in command)
-    started = time.perf_counter()
+    stdin_text: str | None = text
     script_path = None
     try:
-        if uses_file:
-            handle = tempfile.NamedTemporaryFile(
+        if any("{script}" in part for part in command):
+            with tempfile.NamedTemporaryFile(
                 "w", suffix=".smt2", delete=False, encoding="utf-8"
-            )
-            with handle:
+            ) as handle:
                 handle.write(text)
             script_path = handle.name
             command = [part.replace("{script}", script_path) for part in command]
             stdin_text = None
-        else:
-            stdin_text = text
         try:
             proc = subprocess.run(
                 command,
@@ -282,29 +280,22 @@ def run_solver(doc: SmtDocument, cfg: SolverConfig) -> SolverVerdict:
                 timeout=cfg.timeout_ms / 1000.0,
             )
         except subprocess.TimeoutExpired:
-            return SolverVerdict("timeout", _elapsed_ms(started))
-        except (FileNotFoundError, PermissionError, OSError) as exc:
-            return SolverVerdict("solver-error", _elapsed_ms(started), raw=str(exc))
-        token = _first_token(proc.stdout)
-        if token in ("sat", "unsat", "unknown"):
-            model = None
-            if token == "sat" and doc.get_model:
-                model = {
-                    name: value == "true"
-                    for name, value in _MODEL_BOOL_RE.findall(proc.stdout)
-                }
-            return SolverVerdict(token, _elapsed_ms(started), raw=token, model=model)
-        return SolverVerdict("solver-error", _elapsed_ms(started), raw=token or "")
+            return "timeout", "", None
+        except OSError as exc:
+            return "solver-error", str(exc), None
     finally:
         if script_path is not None:
             try:
                 os.unlink(script_path)
             except OSError:
                 pass
-
-
-def _elapsed_ms(started: float) -> float:
-    return (time.perf_counter() - started) * 1000.0
+    token = _first_token(proc.stdout)
+    if token not in ("sat", "unsat", "unknown"):
+        return "solver-error", token or "", None
+    model = None
+    if token == "sat" and get_model:
+        model = {name: value == "true" for name, value in _MODEL_BOOL_RE.findall(proc.stdout)}
+    return token, token, model
 
 
 def _first_token(stdout: str) -> str | None:
@@ -326,10 +317,6 @@ class RdResult:
     encoding: str
     queries: tuple[tuple[int, SolverVerdict], ...] = ()
 
-    @property
-    def total_queries(self) -> int:
-        return len(self.queries)
-
 
 def rd_via_smt(
     system: System,
@@ -341,9 +328,11 @@ def rd_via_smt(
 ) -> RdResult:
     """Compute the longest-simple-path length by repeated solver queries.
 
-    The linear schedule asks k = 1, 2, 3, ... until the first unsat; the
-    binary schedule doubles k to bracket the answer and then bisects, which
-    is valid because satisfiability is monotone in k.
+    Satisfiability is monotone in k, so the search keeps a bracket: ``low``
+    is the largest k known sat, ``high`` the smallest k known unsat, and it
+    asks until they are adjacent. The schedule only picks the next k: the
+    linear one asks low + 1; the binary one doubles low (capped at exp + 1)
+    until an unsat k is found, then bisects.
     """
     if encoding not in ("explicit", "factored"):
         raise ValueError(f"unknown encoding {encoding!r}")
@@ -358,7 +347,7 @@ def rd_via_smt(
         return encode_factored(system, k, get_model=get_model)
 
     queries: list[tuple[int, SolverVerdict]] = []
-    k_cap = exp_bound(system)  # no simple path can be longer
+    exp = exp_bound(system)  # no simple path can be longer
 
     def query(k: int) -> str:
         verdict = run_solver(encode(k), cfg)
@@ -369,56 +358,30 @@ def rd_via_smt(
                 f"{verdict.status} {verdict.raw!r}",
                 queries=tuple(queries),
             )
-        return verdict.status
-
-    def result(rd: int, exact: bool) -> RdResult:
-        return RdResult(rd=rd, exact=exact, encoding=encoding, queries=tuple(queries))
-
-    def check_consistent(k: int, status: str) -> None:
-        # k_cap + 1 distinct states cannot exist, so sat there is a solver bug.
-        if status == "sat" and k > k_cap:
+        # exp + 1 distinct states cannot exist, so sat there is a solver bug.
+        if verdict.status == "sat" and k > exp:
             raise SolverError(
                 f"solver reported sat beyond the state-count bound (k={k})",
                 queries=tuple(queries),
             )
+        return verdict.status
 
-    if schedule == "linear":
-        best = 0
-        k = 1
-        while True:
-            status = query(k)
-            if status == "unsat":
-                return result(best, True)
-            if status == "timeout":
-                return result(best, False)
-            check_consistent(k, status)
-            best = k
-            k += 1
-
-    # doubling then bisection
-    low = 0
-    high = None
-    k = 1
-    while high is None:
+    low, high = 0, None
+    while high is None or high - low > 1:
+        if high is not None:
+            k = (low + high) // 2
+        elif schedule == "linear":
+            k = low + 1
+        else:
+            k = min(2 * low, exp + 1) or 1
         status = query(k)
         if status == "timeout":
-            return result(low, False)
-        if status == "unsat":
-            high = k
-        else:
-            check_consistent(k, status)
+            return RdResult(rd=low, exact=False, encoding=encoding, queries=tuple(queries))
+        if status == "sat":
             low = k
-            k = min(2 * k, k_cap + 1)
-    while high - low > 1:
-        mid = (low + high) // 2
-        status = query(mid)
-        if status == "timeout":
-            return result(low, False)
-        if status == "unsat":
-            high = mid
         else:
-            low = mid
-    return result(low, True)
+            high = k
+    return RdResult(rd=low, exact=True, encoding=encoding, queries=tuple(queries))
 
 
 def decode_factored_model(

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from statebound.cli import main
 from statebound.gen import gen_lotus
 from statebound.io import serialize_system
@@ -222,6 +224,37 @@ class TestConfigErrors:
     def test_unreadable_input(self, capsys):
         code, _, _ = run(capsys, "topo", "--input", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("topo", "--max-vars"),
+            ("topo", "--rd-states"),
+            ("rd", "--max-vars"),
+            ("rd", "--rd-states"),
+            ("rd", "--timeout-ms"),
+            ("rd", "--max-k"),
+            ("bound", "--max-vars"),
+            ("bound", "--rd-states"),
+            ("bound", "--timeout-ms"),
+            ("bound", "--jobs"),
+        ],
+    )
+    def test_count_below_one(self, capsys, tmp_path, command, flag):
+        target = tmp_path / "out.csv"
+        emit_dir = tmp_path / "scripts"
+        output = {
+            "topo": ["--csv", str(target)],
+            "rd": ["--emit-smt", str(emit_dir)],
+            "bound": ["--bruteforce", "--csv", str(target)],
+        }[command]
+        for value in ("0", "-1"):
+            code, out, err = run(
+                capsys, command, "--gen", "lotus", "--n", "3", *output, flag, value
+            )
+            assert code == 2 and out == "", (flag, value)
+            assert flag in err
+            assert not target.exists() and not emit_dir.exists()
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

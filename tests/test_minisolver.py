@@ -7,6 +7,7 @@ import itertools
 import subprocess
 import sys
 
+from statebound import minisolver
 from statebound.gen import SplitMix64
 from statebound.minisolver import CdclSolver, solve_text
 
@@ -56,7 +57,7 @@ class TestProtocol:
 
 def main_with_stdin(text):
     proc = subprocess.run(
-        [sys.executable, "-m", "statebound.minisolver"],
+        [sys.executable, minisolver.__file__],
         input=text,
         capture_output=True,
         text=True,
@@ -72,7 +73,7 @@ class TestExecutable:
         path = tmp_path / "q.smt2"
         path.write_text("(check-sat)\n", encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-m", "statebound.minisolver", str(path)],
+            [sys.executable, minisolver.__file__, str(path)],
             capture_output=True,
             text=True,
         )

@@ -8,6 +8,7 @@ from statebound.oracle import recurrence_diameter_bruteforce
 from statebound.smt import (
     SolverConfig,
     SolverError,
+    SolverVerdict,
     decode_factored_model,
     encode_explicit,
     encode_factored,
@@ -204,6 +205,59 @@ class TestRdViaSmt:
             rd_via_smt(clique2, "tabular", solver_cfg)
         with pytest.raises(ValueError):
             rd_via_smt(clique2, "factored", solver_cfg, schedule="golden")
+
+
+_STATUS = {"s": "sat", "u": "unsat", "t": "timeout", "e": "solver-error", "?": "unknown"}
+
+
+def _log(text):
+    return [(int(cell[:-1]), _STATUS[cell[-1]]) for cell in text.split()]
+
+
+# schedule, exp, rd, statuses forced at some k -> (k, status) log, then
+# (rd, exact), or "error" for a SolverError carrying that log.
+_SCHEDULE_TABLE = [
+    ("linear", 3, 3, "", "1s 2s 3s 4u", (3, True)),
+    ("linear", 3, 0, "", "1u", (0, True)),
+    ("linear", 7, 4, "3t", "1s 2s 3t", (2, False)),
+    ("linear", 7, 4, "3e", "1s 2s 3e", "error"),
+    ("linear", 1, 3, "", "1s 2s", "error"),  # sat beyond exp
+    ("binary", 7, 5, "", "1s 2s 4s 8u 6u 5s", (5, True)),
+    ("binary", 7, 0, "", "1u", (0, True)),
+    ("binary", 5, 5, "", "1s 2s 4s 6u 5s", (5, True)),  # doubling capped at exp + 1
+    ("binary", 5, 4, "", "1s 2s 4s 6u 5u", (4, True)),
+    ("binary", 7, 5, "4t", "1s 2s 4t", (2, False)),  # timeout while doubling
+    ("binary", 7, 5, "6t", "1s 2s 4s 8u 6t", (4, False)),  # timeout while bisecting
+    ("binary", 7, 5, "6?", "1s 2s 4s 8u 6?", "error"),
+    ("binary", 3, 7, "", "1s 2s 4s", "error"),  # sat beyond exp
+]
+
+
+@pytest.mark.parametrize(
+    "schedule,exp,rd,forced,log,outcome",
+    _SCHEDULE_TABLE,
+    ids=[f"{row[0]}-exp{row[1]}-rd{row[2]}-{row[3] or 'none'}" for row in _SCHEDULE_TABLE],
+)
+def test_search_schedule_table(schedule, exp, rd, forced, log, outcome, clique2, monkeypatch):
+    """A stub solver answers sat for k <= rd and unsat above, except where a
+    status is forced; the table pins the exact k each schedule asks."""
+    forced = dict(_log(forced))
+
+    def stub(doc, cfg):
+        return SolverVerdict(forced.get(doc.k, "sat" if doc.k <= rd else "unsat"), 0.0)
+
+    monkeypatch.setattr("statebound.smt.run_solver", stub)
+    monkeypatch.setattr("statebound.smt.exp_bound", lambda system: exp)
+    cfg = SolverConfig(command=("unused",))
+    if outcome == "error":
+        with pytest.raises(SolverError) as info:
+            rd_via_smt(clique2, "factored", cfg, schedule)
+        queries = info.value.queries
+    else:
+        result = rd_via_smt(clique2, "factored", cfg, schedule)
+        assert (result.rd, result.exact) == outcome
+        queries = result.queries
+    assert [(k, v.status) for k, v in queries] == _log(log)
 
 
 class TestModelDecoding:
