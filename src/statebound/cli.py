@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io as sysio
 from .compose import BASE_TAGS, BaseCaseKind, BoundConfig, BoundReport, compositional_bound
-from .core import DEFAULT_VAR_CAP, StateSpaceTooLargeError, System, build_transition_graph
+from .core import DEFAULT_VAR_CAP, StateSpaceTooLargeError, System, build_transition_graph, timed_ms
 from .gen import GenerationError, GeneratorSpec, generate, provenance
 from .oracle import (
     DEFAULT_RD_STATE_CAP,
@@ -148,12 +148,12 @@ def _fmt_bound(value: int) -> str:
 
 def cmd_topo(args: argparse.Namespace) -> int:
     system, name = _load_system(args)
-    report = compute_topo_report(
-        system, problem=name, max_vars=args.max_vars, max_states=args.rd_states
-    )
+    graph, graph_ms = timed_ms(build_transition_graph, system, max_vars=args.max_vars)
+    report = compute_topo_report(graph, problem=name, max_states=args.rd_states)
+    report.timings["graph_ms"] = graph_ms
     print(f"d={report.d} rd={report.rd} td={report.td} exp={_fmt_bound(report.exp)}")
     if args.witness:
-        graph = build_transition_graph(system, max_vars=args.max_vars)
+        # The graph keeps the search result, so this does not search again.
         _, rd_path = longest_simple_path(graph, max_states=args.rd_states)
         walk = traversal_walk(graph)
         print("rd witness:", _render_states(system, rd_path))

@@ -9,7 +9,7 @@ million states when asked to.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -256,6 +256,9 @@ class TransitionGraph:
 
     system: System
     adj: tuple[tuple[int, ...], ...]
+    # What the oracle derives from the graph alone (SCC condensation, longest
+    # simple path), kept here so each is computed once per graph.
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:

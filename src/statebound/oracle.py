@@ -4,6 +4,14 @@ path, and traversal diameter, plus the td/rd coincidence checker.
 Everything here works on the explicit transition graph and is intended as
 ground truth for the factored (SMT) paths, so the algorithms favour being
 obviously correct and deterministic over being clever.
+
+The exhaustive longest-simple-path search is bounded by td: no path from a
+vertex has more edges than its SCC-condensation value minus 1, so the search
+stops at a path of td edges and cuts every branch that this ceiling shows
+cannot beat the best path so far. A branch that survives is then cut by its
+residual reachable-vertex count, which stops counting as soon as it is large
+enough not to cut. The condensation and the search result are computed once
+per graph and kept on it.
 """
 
 from __future__ import annotations
@@ -71,39 +79,40 @@ def diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> 
     return best
 
 
-def _unvisited_reach_count(adj: Sequence[Sequence[int]], visited: bytearray, head: int) -> int:
+def _unvisited_reach_count(
+    adj: Sequence[Sequence[int]], visited: bytearray, head: int, limit: int
+) -> int:
     """Number of unvisited vertices reachable from ``head`` through unvisited
-    vertices only (the residual-graph pruning bound)."""
-    stack = [v for v in adj[head] if not visited[v]]
-    seen = set(stack)
-    count = 0
+    vertices only (the residual-graph pruning bound). Stops counting once it
+    exceeds ``limit``, which is all the caller needs to know."""
+    stack = [head]
+    seen: set[int] = set()
     while stack:
         u = stack.pop()
-        count += 1
         for v in adj[u]:
             if not visited[v] and v not in seen:
                 seen.add(v)
+                if len(seen) > limit:
+                    return len(seen)
                 stack.append(v)
-    return count
+    return len(seen)
 
 
-def longest_simple_path(
-    obj: System | TransitionGraph,
-    max_states: int = DEFAULT_RD_STATE_CAP,
-    max_vars: int = DEFAULT_VAR_CAP,
-) -> tuple[int, list[int]]:
-    """Exhaustive longest simple path; returns (edge count, witness vertices).
+def _derived(graph: TransitionGraph, key: str, compute):
+    """``compute(graph)``, computed once per graph and kept on it."""
+    if key not in graph.derived:
+        graph.derived[key] = compute(graph)
+    return graph.derived[key]
 
-    Depth-first search from every start vertex, neighbours in ascending id
-    order, pruned by current length plus the residual reachable-vertex count.
-    """
-    graph = _as_graph(obj, max_vars)
+
+def _search_longest_simple_path(graph: TransitionGraph) -> tuple[int, list[int]]:
     n = graph.num_states
-    if n > max_states:
-        raise SimplePathSearchTooLargeError(
-            f"{n} states exceed the simple-path search cap of {max_states}"
-        )
     adj = graph.adj
+    _, comp_of, value, _ = _derived(graph, "condensation", _condensation_dp)
+    # No walk from v, so no simple path, visits more states than v's
+    # component value: ceiling[v] edges at most, and td over all v.
+    ceiling = [value[cid] - 1 for cid in comp_of]
+    td = max(ceiling, default=0)
     best_len = 0
     best_path = [0] if n else []
     visited = bytearray(n)
@@ -118,19 +127,21 @@ def longest_simple_path(
         if length > best_len:
             best_len = length
             best_path = path.copy()
-        bound = length + _unvisited_reach_count(adj, visited, v)
-        if bound <= best_len:
+        limit = best_len - length
+        if ceiling[v] <= limit or _unvisited_reach_count(adj, visited, v, limit) <= limit:
             iters.append(iter(()))
         else:
             iters.append(iter(adj[v]))
 
     for start in range(n):
-        if best_len >= n - 1:
+        if best_len >= td:
             break
+        if ceiling[start] <= best_len:
+            continue
         push(start)
         while iters:
-            if best_len >= n - 1:
-                # Nothing can beat a Hamiltonian path; unwind and stop.
+            if best_len >= td:
+                # Nothing can beat a path of td edges; unwind and stop.
                 while path:
                     visited[path.pop()] = 0
                 iters.clear()
@@ -145,6 +156,32 @@ def longest_simple_path(
                 iters.pop()
                 visited[path.pop()] = 0
     return best_len, best_path
+
+
+def longest_simple_path(
+    obj: System | TransitionGraph,
+    max_states: int = DEFAULT_RD_STATE_CAP,
+    max_vars: int = DEFAULT_VAR_CAP,
+) -> tuple[int, list[int]]:
+    """Exhaustive longest simple path; returns (edge count, witness vertices).
+
+    Depth-first search from every start vertex, starts and neighbours in
+    ascending id order; the witness is the first longest path found. With
+    ceiling(v) = v's SCC-condensation value minus 1, the search stops once the
+    best path has td edges, skips a start whose ceiling is at most the best,
+    and cuts a branch whose length plus ceiling, or else length plus residual
+    reachable-vertex count, is at most the best. Every cut drops only branches
+    that cannot strictly improve, so the result equals the unpruned search's.
+    The result is kept on the graph: a second call does not search again.
+    """
+    graph = _as_graph(obj, max_vars)
+    n = graph.num_states
+    if n > max_states:
+        raise SimplePathSearchTooLargeError(
+            f"{n} states exceed the simple-path search cap of {max_states}"
+        )
+    length, path = _derived(graph, "longest_simple_path", _search_longest_simple_path)
+    return length, path.copy()
 
 
 def recurrence_diameter_bruteforce(
@@ -244,7 +281,7 @@ def traversal_diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VA
     graph = _as_graph(obj, max_vars)
     if graph.num_states == 0:
         return 0
-    _, _, value, _ = _condensation_dp(graph)
+    _, _, value, _ = _derived(graph, "condensation", _condensation_dp)
     return max(value) - 1
 
 
@@ -255,7 +292,7 @@ def traversal_walk(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CA
     path, moving between vertices by BFS inside the current component.
     """
     graph = _as_graph(obj, max_vars)
-    components, comp_of, value, next_comp = _condensation_dp(graph)
+    components, comp_of, value, next_comp = _derived(graph, "condensation", _condensation_dp)
     start_comp = max(range(len(components)), key=lambda c: (value[c], -c))
     adj = graph.adj
 
@@ -357,15 +394,18 @@ class TopoReport:
 
 
 def compute_topo_report(
-    system: System,
+    obj: System | TransitionGraph,
     problem: str = "",
     max_vars: int = DEFAULT_VAR_CAP,
     max_states: int = DEFAULT_RD_STATE_CAP,
 ) -> TopoReport:
-    """Compute exp/d/rd/td on the explicit state space, timing each."""
+    """Compute exp/d/rd/td on the explicit state space, timing each.
+
+    A prebuilt graph is used as it is, so ``graph_ms`` then times no build.
+    """
     timings: dict[str, float] = {}
-    graph, timings["graph_ms"] = timed_ms(build_transition_graph, system, max_vars=max_vars)
-    exp, timings["exp_ms"] = timed_ms(exp_bound, system)
+    graph, timings["graph_ms"] = timed_ms(_as_graph, obj, max_vars)
+    exp, timings["exp_ms"] = timed_ms(exp_bound, graph.system)
     d, timings["d_ms"] = timed_ms(diameter, graph)
     rd, timings["rd_ms"] = timed_ms(recurrence_diameter_bruteforce, graph, max_states=max_states)
     td, timings["td_ms"] = timed_ms(traversal_diameter, graph)

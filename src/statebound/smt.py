@@ -215,6 +215,10 @@ class SolverConfig:
     command: tuple[str, ...]
     timeout_ms: int = 60_000
 
+    def __post_init__(self) -> None:
+        if self.timeout_ms < 1:
+            raise ValueError(f"timeout_ms must be at least 1, got {self.timeout_ms}")
+
     @classmethod
     def bundled(cls, timeout_ms: int = 60_000) -> "SolverConfig":
         """The packaged fallback solver, launched by file path so the child

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from statebound import cli, oracle
 from statebound.cli import main
 from statebound.gen import gen_lotus
 from statebound.io import serialize_system
@@ -36,6 +37,34 @@ class TestTopo:
         code, out, _ = run(capsys, "topo", "--gen", "clique", "--m", "2", "--witness")
         assert code == 0
         assert "rd witness:" in out and "td walk:" in out
+
+    @pytest.mark.parametrize("witness", [(), ("--witness",)])
+    def test_one_graph_one_search(self, capsys, monkeypatch, witness):
+        calls = {"build": 0, "search": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module in (cli, oracle):
+            monkeypatch.setattr(
+                module, "build_transition_graph", counting("build", module.build_transition_graph)
+            )
+        monkeypatch.setattr(
+            oracle,
+            "_search_longest_simple_path",
+            counting("search", oracle._search_longest_simple_path),
+        )
+        code, out, _ = run(
+            capsys, "topo", "--gen", "random", "--seed", "3", "--vars", "8", "--actions", "10",
+            *witness,
+        )
+        assert code == 0
+        assert calls == {"build": 1, "search": 1}
+        assert ("rd witness:" in out) == bool(witness)
 
     def test_csv_written(self, capsys, tmp_path):
         target = tmp_path / "t.csv"

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from statebound.core import Action, PartialState, System, build_transition_graph
-from statebound.gen import gen_clique, gen_lotus, gen_star
+from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
 from statebound.oracle import (
     MAX_BOUND,
     SimplePathSearchTooLargeError,
@@ -79,6 +81,98 @@ class TestRecurrenceDiameter:
     def test_deterministic(self, clique2):
         graph = build_transition_graph(clique2)
         assert longest_simple_path(graph) == longest_simple_path(graph)
+
+
+def reference_longest_simple_path(graph):
+    """The unpruned-by-td search: DFS from every start, neighbours ascending,
+    cut by length plus the full residual reach count, stopped only by a
+    Hamiltonian path."""
+    n, adj = graph.num_states, graph.adj
+    best_len, best_path = 0, [0]
+    visited = bytearray(n)
+    path, iters = [], []
+
+    def reach(head):
+        stack = [v for v in adj[head] if not visited[v]]
+        seen = set(stack)
+        while stack:
+            for v in adj[stack.pop()]:
+                if not visited[v] and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen)
+
+    def push(v):
+        nonlocal best_len, best_path
+        visited[v] = 1
+        path.append(v)
+        length = len(path) - 1
+        if length > best_len:
+            best_len, best_path = length, path.copy()
+        iters.append(iter(()) if length + reach(v) <= best_len else iter(adj[v]))
+
+    for start in range(n):
+        if best_len >= n - 1:
+            break
+        push(start)
+        while iters and best_len < n - 1:
+            for v in iters[-1]:
+                if not visited[v]:
+                    push(v)
+                    break
+            else:
+                iters.pop()
+                visited[path.pop()] = 0
+        while path:
+            visited[path.pop()] = 0
+        iters.clear()
+    return best_len, best_path
+
+
+def _random_2v(num_vars):
+    """Random seed 3 with twice as many actions as variables."""
+    return gen_random(
+        GeneratorSpec("random", seed=3, num_vars=num_vars, num_actions=2 * num_vars)
+    )
+
+
+class TestSearchMatchesReference:
+    """The td-pruned search returns the reference's (length, witness)."""
+
+    def check(self, system):
+        expect = reference_longest_simple_path(build_transition_graph(system))
+        assert longest_simple_path(build_transition_graph(system)) == expect
+
+    def test_chain_family(self):
+        for seed in range(1, 101):
+            self.check(make_random(chain_family(seed)))
+
+    def test_generator_families(self):
+        for m in range(1, 5):
+            self.check(gen_clique(m))
+        for n in range(1, 65):
+            self.check(gen_lotus(n))
+        for n in range(3, 7):
+            self.check(gen_star(n))
+
+    def test_random_128_states(self):
+        self.check(_random_2v(7))
+
+    def test_random_256_states_within_budget(self):
+        started = time.perf_counter()
+        graph = build_transition_graph(_random_2v(8))
+        assert recurrence_diameter_bruteforce(graph) == 44
+        assert traversal_diameter(graph) == 45
+        elapsed = time.perf_counter() - started
+        assert elapsed < 30.0
+
+    def test_result_kept_on_graph(self, clique2):
+        graph = build_transition_graph(clique2)
+        length, path = longest_simple_path(graph)
+        path.append(-1)
+        assert longest_simple_path(graph) == (length, path[:-1])
+        with pytest.raises(SimplePathSearchTooLargeError):
+            longest_simple_path(graph, max_states=3)
 
 
 class TestTraversalDiameter:

@@ -126,6 +126,13 @@ class TestRunSolver:
         verdict = run_solver(encode_factored(clique2, 1), cfg)
         assert verdict.status == "timeout"
 
+    @pytest.mark.parametrize("timeout_ms", [0, -5])
+    def test_timeout_below_one_rejected(self, timeout_ms):
+        with pytest.raises(ValueError, match="timeout_ms"):
+            SolverConfig.bundled(timeout_ms=timeout_ms)
+        with pytest.raises(ValueError, match="timeout_ms"):
+            SolverConfig(command=("unused",), timeout_ms=timeout_ms)
+
     def test_script_file_placeholder(self, clique2):
         from statebound import minisolver
 
