@@ -237,7 +237,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         except Exception as exc:  # recorded, batch continues
             return exc
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    # Queries to the in-process bundled solver hold the interpreter lock, so
+    # threads cannot overlap them; they only contend for it.
+    in_process = cfg.solver is not None and cfg.solver.in_process
+    with ThreadPoolExecutor(max_workers=1 if in_process else args.jobs) as pool:
         outcomes = dict(zip(loaders, pool.map(work, loaders.values())))
     reports = [o for o in outcomes.values() if isinstance(o, BoundReport)]
     failures = {label: o for label, o in outcomes.items() if isinstance(o, Exception)}
@@ -335,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(bound)
     bound.add_argument("--bruteforce", action="store_true", help="never call a solver")
     bound.add_argument("--csv", metavar="PATH", help="write per-problem CSV rows")
-    bound.add_argument("--jobs", type=int, default=1, help="parallel problems")
+    bound.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="problems at once, in threads; with the in-process bundled solver "
+        "problems run one at a time",
+    )
     _add_cap_flags(bound)
     bound.set_defaults(func=cmd_bound)
 

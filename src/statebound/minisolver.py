@@ -2,11 +2,19 @@
 package emits: Boolean constants plus uninterpreted sorts whose terms are all
 constants (QF_UF without non-constant function terms of sort kind).
 
-Runs as a separate process (``statebound-solve`` or ``python -m
-statebound.minisolver``), reads a script from a file argument or stdin, and
-prints ``sat``/``unsat``/``unknown`` followed by a model when the script asks
-for one. It exists so the solver-driving pipeline works out of the box; any
-real SMT-LIB 2 solver (Yices, Z3, cvc5, ...) can be configured instead.
+``smt`` calls it in-process through ``check_text``, with a deadline taken
+from the query timeout. It also runs as a separate process
+(``statebound-solve`` or ``python -m statebound.minisolver``), which reads a
+script from a file argument or stdin and prints ``sat``/``unsat``/``unknown``
+followed by a model when the script asks for one. It exists so the
+solver-driving pipeline works out of the box; any real SMT-LIB 2 solver
+(Yices, Z3, cvc5, ...) can be configured instead.
+
+A deadline is a ``time.monotonic()`` value checked by the clock, not by a
+watchdog: after each top-level command while parsing, after each assertion
+while grounding, and every 64 conflicts while solving. Past it,
+``SolverTimeout`` is raised, so a solve overshoots its deadline by at most the
+work between two checks.
 
 Uninterpreted sorts are decided by finite-domain grounding: a quantifier-free
 formula whose sort-valued terms are all constants is satisfiable iff it is
@@ -21,8 +29,12 @@ literals, first-UIP learning, VSIDS scoring and Luby restarts.
 from __future__ import annotations
 
 import sys
-from heapq import heappop, heappush
+import time
+from heapq import heapify, heappop, heappush
 from itertools import product
+
+# The clock deadlines are read against.
+_clock = time.monotonic
 
 
 class SmtUnsupportedError(Exception):
@@ -31,6 +43,15 @@ class SmtUnsupportedError(Exception):
 
 class SmtFormatError(Exception):
     """Script is malformed."""
+
+
+class SolverTimeout(Exception):
+    """The deadline passed before the script was decided."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and _clock() > deadline:
+        raise SolverTimeout("deadline passed")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +93,7 @@ def tokenize(text: str):
             i = j
 
 
-def parse_sexprs(text: str) -> list:
+def parse_sexprs(text: str, deadline: float | None = None) -> list:
     stack: list[list] = [[]]
     for tok in tokenize(text):
         if tok == "(":
@@ -82,6 +103,8 @@ def parse_sexprs(text: str) -> list:
                 raise SmtFormatError("unbalanced ')'")
             done = stack.pop()
             stack[-1].append(done)
+            if len(stack) == 1:
+                _check_deadline(deadline)
         else:
             stack[-1].append(tok)
     if len(stack) != 1:
@@ -98,7 +121,15 @@ _UNSET = -1
 class CdclSolver:
     """CDCL over integer literals (var << 1 | negated): two watched literals,
     first-UIP learning with recursive minimization, VSIDS, Luby restarts and
-    length-based learned-clause deletion at restarts."""
+    length-based learned-clause deletion at restarts.
+
+    The VSIDS order is a lazy heap of (-activity, var) entries. ``queued[var]``
+    says the heap holds an entry at var's current activity; ``cancel_until``
+    pushes a variable it unassigns only when that flag is clear, so every
+    unassigned variable has exactly one current entry, and it outranks any
+    entry left stale by a bump. Popped entries of assigned variables are
+    dropped, and the heap is rebuilt from the unassigned variables once it
+    holds twice as many entries as there are variables."""
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -115,6 +146,7 @@ class CdclSolver:
         self.qhead = 0
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
+        self.queued = bytearray(1)
         self.ok = True
 
     def new_var(self) -> int:
@@ -126,6 +158,7 @@ class CdclSolver:
         self.phase.append(0)
         self.watches.append([])
         self.watches.append([])
+        self.queued.append(1)
         heappush(self.heap, (0.0, self.num_vars))
         return self.num_vars
 
@@ -230,14 +263,26 @@ class CdclSolver:
         return None
 
     def bump(self, var: int) -> None:
+        """Raise var's activity. Only assigned variables are bumped (they
+        sit in a conflict or reason clause), so the new entry is pushed when
+        ``cancel_until`` unassigns var."""
         act = self.activity[var] + self.var_inc
         self.activity[var] = act
+        self.queued[var] = 0
         if act > 1e100:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-            act = self.activity[var]
-        heappush(self.heap, (-act, var))
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """One entry per unassigned variable, at its current activity."""
+        value, activity = self.value, self.activity
+        self.heap = [(-activity[v], v) for v in range(1, self.num_vars + 1) if value[v] == _UNSET]
+        heapify(self.heap)
+        self.queued = bytearray(1 + self.num_vars)
+        for _, v in self.heap:
+            self.queued[v] = 1
 
     def analyze(self, confl: int) -> tuple[list[int], int]:
         learnt: list[int] = []
@@ -313,12 +358,17 @@ class CdclSolver:
         if len(self.trail_lim) <= target:
             return
         limit = self.trail_lim[target]
+        queued = self.queued
         for lit in reversed(self.trail[limit:]):
             var = lit >> 1
             self.phase[var] = self.value[var]
             self.value[var] = _UNSET
             self.reason[var] = -1
-            heappush(self.heap, (-self.activity[var], var))
+            if not queued[var]:
+                queued[var] = 1
+                heappush(self.heap, (-self.activity[var], var))
+        if len(self.heap) > 2 * self.num_vars:
+            self._rebuild_heap()  # mostly stale entries by now
         del self.trail[limit:]
         del self.trail_lim[target:]
         self.qhead = len(self.trail)
@@ -326,6 +376,7 @@ class CdclSolver:
     def pick_branch(self) -> int:
         while self.heap:
             _, var = heappop(self.heap)
+            self.queued[var] = 0
             if self.value[var] == _UNSET:
                 return var << 1 | (1 - self.phase[var])
         for var in range(1, self.num_vars + 1):
@@ -352,7 +403,9 @@ class CdclSolver:
             self.clauses[ci] = None
         self.learned = [ci for ci in self.learned if self.clauses[ci] is not None]
 
-    def solve(self) -> bool:
+    def solve(self, deadline: float | None = None) -> bool:
+        """Decide the clauses; raises SolverTimeout once ``deadline`` has
+        passed, checked every 64 conflicts."""
         if not self.ok:
             return False
         if self.propagate() is not None:
@@ -369,7 +422,9 @@ class CdclSolver:
                 if not self.trail_lim:
                     self.ok = False
                     return False
-                conflicts += 1
+                conflicts += 1  # restarts come at multiples of 128 conflicts
+                if not conflicts & 63:
+                    _check_deadline(deadline)
                 learnt, back_level = self.analyze(confl)
                 self.cancel_until(back_level)
                 if len(learnt) == 1:
@@ -861,16 +916,17 @@ class Grounder:
 
     # -- main entry -----------------------------------------------------------
 
-    def check(self) -> str:
+    def check(self, deadline: float | None = None) -> str:
         remaining = self.prepare()
         self._encode_free_constants()
         for node in remaining:
             if not self.sat.ok:
                 break
+            _check_deadline(deadline)
             self.assert_top(node)
         if not self.sat.ok:
             return "unsat"
-        return "sat" if self.sat.solve() else "unsat"
+        return "sat" if self.sat.solve(deadline) else "unsat"
 
     def model_lines(self) -> list[str]:
         lines = []
@@ -894,10 +950,11 @@ class Grounder:
         return lines
 
 
-def interpret(text: str) -> tuple[str, list[str]]:
+def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]:
     """Run a script; returns (status token, model lines)."""
     script = Script()
-    for command in parse_sexprs(text):
+    for command in parse_sexprs(text, deadline):
+        _check_deadline(deadline)
         if not isinstance(command, list) or not command:
             raise SmtFormatError("top-level items must be command lists")
         head = command[0]
@@ -924,20 +981,36 @@ def interpret(text: str) -> tuple[str, list[str]]:
     if not script.has_check:
         raise SmtFormatError("script has no (check-sat)")
     grounder = Grounder(script)
-    status = grounder.check()
+    status = grounder.check(deadline)
     model = grounder.model_lines() if status == "sat" and script.wants_model else []
     return status, model
 
 
-def solve_text(text: str) -> tuple[str, dict[str, bool]]:
-    """Convenience wrapper: status plus Boolean-constant model values."""
-    status, lines = interpret(text)
+def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str], str]:
+    """The solver's answer to a script: (status, model lines, reason). A
+    script outside the supported fragment, or malformed, is ``unknown`` with
+    the reason; a passed deadline raises SolverTimeout."""
+    try:
+        status, lines = interpret(text, deadline)
+    except (SmtUnsupportedError, SmtFormatError) as exc:
+        return "unknown", [], str(exc)
+    return status, lines, ""
+
+
+def bool_model(lines: list[str]) -> dict[str, bool]:
+    """The Boolean-constant values among ``interpret``'s model lines."""
     model: dict[str, bool] = {}
     for line in lines:
         parts = line.split()
         if len(parts) >= 5 and parts[3] == "Bool":
             model[parts[1]] = parts[4].rstrip(")") == "true"
-    return status, model
+    return model
+
+
+def solve_text(text: str) -> tuple[str, dict[str, bool]]:
+    """Convenience wrapper: status plus Boolean-constant model values."""
+    status, lines = interpret(text)
+    return status, bool_model(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -951,13 +1024,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        status, model = interpret(text)
-    except (SmtUnsupportedError, SmtFormatError) as exc:
-        print("unknown")
-        print(f"; {exc}", file=sys.stderr)
-        return 0
+    status, model, reason = check_text(text)
     print(status)
+    if reason:
+        print(f"; {reason}", file=sys.stderr)
     if model:
         print("(")
         for line in model:

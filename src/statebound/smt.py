@@ -11,11 +11,13 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
   equivalences, so the solver explores the state space lazily. Script size
   grows with k * (actions * variables + k * variables).
 
-Each query spawns one external solver process (configurable command; the
-bundled ``statebound-solve`` is the default) and reads back the first output
-token. Satisfiability is monotone in k, so one search narrows a bracket
-between the largest k known sat and the smallest k known unsat; the linear
-or binary schedule only picks the next k to ask.
+The bundled solver (``SolverConfig.bundled()``, the default) answers each
+query in the calling thread, under a deadline that ``minisolver`` checks
+against the clock. Any other command spawns one solver process per query,
+and the first token it prints is read back. Satisfiability is monotone in k,
+so one search narrows a bracket between the largest k known sat and the
+smallest k known unsat; the linear or binary schedule only picks the next k
+to ask.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import minisolver
 from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_graph, timed_ms
 from .oracle import exp_bound
 
 SOLVER_ENV_VAR = "STATEBOUND_SOLVER"
+_BUNDLED_COMMAND = (sys.executable, minisolver.__file__)
 
 _MODEL_BOOL_RE = re.compile(
     r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*Bool\s+(true|false)\s*\)"
@@ -204,12 +209,16 @@ def encode_factored(system: System, k: int, get_model: bool = False) -> SmtDocum
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How to launch the external solver.
+    """Which solver answers the queries, and the time each query may take.
 
-    ``command`` may contain a ``{script}`` placeholder; when present the
-    script is written to a temporary file and the placeholder substituted,
-    otherwise the script is piped to the solver's standard input. One process
-    is spawned per query.
+    When ``command`` is exactly the bundled one, no process is spawned: the
+    bundled solver runs in the calling thread and gives up once
+    ``timeout_ms`` has passed (it may overshoot by the work between two of
+    its clock checks). Any other command is spawned once per query and
+    killed at the timeout. It may contain a ``{script}`` placeholder; when
+    present the script is written to a temporary file and the placeholder
+    substituted, otherwise the script is piped to the solver's standard
+    input.
     """
 
     command: tuple[str, ...]
@@ -219,13 +228,16 @@ class SolverConfig:
         if self.timeout_ms < 1:
             raise ValueError(f"timeout_ms must be at least 1, got {self.timeout_ms}")
 
+    @property
+    def in_process(self) -> bool:
+        """True when queries run in the calling thread: the bundled command."""
+        return self.command == _BUNDLED_COMMAND
+
     @classmethod
     def bundled(cls, timeout_ms: int = 60_000) -> "SolverConfig":
-        """The packaged fallback solver, launched by file path so the child
-        skips the package import."""
-        from . import minisolver
-
-        return cls(command=(sys.executable, minisolver.__file__), timeout_ms=timeout_ms)
+        """The packaged fallback solver. Its command names the module by
+        file path, which is how it would be launched as a process."""
+        return cls(command=_BUNDLED_COMMAND, timeout_ms=timeout_ms)
 
     @classmethod
     def from_string(cls, text: str, timeout_ms: int = 60_000) -> "SolverConfig":
@@ -255,14 +267,36 @@ class SolverVerdict:
 
 
 def run_solver(doc: SmtDocument, cfg: SolverConfig) -> SolverVerdict:
-    """Run one query in a fresh solver process and classify the response."""
+    """Run one query and classify the response."""
     (status, raw, model), elapsed_ms = timed_ms(_exchange, doc.rendering, doc.get_model, cfg)
     return SolverVerdict(status, elapsed_ms, raw=raw, model=model)
 
 
 def _exchange(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
-    """Hand one script to a fresh solver process; returns (status, raw first
+    """Hand one script to the configured solver; returns (status, raw first
     token or error text, model when asked for and sat)."""
+    if cfg.in_process:
+        return _solve_in_process(text, get_model, cfg.timeout_ms)
+    return _solve_in_child(text, get_model, cfg)
+
+
+def _solve_in_process(text: str, get_model: bool, timeout_ms: int) -> tuple[str, str, dict | None]:
+    """The bundled solver in the calling thread. Its outcomes map as a
+    process's would: a passed deadline is a timeout, an unsupported or
+    malformed script ``unknown``, any other exception a solver error."""
+    deadline = time.monotonic() + timeout_ms / 1000.0
+    try:
+        status, lines, _ = minisolver.check_text(text, deadline)
+    except minisolver.SolverTimeout:
+        return "timeout", "", None
+    except Exception as exc:  # a crash, as a solver process might have had
+        return "solver-error", repr(exc), None
+    model = minisolver.bool_model(lines) if status == "sat" and get_model else None
+    return status, status, model
+
+
+def _solve_in_child(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
+    """One fresh solver process for one script."""
     command = list(cfg.command)
     stdin_text: str | None = text
     script_path = None

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-The SMT-backed criteria run through the configured external solver
-(STATEBOUND_SOLVER when set, the bundled one otherwise); the stated runtime
+The SMT-backed criteria run through the configured solver (STATEBOUND_SOLVER
+when set, the bundled one in-process otherwise); the stated runtime
 budgets assume a working install on an unloaded machine.
 """
 

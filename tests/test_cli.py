@@ -1,9 +1,11 @@
 import csv
 import json
+import shlex
+import sys
 
 import pytest
 
-from statebound import cli, oracle
+from statebound import cli, minisolver, oracle
 from statebound.cli import main
 from statebound.gen import gen_lotus
 from statebound.io import serialize_system
@@ -185,6 +187,46 @@ class TestBound:
             return [{k: v for k, v in row.items() if k not in timing} for row in rows]
 
         assert stable(csv_one) == stable(csv_two)
+
+    def test_jobs_runs_in_process_solver_one_at_a_time(self, capsys, tmp_path, monkeypatch):
+        batch = tmp_path / "problems"
+        batch.mkdir()
+        for n in (2, 3, 4):
+            (batch / f"lotus_{n}.json").write_text(
+                serialize_system(gen_lotus(n), "json"), encoding="utf-8"
+            )
+        workers = []
+        pool = cli.ThreadPoolExecutor
+
+        def recording(max_workers):
+            workers.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        spawned = shlex.join([sys.executable, minisolver.__file__, "{script}"])
+        rows = {}
+        for label, solver in (
+            ("bruteforce", ["--bruteforce"]),
+            ("bundled", []),
+            ("spawned", ["--solver-cmd", spawned]),
+        ):
+            target = tmp_path / f"{label}.csv"
+            code, _, _ = run(
+                capsys,
+                "bound", "--batch", str(batch), "--base", "b1",
+                "--csv", str(target), "--jobs", "2", *solver,
+            )
+            assert code == 0
+            rows[label] = [
+                (row["problem"], row["total_bound"], row["rd_queries"])
+                for row in csv.DictReader(target.open())
+            ]
+        # Only the in-process solver is held to one thread.
+        assert workers == [2, 1, 2]
+        assert rows["bundled"] == rows["spawned"]
+        assert [total for _, total, _ in rows["bruteforce"]] == [
+            total for _, total, _ in rows["bundled"]
+        ]
 
     def test_batch_continues_past_bad_file(self, capsys, tmp_path):
         batch = tmp_path / "problems"

@@ -127,6 +127,29 @@ class TestCdclAgainstBruteForce:
                     solver.add_clause([(var[i1][j] << 1) ^ 1, (var[i2][j] << 1) ^ 1])
         assert solver.solve() is False
 
+    def test_order_heap_stays_bounded(self):
+        # Hundreds of conflicts, each bumping and unassigning most variables.
+        solver = CdclSolver()
+        holes, pigeons = 6, 7
+        var = [[solver.new_var() for _ in range(holes)] for _ in range(pigeons)]
+        for i in range(pigeons):
+            solver.add_clause([var[i][j] << 1 for j in range(holes)])
+        for j in range(holes):
+            for i1 in range(pigeons):
+                for i2 in range(i1 + 1, pigeons):
+                    solver.add_clause([(var[i1][j] << 1) ^ 1, (var[i2][j] << 1) ^ 1])
+        largest = []
+        pick = solver.pick_branch
+
+        def recording():
+            largest.append(len(solver.heap))
+            return pick()
+
+        solver.pick_branch = recording
+        assert solver.solve() is False
+        assert len(largest) > 100
+        assert max(largest) <= 2 * solver.num_vars
+
 
 def _enumerate_euf(consts, preds, constraints):
     """Brute-force EUF satisfiability over universes up to len(consts)."""

@@ -1,11 +1,14 @@
+import math
 import sys
 
 import pytest
 
+from statebound import minisolver, smt
 from statebound.core import Action, PartialState, System, build_transition_graph, execute
 from statebound.gen import gen_clique, gen_lotus, gen_star
 from statebound.oracle import recurrence_diameter_bruteforce
 from statebound.smt import (
+    SmtDocument,
     SolverConfig,
     SolverError,
     SolverVerdict,
@@ -265,6 +268,121 @@ def test_search_schedule_table(schedule, exp, rd, forced, log, outcome, clique2,
         assert (result.rd, result.exact) == outcome
         queries = result.queries
     assert [(k, v.status) for k, v in queries] == _log(log)
+
+
+# The bundled solver as a process, one per query: the path any other command takes.
+_SPAWNED = SolverConfig(command=(sys.executable, minisolver.__file__, "{script}"))
+
+
+def _pigeonhole(pigeons: int, holes: int) -> SmtDocument:
+    cell = [[f"p{i}_{j}" for j in range(holes)] for i in range(pigeons)]
+    assertions = ["(or " + " ".join(row) + ")" for row in cell]
+    assertions += [
+        f"(not (and {cell[a][j]} {cell[b][j]}))"
+        for j in range(holes)
+        for a in range(pigeons)
+        for b in range(a + 1, pigeons)
+    ]
+    return SmtDocument(
+        logic="QF_UF",
+        declarations=tuple(f"(declare-fun {name} () Bool)" for row in cell for name in row),
+        assertions=tuple(assertions),
+        encoding="factored",
+        k=1,
+    )
+
+
+def _unsupported(system, k, **kwargs):
+    return SmtDocument(
+        logic="QF_UF",
+        declarations=("(declare-fun f (Bool) Bool)",),
+        assertions=(),
+        encoding="factored",
+        k=k,
+    )
+
+
+class TestInProcessBundled:
+    """The bundled command runs in the calling thread; the same solver
+    spawned per query must give the same answers."""
+
+    @pytest.mark.parametrize("encoding,schedule", [("factored", "linear"), ("explicit", "binary")])
+    def test_query_logs_match_spawned(self, encoding, schedule):
+        bundled = SolverConfig.bundled()
+        for seed in range(1, 21):
+            system = make_random(equivalence_family(seed))
+            here = rd_via_smt(system, encoding, bundled, schedule)
+            there = rd_via_smt(system, encoding, _SPAWNED, schedule)
+            assert [(k, v.status) for k, v in here.queries] == [
+                (k, v.status) for k, v in there.queries
+            ], seed
+            assert (here.rd, here.exact) == (there.rd, there.exact)
+
+    def test_models_match_spawned(self, clique2):
+        for system, k in ((clique2, 3), (gen_lotus(3), 2), (make_random(equivalence_family(5)), 2)):
+            for encode in (encode_factored, encode_explicit):
+                doc = encode(system, k, get_model=True)
+                here = run_solver(doc, SolverConfig.bundled())
+                there = run_solver(doc, _SPAWNED)
+                assert here.status == there.status == "sat"
+                assert here.model == there.model
+                assert here.raw == there.raw == "sat"
+
+    def test_no_process_is_spawned(self, clique2, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bundled solver spawned a process")
+
+        monkeypatch.setattr(smt.subprocess, "run", refuse)
+        result = rd_via_smt(clique2, "factored", SolverConfig.bundled())
+        assert result.rd == 3 and result.exact
+
+    def test_stubbed_clock_past_deadline_times_out(self, clique2, monkeypatch):
+        asked = []
+        encode = smt.encode_factored
+
+        def recording(system, k, **kwargs):
+            asked.append(k)
+            return encode(system, k, **kwargs)
+
+        monkeypatch.setattr(smt, "encode_factored", recording)
+        # The clock reads far past any deadline while k = 3 is solved.
+        monkeypatch.setattr(minisolver, "_clock", lambda: math.inf if asked[-1] == 3 else 0.0)
+        cfg = SolverConfig.bundled()
+        assert run_solver(smt.encode_factored(clique2, 3), cfg).status == "timeout"
+        result = rd_via_smt(clique2, "factored", cfg, "linear")
+        assert (result.rd, result.exact) == (2, False)
+        assert [(k, v.status) for k, v in result.queries] == [
+            (1, "sat"), (2, "sat"), (3, "timeout")
+        ]
+
+    def test_hard_script_times_out_on_the_clock(self):
+        # Pigeonhole 8 -> 7 takes seconds of CDCL; the deadline stops it.
+        verdict = run_solver(_pigeonhole(8, 7), SolverConfig.bundled(timeout_ms=50))
+        assert verdict.status == "timeout"
+        assert verdict.elapsed_ms < 1000
+
+    @pytest.mark.parametrize("cfg", [SolverConfig.bundled(), _SPAWNED], ids=["in-process", "spawned"])
+    def test_unsupported_script_is_unknown(self, cfg, clique2, monkeypatch):
+        verdict = run_solver(_unsupported(clique2, 1), cfg)
+        assert (verdict.status, verdict.raw) == ("unknown", "unknown")
+        monkeypatch.setattr(smt, "encode_factored", _unsupported)
+        with pytest.raises(SolverError) as info:
+            rd_via_smt(clique2, "factored", cfg)
+        assert [(k, v.status) for k, v in info.value.queries] == [(1, "unknown")]
+
+    def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
+        def crash(text, deadline=None):
+            raise RecursionError("too deep")
+
+        monkeypatch.setattr(minisolver, "check_text", crash)
+        verdict = run_solver(encode_factored(clique2, 1), SolverConfig.bundled())
+        assert verdict.status == "solver-error"
+        assert "too deep" in verdict.raw
+
+    def test_one_argument_entry_points(self):
+        text = "(declare-fun a () Bool)(assert a)(check-sat)"
+        assert len(minisolver.parse_sexprs(text)) == 3
+        assert minisolver.interpret(text) == ("sat", [])
 
 
 class TestModelDecoding:
