@@ -31,11 +31,11 @@ from .oracle import (
     traversal_walk,
 )
 from .smt import (
+    ENCODINGS,
     SOLVER_ENV_VAR,
     SolverConfig,
     SolverError,
-    encode_explicit,
-    encode_factored,
+    encode,
     rd_via_smt,
 )
 
@@ -173,10 +173,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
         out_dir.mkdir(parents=True, exist_ok=True)
         for k in range(1, max_k + 1):
-            if args.encoding == "explicit":
-                doc = encode_explicit(system, k, max_vars=args.max_vars)
-            else:
-                doc = encode_factored(system, k)
+            doc = encode(system, k, args.encoding, args.max_vars)
             (out_dir / doc.script_name()).write_text(doc.rendering, encoding="utf-8")
         print(f"wrote {max_k} scripts to {out_dir}")
         return EXIT_OK
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("rd", help="longest simple path via an SMT solver")
     _add_input_flags(rd)
-    rd.add_argument("--encoding", choices=("explicit", "factored"), default="factored")
+    rd.add_argument("--encoding", choices=ENCODINGS, default="factored")
     _add_solver_flags(rd)
     rd.add_argument("--bruteforce", action="store_true", help="bypass the solver")
     rd.add_argument("--emit-smt", metavar="DIR", help="write scripts instead of solving")

@@ -156,22 +156,28 @@ def _parse_json(text: str) -> SystemDocument:
     return SystemDocument(system=system, metadata=metadata)
 
 
+def _comma_tokens(line: str, start: int):
+    """The comma-separated tokens of ``line[start:]``, stripped, each with
+    the 1-based column where it starts in ``line``."""
+    for raw in line[start:].split(","):
+        yield raw.strip(), start + len(raw) - len(raw.lstrip()) + 1
+        start += len(raw) + 1
+
+
 def _parse_literals(
-    chunk: str, ids: Mapping[str, int], line_no: int, line: str, what: str
+    line: str, start: int, ids: Mapping[str, int], line_no: int, what: str
 ) -> PartialState:
     items: list[tuple[int, bool]] = []
     claimed: dict[int, bool] = {}
-    for raw in chunk.split(","):
-        token = raw.strip()
+    for token, column in _comma_tokens(line, start):
         if not token:
-            if chunk.strip():
+            if line[start:].strip():
                 raise SystemParseError(
-                    f"empty literal in {what}", line=line_no, column=line.find(raw) + 1
+                    f"empty literal in {what}", line=line_no, column=column
                 )
             continue
         negative = token.startswith("!")
         name = token[1:].strip() if negative else token
-        column = line.find(token) + 1
         if not _NAME_RE.match(name):
             raise SystemParseError(
                 f"bad literal {token!r}", line=line_no, column=column
@@ -206,12 +212,9 @@ def _parse_compact(text: str) -> SystemDocument:
             if names is not None:
                 raise SystemParseError("duplicate vars: header", line=line_no, column=1)
             names = []
-            chunk = stripped[len("vars:") :]
-            for raw in chunk.split(","):
-                token = raw.strip()
+            for token, column in _comma_tokens(line, line.index("vars:") + len("vars:")):
                 if not token:
                     continue
-                column = line.find(token) + 1
                 if not _NAME_RE.match(token):
                     raise SystemParseError(
                         f"invalid variable name {token!r}", line=line_no, column=column
@@ -234,17 +237,17 @@ def _parse_compact(text: str) -> SystemDocument:
                 raise SystemParseError(
                     "action line needs '->'", line=line_no, column=len(line)
                 )
-            left, right = line.split("->", 1)
-            left = left.strip()
-            right = right.strip()
-            if not left.startswith("pre:") or not right.startswith("eff:"):
+            arrow = line.index("->")
+            if not line[arrow + 2 :].strip().startswith("eff:"):
                 raise SystemParseError(
                     "action line must look like 'pre: ... -> eff: ...'",
                     line=line_no,
                     column=1,
                 )
-            pre = _parse_literals(left[len("pre:") :], ids, line_no, raw_line, "pre")
-            eff = _parse_literals(right[len("eff:") :], ids, line_no, raw_line, "eff")
+            pre_at = line.index("pre:") + len("pre:")
+            eff_at = line.index("eff:", arrow) + len("eff:")
+            pre = _parse_literals(line[:arrow], pre_at, ids, line_no, "pre")
+            eff = _parse_literals(line, eff_at, ids, line_no, "eff")
             actions.append(Action(pre=pre, eff=eff))
             continue
         raise SystemParseError(

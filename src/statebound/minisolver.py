@@ -21,9 +21,13 @@ formula whose sort-valued terms are all constants is satisfiable iff it is
 satisfiable over a universe no larger than the number of those constants, so
 each constant gets a one-hot value encoding. A top-level
 ``(assert (distinct c1 ... cn))`` over constants pins those constants to fixed
-distinct values (sound up to renaming the universe), which keeps groundings of
-state-space scripts small. The Boolean core is a CDCL SAT solver with watched
-literals, first-UIP learning, VSIDS scoring and Luby restarts.
+distinct values (sound up to renaming the universe), and top-level predicate
+literals over pinned constants become table facts. Every atom is then ground
+one way: by clauses that tie it, under a guard of value literals, to a table
+entry, a value literal or a known truth value; a predicate application gets
+one per value combination of its unpinned arguments. The Boolean core is a
+CDCL SAT solver with watched literals, first-UIP learning, VSIDS scoring and
+Luby restarts.
 """
 
 from __future__ import annotations
@@ -195,10 +199,16 @@ class CdclSolver:
             elif self.propagate() is not None:
                 self.ok = False
             return
+        self._attach(out)
+
+    def _attach(self, lits: list[int]) -> int:
+        """Store a clause of two or more literals, watch its first two, and
+        return its index."""
         idx = len(self.clauses)
-        self.clauses.append(out)
-        self.watches[out[0]].append(idx)
-        self.watches[out[1]].append(idx)
+        self.clauses.append(lits)
+        self.watches[lits[0]].append(idx)
+        self.watches[lits[1]].append(idx)
+        return idx
 
     def enqueue(self, lit: int, reason: int) -> bool:
         val = self.lit_value(lit)
@@ -430,11 +440,8 @@ class CdclSolver:
                 if len(learnt) == 1:
                     self.enqueue(learnt[0], -1)
                 else:
-                    idx = len(self.clauses)
-                    self.clauses.append(learnt)
+                    idx = self._attach(learnt)
                     self.learned.append(idx)
-                    self.watches[learnt[0]].append(idx)
-                    self.watches[learnt[1]].append(idx)
                     self.enqueue(learnt[0], idx)
                 self.var_inc *= 1.052
                 if conflicts >= conflicts_until_restart:
@@ -470,6 +477,13 @@ class CdclSolver:
 
 _TRUE = ("true",)
 _FALSE = ("false",)
+
+
+def _conjunction(pairs: list[tuple]) -> tuple:
+    """The pairwise terms of a chained ``=`` or a ``distinct``, as one term."""
+    if not pairs:
+        return _TRUE
+    return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
 
 
 class Script:
@@ -561,26 +575,25 @@ class Script:
             if len(args) < 2:
                 raise SmtFormatError("'=' takes at least two arguments")
             if all(isinstance(a, str) and a in self.const_sort for a in args):
-                pairs = [self._elem_eq(a, b) for a, b in zip(args, args[1:])]
-                return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
+                return _conjunction([self._elem_eq(a, b) for a, b in zip(args, args[1:])])
             parts = [self.parse_term(a) for a in args]
-            pairs = []
-            for a, b in zip(parts, parts[1:]):
-                pairs.append(
+            return _conjunction(
+                [
                     ("and", (("or", (("not", a), b)), ("or", (a, ("not", b)))))
-                )
-            return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
+                    for a, b in zip(parts, parts[1:])
+                ]
+            )
         if head == "distinct":
             if all(isinstance(a, str) and a in self.const_sort for a in args):
-                pairs = []
-                for i in range(len(args)):
-                    for j in range(i + 1, len(args)):
-                        pairs.append(("not", self._elem_eq(args[i], args[j])))
-                if not pairs:
-                    return _TRUE
-                return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
+                return _conjunction(
+                    [
+                        ("not", self._elem_eq(args[i], args[j]))
+                        for i in range(len(args))
+                        for j in range(i + 1, len(args))
+                    ]
+                )
             raise SmtUnsupportedError("'distinct' is only supported on sort constants")
-        if head in self.predicates:
+        if isinstance(head, str) and head in self.predicates:
             sig = self.predicates[head]
             if len(args) != len(sig):
                 raise SmtFormatError(f"wrong arity for {head}")
@@ -725,116 +738,71 @@ class Grounder:
                     self.sat.add_clause([lits[i] ^ 1, chain[i] << 1])
                 self.sat.add_clause([lits[size - 1] ^ 1, (chain[size - 2] << 1) ^ 1])
 
-    def _table_entry(self, pred: str, values: tuple[int, ...]):
+    def _table_literal(self, pred: str, values: tuple[int, ...]) -> int | bool:
+        """The table entry of ``pred`` at ``values``: a known truth value, or
+        the literal of its variable (created on first use)."""
         entry = self.table.get((pred, values))
         if entry is None:
             entry = self.sat.new_var()
             self.table[(pred, values)] = entry
-        return entry
+        return entry if isinstance(entry, bool) else entry << 1
 
     # -- atom grounding ----------------------------------------------------------
+    #
+    # Every atom clause ties the atom's literal to one entry (a table entry,
+    # a value literal or a known truth value) under a guard of negated value
+    # literals, in the polarity being ground, and ``_emit`` writes them all.
+    # ``_encode_free_constants`` creates every value literal before the
+    # first atom, so the only variables made here are table entries, in
+    # combination order.
+
+    def _emit(self, lit: int, guard: tuple[int, ...], entry: int | bool, positive: bool) -> None:
+        """The clause for one combination. ``guard`` holds its negated value
+        literals and ``entry`` is a literal or a known truth value; ``lit``
+        implies ``entry`` (positive) or ``entry`` implies ``lit``. A known
+        entry with no guard fixes ``lit`` in either polarity."""
+        if isinstance(entry, bool):
+            if not guard:
+                self.sat.add_clause([lit if entry else lit ^ 1])
+            elif entry != positive:
+                self.sat.add_clause([lit ^ 1 if positive else lit, *guard])
+        elif positive:
+            self.sat.add_clause([lit ^ 1, *guard, entry])
+        else:
+            self.sat.add_clause([lit, *guard, entry ^ 1])
 
     def _ground_eeq(self, node: tuple, var: int, positive: bool) -> None:
         _, a, b = node
-        sort = self.script.const_sort[a]
-        size = self.sort_size[sort]
         fa, fb = self.fixed.get(a), self.fixed.get(b)
         lit = var << 1
         if fa is not None and fb is not None:
-            self.sat.add_clause([lit if fa == fb else lit ^ 1])
-            return
-        if fa is not None or fb is not None:
+            self._emit(lit, (), fa == fb, positive)
+        elif fa is not None or fb is not None:
             free, value = (b, fa) if fa is not None else (a, fb)
-            x = self._value_literal(free, value)
-            if positive:
-                self.sat.add_clause([lit ^ 1, x])
-            else:
-                self.sat.add_clause([lit, x ^ 1])
-            return
-        for v in range(size):
-            xa = self._value_literal(a, v)
-            xb = self._value_literal(b, v)
-            if positive:
-                # eq and a=v forces b=v
-                self.sat.add_clause([lit ^ 1, xa ^ 1, xb])
-            else:
-                # not-eq forbids a shared value
-                self.sat.add_clause([lit, xa ^ 1, xb ^ 1])
+            self._emit(lit, (), self._value_literal(free, value), positive)
+        else:
+            # given a=v, the equality is b=v
+            for v in range(self.sort_size[self.script.const_sort[a]]):
+                guard = (self._value_literal(a, v) ^ 1,)
+                self._emit(lit, guard, self._value_literal(b, v), positive)
 
     def _ground_papp(self, node: tuple, var: int, positive: bool) -> None:
+        """One clause per value combination of the unpinned arguments; with
+        none, the one combination is the pinned values."""
         _, pred, args = node
+        domains = []  # per argument: its values
+        guards = []  # per unpinned argument: its negated value literals
+        for a in args:
+            if a in self.fixed:
+                domains.append((self.fixed[a],))
+            else:
+                size = self.sort_size[self.script.const_sort[a]]
+                domains.append(range(size))
+                guards.append([self._value_literal(a, v) ^ 1 for v in range(size)])
+        # Pinned arguments have one value, so both products run in step.
         lit = var << 1
-        free_positions = [i for i, a in enumerate(args) if a not in self.fixed]
-        sizes = [self.sort_size[self.script.const_sort[a]] for a in args]
-        if not free_positions:
-            entry = self._table_entry(pred, tuple(self.fixed[a] for a in args))
-            if isinstance(entry, bool):
-                self.sat.add_clause([lit if entry else lit ^ 1])
-            else:
-                e = entry << 1
-                if positive:
-                    self.sat.add_clause([lit ^ 1, e])
-                else:
-                    self.sat.add_clause([lit, e ^ 1])
-            return
-        if len(free_positions) == 2 and len(args) == 2:
-            self._ground_papp_rows(node, var, positive)
-            return
-        # Generic grounding over all value combinations of the free arguments.
-        domains = [range(sizes[i]) for i in free_positions]
-        for combo in product(*domains):
-            values = list(self.fixed.get(a, -1) for a in args)
-            guard: list[int] = []
-            for pos, v in zip(free_positions, combo):
-                values[pos] = v
-                guard.append(self._value_literal(args[pos], v) ^ 1)
-            entry = self._table_entry(pred, tuple(values))
-            if isinstance(entry, bool):
-                if positive and not entry:
-                    self.sat.add_clause([lit ^ 1, *guard])
-                elif not positive and entry:
-                    self.sat.add_clause([lit, *guard])
-            else:
-                e = entry << 1
-                if positive:
-                    self.sat.add_clause([lit ^ 1, *guard, e])
-                else:
-                    self.sat.add_clause([lit, *guard, e ^ 1])
-
-    def _ground_papp_rows(self, node: tuple, var: int, positive: bool) -> None:
-        """Binary predicate over two free constants: one clause per first-arg
-        value when the whole table row is already constant."""
-        _, pred, (a, b) = node
-        lit = var << 1
-        size_a = self.sort_size[self.script.const_sort[a]]
-        size_b = self.sort_size[self.script.const_sort[b]]
-        for va in range(size_a):
-            row = [self.table.get((pred, (va, vb))) for vb in range(size_b)]
-            xa = self._value_literal(a, va)
-            if all(isinstance(e, bool) for e in row):
-                if positive:
-                    wanted = [vb for vb, e in enumerate(row) if e]
-                else:
-                    wanted = [vb for vb, e in enumerate(row) if not e]
-                head = lit ^ 1 if positive else lit
-                self.sat.add_clause(
-                    [head, xa ^ 1, *(self._value_literal(b, vb) for vb in wanted)]
-                )
-            else:
-                for vb in range(size_b):
-                    entry = self._table_entry(pred, (va, vb))
-                    xb = self._value_literal(b, vb)
-                    if isinstance(entry, bool):
-                        if positive and not entry:
-                            self.sat.add_clause([lit ^ 1, xa ^ 1, xb ^ 1])
-                        elif not positive and entry:
-                            self.sat.add_clause([lit, xa ^ 1, xb ^ 1])
-                    else:
-                        e = entry << 1
-                        if positive:
-                            self.sat.add_clause([lit ^ 1, xa ^ 1, xb ^ 1, e])
-                        else:
-                            self.sat.add_clause([lit, xa ^ 1, xb ^ 1, e ^ 1])
+        for values, guard in zip(product(*domains), product(*guards)):
+            self._emit(lit, guard, self._table_literal(pred, values), positive)
 
     # -- Tseitin with polarity tracking -------------------------------------------
 
@@ -863,17 +831,12 @@ class Grounder:
         state[1] = pos_done or need_pos
         state[2] = neg_done or need_neg
 
-        if kind == "eeq":
+        if kind in ("eeq", "papp"):
+            ground = self._ground_eeq if kind == "eeq" else self._ground_papp
             if emit_pos:
-                self._ground_eeq(node, var, positive=True)
+                ground(node, var, positive=True)
             if emit_neg:
-                self._ground_eeq(node, var, positive=False)
-            return var << 1
-        if kind == "papp":
-            if emit_pos:
-                self._ground_papp(node, var, positive=True)
-            if emit_neg:
-                self._ground_papp(node, var, positive=False)
+                ground(node, var, positive=False)
             return var << 1
         if kind in ("and", "or"):
             children = [
@@ -950,6 +913,15 @@ class Grounder:
         return lines
 
 
+def _arguments(command: list, *kinds: type) -> list:
+    """A declaration's arguments, checked in number and kind (``str`` for a
+    symbol, ``list`` for a parenthesised list)."""
+    args = command[1:]
+    if tuple(map(type, args)) != kinds:
+        raise SmtFormatError(f"malformed {command[0]!r} command")
+    return args
+
+
 def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]:
     """Run a script; returns (status token, model lines)."""
     script = Script()
@@ -963,11 +935,14 @@ def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]
         if head == "exit":
             break
         if head == "declare-sort":
-            script.declare_sort(command[1], command[2] if len(command) > 2 else "0")
+            if len(command) == 2:
+                command = [*command, "0"]  # the arity may be left out
+            script.declare_sort(*_arguments(command, str, str))
         elif head == "declare-fun":
-            script.declare_fun(command[1], command[2], command[3])
+            script.declare_fun(*_arguments(command, str, list, str))
         elif head == "declare-const":
-            script.declare_fun(command[1], [], command[2])
+            name, sort = _arguments(command, str, str)
+            script.declare_fun(name, [], sort)
         elif head == "assert":
             if len(command) != 2:
                 raise SmtFormatError("'assert' takes one term")

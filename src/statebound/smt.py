@@ -207,6 +207,19 @@ def encode_factored(system: System, k: int, get_model: bool = False) -> SmtDocum
     )
 
 
+ENCODINGS = ("explicit", "factored")
+
+
+def encode(system: System, k: int, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> SmtDocument:
+    """The query for k in ``encoding``. The encoders are looked up as module
+    globals at each call, so a wrapper set on them applies here too."""
+    if encoding == "explicit":
+        return encode_explicit(system, k, max_vars=max_vars)
+    if encoding == "factored":
+        return encode_factored(system, k)
+    raise ValueError(f"unknown encoding {encoding!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Which solver answers the queries, and the time each query may take.
@@ -362,7 +375,6 @@ def rd_via_smt(
     cfg: SolverConfig | None = None,
     schedule: str = "linear",
     max_vars: int = DEFAULT_VAR_CAP,
-    get_model: bool = False,
 ) -> RdResult:
     """Compute the longest-simple-path length by repeated solver queries.
 
@@ -372,23 +384,17 @@ def rd_via_smt(
     linear one asks low + 1; the binary one doubles low (capped at exp + 1)
     until an unsat k is found, then bisects.
     """
-    if encoding not in ("explicit", "factored"):
+    if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
     if schedule not in ("linear", "binary"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if cfg is None:
         cfg = SolverConfig.from_env()
-
-    def encode(k: int) -> SmtDocument:
-        if encoding == "explicit":
-            return encode_explicit(system, k, max_vars=max_vars, get_model=get_model)
-        return encode_factored(system, k, get_model=get_model)
-
     queries: list[tuple[int, SolverVerdict]] = []
     exp = exp_bound(system)  # no simple path can be longer
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(k), cfg)
+        verdict = run_solver(encode(system, k, encoding, max_vars), cfg)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

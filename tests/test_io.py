@@ -94,6 +94,21 @@ class TestCompactParsing:
         with pytest.raises(SystemParseError):
             parse_system("vars: v1, v1\n", "compact")
 
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [
+            ("vars: x\npre: r -> eff: x\n", "undeclared variable 'r'", 6),
+            ("vars: ab\npre: ab -> eff: a\n", "undeclared variable 'a'", 17),
+            ("vars: x, x\n", "duplicate variable declaration 'x'", 10),
+            ("vars: a, b\npre: b, a, !a -> eff: a\n", "takes both polarities", 12),
+        ],
+    )
+    def test_error_column_is_the_offending_token(self, text, message, column):
+        # The first three tokens also occur earlier on their line.
+        with pytest.raises(SystemParseError, match=message) as info:
+            parse_system(text, "compact")
+        assert info.value.column == column
+
     def test_action_before_header_rejected(self):
         with pytest.raises(SystemParseError):
             parse_system("pre: -> eff: v1\nvars: v1\n", "compact")

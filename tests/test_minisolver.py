@@ -7,9 +7,14 @@ import itertools
 import subprocess
 import sys
 
+import pytest
+
 from statebound import minisolver
-from statebound.gen import SplitMix64
+from statebound.gen import SplitMix64, gen_clique, gen_lotus
 from statebound.minisolver import CdclSolver, solve_text
+from statebound.smt import encode_explicit, encode_factored
+
+from conftest import equivalence_family, make_random
 
 
 class TestProtocol:
@@ -283,3 +288,59 @@ class TestUninterpretedSorts:
             got = solve_text("".join(lines))[0]
             expect = "sat" if _enumerate_euf(consts, ["P"], constraints) else "unsat"
             assert got == expect, "".join(lines)
+
+
+# A binary predicate over two free constants with a partial table (two
+# entries are facts), facts and equalities of pinned constants nested under
+# 'or' in both polarities, and equalities with one and two free sides.
+_PARTIAL_TABLE_SCRIPT = """(declare-sort S 0)
+(declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)
+(declare-fun x () S)(declare-fun y () S)
+(declare-fun p () Bool)
+(declare-fun R (S S) Bool)
+(assert (distinct s0 s1 s2))
+(assert (R s0 s1))
+(assert (not (R s1 s1)))
+(assert (R x y))
+(assert (not (= x y)))
+(assert (or (R y x) (= x s2)))
+(assert (or (R s0 s1) (R x s0) p))
+(assert (or (not (R s1 s1)) (R y s1)))
+(assert (or (not (= s0 s1)) (not p)))
+(assert (or (= s1 s2) (not p)))
+(check-sat)
+"""
+
+
+_LOTUS3, _SEED5, _CLIQUE2 = gen_lotus(3), make_random(equivalence_family(5)), gen_clique(2)
+
+
+@pytest.mark.parametrize(
+    "script,status,shape",
+    [
+        pytest.param(lambda: encode_explicit(_LOTUS3, 1).rendering, "sat", (52, 76, 2), id="lotus3-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 2).rendering, "sat", (89, 176, 5), id="lotus3-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 3).rendering, "unsat", (133, 326, 9), id="lotus3-explicit-k3"),
+        pytest.param(lambda: encode_explicit(_SEED5, 1).rendering, "sat", (172, 460, 2), id="seed5-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_SEED5, 2).rendering, "sat", (269, 956, 5), id="seed5-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (373, 1562, 9), id="seed5-explicit-k3"),
+        pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (68, 93, 0), id="clique2-factored-k3"),
+        pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (102, 142, 0), id="clique2-factored-k4"),
+        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (52, 88, 7), id="partial-table"),
+    ],
+)
+def test_grounding_shape(script, status, shape, monkeypatch):
+    """(variables, problem clauses, literals fixed at level 0) of the
+    grounded CNF as CDCL receives it: unit clauses are not stored but
+    assigned. A change to grounding that keeps verdicts but changes the CNF
+    shows here."""
+    seen = []
+    solve = CdclSolver.solve
+
+    def recording(self, deadline=None):
+        seen.append((self.num_vars, len(self.clauses), len(self.trail)))
+        return solve(self, deadline)
+
+    monkeypatch.setattr(CdclSolver, "solve", recording)
+    assert minisolver.interpret(script())[0] == status
+    assert seen == [shape]

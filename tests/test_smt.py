@@ -370,6 +370,24 @@ class TestInProcessBundled:
             rd_via_smt(clique2, "factored", cfg)
         assert [(k, v.status) for k, v in info.value.queries] == [(1, "unknown")]
 
+    @pytest.mark.parametrize("cfg", [SolverConfig.bundled(), _SPAWNED], ids=["in-process", "spawned"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "(declare-fun x Bool)",
+            "(declare-fun)",
+            "(declare-sort)",
+            "(declare-const c)",
+            "(declare-fun (f) () Bool)",
+        ],
+    )
+    def test_malformed_command_is_unknown(self, cfg, command):
+        doc = SmtDocument(
+            logic="QF_UF", declarations=(command,), assertions=(), encoding="factored", k=1
+        )
+        verdict = run_solver(doc, cfg)
+        assert (verdict.status, verdict.raw) == ("unknown", "unknown")
+
     def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
         def crash(text, deadline=None):
             raise RecursionError("too deep")
