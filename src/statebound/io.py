@@ -76,80 +76,68 @@ def parse_document(text: str, format: str = "json") -> SystemDocument:
     raise ValueError(f"unknown system format {format!r}")
 
 
-def _pairs_to_assignment(pairs, what: str) -> dict[str, bool]:
-    out: dict[str, bool] = {}
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` that reads each JSON object as a dict. A key
+    given twice in one object is an error; ``json.loads`` keeps the last."""
+    out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise SystemParseError(f"variable {key!r} appears twice in one {what}")
-        if not isinstance(value, bool):
-            raise SystemParseError(f"{what} value for {key!r} must be true or false")
+            raise SystemParseError(f"key {key!r} appears twice in one object")
         out[key] = value
     return out
 
 
-def _as_object(value) -> dict | None:
-    """Objects arrive as lists of key/value tuples via the pairs hook; real
-    JSON arrays contain lists, so the tuple check tells them apart."""
-    if isinstance(value, list) and all(isinstance(p, tuple) for p in value):
-        return dict(value)
-    return None
-
-
-def _plain(value):
-    """Undo the pairs hook recursively (for metadata payloads)."""
-    if isinstance(value, list):
-        obj = _as_object(value)
-        if obj is not None:
-            return {k: _plain(v) for k, v in obj.items()}
-        return [_plain(v) for v in value]
-    return value
+def _declare(ids: dict[str, int], name: str, **where) -> None:
+    """Declare variable ``name`` with the next id; ``where`` is the location
+    (``line``, ``column``) that an error reports, when the format has one."""
+    if not _NAME_RE.match(name):
+        raise SystemParseError(f"invalid variable name {name!r}", **where)
+    if name in ids:
+        raise SystemParseError(f"duplicate variable declaration {name!r}", **where)
+    ids[name] = len(ids)
 
 
 def _parse_json(text: str) -> SystemDocument:
     try:
-        data = json.loads(text, object_pairs_hook=lambda pairs: pairs)
+        top = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SystemParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    top = _as_object(data)
-    if top is None:
+    if not isinstance(top, dict):
         raise SystemParseError("top-level JSON value must be an object")
     names = top.get("variables")
     if not isinstance(names, list) or any(not isinstance(n, str) for n in names):
         raise SystemParseError("'variables' must be an array of names")
-    seen = set()
+    ids: dict[str, int] = {}
     for name in names:
-        if not _NAME_RE.match(name):
-            raise SystemParseError(f"invalid variable name {name!r}")
-        if name in seen:
-            raise SystemParseError(f"duplicate variable declaration {name!r}")
-        seen.add(name)
-    ids = {name: i for i, name in enumerate(names)}
+        _declare(ids, name)
     raw_actions = top.get("actions", [])
     if not isinstance(raw_actions, list):
         raise SystemParseError("'actions' must be an array")
     actions = []
-    for index, entry in enumerate(raw_actions):
-        entry_map = _as_object(entry)
-        if entry_map is None or set(entry_map) - {"pre", "eff"}:
+    for index, entry in enumerate(raw_actions, start=1):
+        if not isinstance(entry, dict) or set(entry) - {"pre", "eff"}:
             raise SystemParseError(
-                f"action #{index + 1} must be an object with 'pre' and 'eff'"
+                f"action #{index} must be an object with 'pre' and 'eff'"
             )
         sides = []
         for part in ("pre", "eff"):
-            pairs = entry_map.get(part, [])
-            if not isinstance(pairs, list):
-                raise SystemParseError(f"action #{index + 1} {part} must be an object")
-            assignment = _pairs_to_assignment(pairs, part)
-            for name in assignment:
+            assignment = entry.get(part, {})
+            if not isinstance(assignment, dict):
+                raise SystemParseError(f"action #{index} {part} must be an object")
+            for name, value in assignment.items():
+                if not isinstance(value, bool):
+                    raise SystemParseError(
+                        f"{part} value for {name!r} must be true or false"
+                    )
                 if name not in ids:
                     raise SystemParseError(
-                        f"action #{index + 1} references undeclared variable {name!r}"
+                        f"action #{index} references undeclared variable {name!r}"
                     )
             sides.append(
                 PartialState.from_items((ids[n], v) for n, v in assignment.items())
             )
         actions.append(Action(pre=sides[0], eff=sides[1]))
-    metadata = _plain(top.get("metadata", []))
+    metadata = top.get("metadata", {})
     if not isinstance(metadata, dict):
         metadata = {}
     system = System(tuple(Variable(i, n) for i, n in enumerate(names)), tuple(actions))
@@ -200,8 +188,7 @@ def _parse_literals(
 
 
 def _parse_compact(text: str) -> SystemDocument:
-    names: list[str] | None = None
-    ids: dict[str, int] = {}
+    ids: dict[str, int] | None = None
     actions: list[Action] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
@@ -209,27 +196,15 @@ def _parse_compact(text: str) -> SystemDocument:
             continue
         stripped = line.strip()
         if stripped.startswith("vars:"):
-            if names is not None:
+            if ids is not None:
                 raise SystemParseError("duplicate vars: header", line=line_no, column=1)
-            names = []
+            ids = {}
             for token, column in _comma_tokens(line, line.index("vars:") + len("vars:")):
-                if not token:
-                    continue
-                if not _NAME_RE.match(token):
-                    raise SystemParseError(
-                        f"invalid variable name {token!r}", line=line_no, column=column
-                    )
-                if token in ids:
-                    raise SystemParseError(
-                        f"duplicate variable declaration {token!r}",
-                        line=line_no,
-                        column=column,
-                    )
-                ids[token] = len(names)
-                names.append(token)
+                if token:
+                    _declare(ids, token, line=line_no, column=column)
             continue
         if stripped.startswith("pre:"):
-            if names is None:
+            if ids is None:
                 raise SystemParseError(
                     "action line before vars: header", line=line_no, column=1
                 )
@@ -253,9 +228,9 @@ def _parse_compact(text: str) -> SystemDocument:
         raise SystemParseError(
             f"unrecognized line {stripped[:40]!r}", line=line_no, column=1
         )
-    if names is None:
+    if ids is None:
         raise SystemParseError("missing vars: header")
-    system = System(tuple(Variable(i, n) for i, n in enumerate(names)), tuple(actions))
+    system = System(tuple(Variable(i, n) for n, i in ids.items()), tuple(actions))
     return SystemDocument(system=system, metadata={})
 
 

@@ -32,6 +32,7 @@ Luby restarts.
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from heapq import heapify, heappop, heappush
@@ -530,7 +531,7 @@ class Script:
 
     def parse_term(self, sx) -> tuple:
         """Parse into ('true'|'false'), ('bvar',n), ('not',t), ('and'|'or',ts),
-        ('eeq',a,b), ('papp',p,args); => / xor / = / distinct / ite desugared."""
+        ('eeq',a,b), ('papp',p,args); => / xor / = / distinct desugared."""
         if isinstance(sx, str):
             if sx == "true":
                 return _TRUE
@@ -972,20 +973,21 @@ def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str]
     return status, lines, ""
 
 
-def bool_model(lines: list[str]) -> dict[str, bool]:
-    """The Boolean-constant values among ``interpret``'s model lines."""
-    model: dict[str, bool] = {}
-    for line in lines:
-        parts = line.split()
-        if len(parts) >= 5 and parts[3] == "Bool":
-            model[parts[1]] = parts[4].rstrip(")") == "true"
-    return model
+_MODEL_BOOL_RE = re.compile(
+    r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*Bool\s+(true|false)\s*\)"
+)
+
+
+def bool_model(text: str) -> dict[str, bool]:
+    """The Boolean-constant values in a printed model, this solver's or any
+    other's; a ``define-fun`` may span several lines."""
+    return {name: value == "true" for name, value in _MODEL_BOOL_RE.findall(text)}
 
 
 def solve_text(text: str) -> tuple[str, dict[str, bool]]:
     """Convenience wrapper: status plus Boolean-constant model values."""
     status, lines = interpret(text)
-    return status, bool_model(lines)
+    return status, bool_model("\n".join(lines))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,7 +23,6 @@ to ask.
 from __future__ import annotations
 
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -38,11 +37,6 @@ from .oracle import exp_bound
 
 SOLVER_ENV_VAR = "STATEBOUND_SOLVER"
 _BUNDLED_COMMAND = (sys.executable, minisolver.__file__)
-
-_MODEL_BOOL_RE = re.compile(
-    r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*Bool\s+(true|false)\s*\)"
-)
-
 
 class SolverError(RuntimeError):
     """The external solver failed; carries the query log gathered so far."""
@@ -271,7 +265,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverVerdict:
     """One solver answer: sat/unsat/unknown/timeout/solver-error plus the raw
-    first token and, when requested and available, the Boolean model."""
+    first token (for ``unknown``, the solver's reason when it gives one) and,
+    when requested and available, the Boolean model."""
 
     status: str
     elapsed_ms: float
@@ -286,8 +281,9 @@ def run_solver(doc: SmtDocument, cfg: SolverConfig) -> SolverVerdict:
 
 
 def _exchange(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
-    """Hand one script to the configured solver; returns (status, raw first
-    token or error text, model when asked for and sat)."""
+    """Hand one script to the configured solver; returns (status, raw, model
+    when asked for and sat), where raw is the first token, an ``unknown``'s
+    reason when the solver gives one, or the error text."""
     if cfg.in_process:
         return _solve_in_process(text, get_model, cfg.timeout_ms)
     return _solve_in_child(text, get_model, cfg)
@@ -299,13 +295,13 @@ def _solve_in_process(text: str, get_model: bool, timeout_ms: int) -> tuple[str,
     malformed script ``unknown``, any other exception a solver error."""
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
-        status, lines, _ = minisolver.check_text(text, deadline)
+        status, lines, reason = minisolver.check_text(text, deadline)
     except minisolver.SolverTimeout:
         return "timeout", "", None
     except Exception as exc:  # a crash, as a solver process might have had
         return "solver-error", repr(exc), None
-    model = minisolver.bool_model(lines) if status == "sat" and get_model else None
-    return status, status, model
+    model = minisolver.bool_model("\n".join(lines)) if status == "sat" and get_model else None
+    return status, reason or status, model
 
 
 def _solve_in_child(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
@@ -343,10 +339,10 @@ def _solve_in_child(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str,
     token = _first_token(proc.stdout)
     if token not in ("sat", "unsat", "unknown"):
         return "solver-error", token or "", None
-    model = None
-    if token == "sat" and get_model:
-        model = {name: value == "true" for name, value in _MODEL_BOOL_RE.findall(proc.stdout)}
-    return token, token, model
+    model = minisolver.bool_model(proc.stdout) if token == "sat" and get_model else None
+    # The bundled solver prints an ``unknown``'s reason on stderr as "; <reason>".
+    reason = proc.stderr.strip().removeprefix("; ") if token == "unknown" else ""
+    return token, reason or token, model
 
 
 def _first_token(stdout: str) -> str | None:

@@ -247,6 +247,16 @@ class TestBound:
         rows = list(csv.DictReader(target.open()))
         assert len(rows) == 1  # the good problem still produced a row
 
+    def test_array_for_object_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"variables": ["v1"], "actions": [{"pre": [["v1", true]], "eff": {"v1": false}}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "bound", "--input", str(bad), "--bruteforce")
+        assert code == 3 and out == ""
+        assert json.loads(err.strip())["error"] == "parse-error"
+
     def test_empty_batch_is_config_error(self, capsys, tmp_path):
         batch = tmp_path / "empty"
         batch.mkdir()

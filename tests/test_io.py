@@ -66,6 +66,37 @@ class TestJsonParsing:
         with pytest.raises(SystemParseError):
             parse_system(text, "json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"variables": ["v1"], "actions": [{"pre": [["v1", true]], "eff": {"v1": false}}]}',
+            '{"variables": ["a"], "actions": [{"pre": [], "eff": {"a": true}}]}',
+            '{"variables": ["a"], "actions": [[]]}',
+            '{"variables": ["a"], "actions": {}}',
+            '{"variables": {}, "actions": []}',
+            '{"variables": ["a"], "variables": ["b"], "actions": []}',
+            '{"variables": ["a"], "actions": [], "metadata": {"x": {"y": 1, "y": 2}}}',
+        ],
+        ids=[
+            "pairs-as-pre",
+            "empty-array-as-pre",
+            "empty-array-as-action",
+            "object-as-actions",
+            "object-as-variables",
+            "repeated-top-level-key",
+            "repeated-metadata-key",
+        ],
+    )
+    def test_array_object_mixup_and_repeated_key_rejected(self, text):
+        with pytest.raises(SystemParseError):
+            parse_system(text, "json")
+
+    def test_empty_array_in_metadata_kept(self):
+        document = parse_document(
+            '{"variables": ["a"], "actions": [], "metadata": {"tags": []}}', "json"
+        )
+        assert document.metadata == {"tags": []}
+
 
 class TestCompactParsing:
     def test_minimal_file(self):
@@ -135,6 +166,11 @@ class TestSerialization:
         for system in systems:
             text = serialize_system(system, fmt)
             assert parse_system(text, fmt) == system
+
+    def test_metadata_round_trip(self, clique2):
+        metadata = {"name": "x", "run": {"seed": 3, "opts": {}}, "tags": ["a", 1], "empty": []}
+        text = serialize_system(clique2, "json", metadata=metadata)
+        assert parse_document(text, "json").metadata == metadata
 
     def test_byte_determinism(self):
         system = gen_lotus(3)

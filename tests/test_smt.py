@@ -364,11 +364,13 @@ class TestInProcessBundled:
     @pytest.mark.parametrize("cfg", [SolverConfig.bundled(), _SPAWNED], ids=["in-process", "spawned"])
     def test_unsupported_script_is_unknown(self, cfg, clique2, monkeypatch):
         verdict = run_solver(_unsupported(clique2, 1), cfg)
-        assert (verdict.status, verdict.raw) == ("unknown", "unknown")
+        reason = "predicates may only take declared sorts"
+        assert (verdict.status, verdict.raw) == ("unknown", reason)
         monkeypatch.setattr(smt, "encode_factored", _unsupported)
         with pytest.raises(SolverError) as info:
             rd_via_smt(clique2, "factored", cfg)
         assert [(k, v.status) for k, v in info.value.queries] == [(1, "unknown")]
+        assert reason in str(info.value)
 
     @pytest.mark.parametrize("cfg", [SolverConfig.bundled(), _SPAWNED], ids=["in-process", "spawned"])
     @pytest.mark.parametrize(
@@ -386,7 +388,8 @@ class TestInProcessBundled:
             logic="QF_UF", declarations=(command,), assertions=(), encoding="factored", k=1
         )
         verdict = run_solver(doc, cfg)
-        assert (verdict.status, verdict.raw) == ("unknown", "unknown")
+        reason = minisolver.check_text(doc.rendering)[2]
+        assert reason and (verdict.status, verdict.raw) == ("unknown", reason)
 
     def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
         def crash(text, deadline=None):
