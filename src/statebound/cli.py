@@ -32,6 +32,7 @@ from .oracle import (
 )
 from .smt import (
     ENCODINGS,
+    SCHEDULES,
     SOLVER_ENV_VAR,
     SolverConfig,
     SolverError,
@@ -93,7 +94,7 @@ def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver-cmd", help=f"solver command (default ${SOLVER_ENV_VAR} or bundled)")
     parser.add_argument("--timeout-ms", type=int, default=60_000, help="per-query timeout")
-    parser.add_argument("--schedule", choices=("linear", "binary"), default="linear")
+    parser.add_argument("--schedule", choices=SCHEDULES, default="linear")
 
 
 def _read_system(path: Path, fmt: str | None) -> tuple[System, str]:

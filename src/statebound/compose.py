@@ -33,7 +33,7 @@ from .oracle import (
     strongly_connected_components,
     traversal_diameter,
 )
-from .smt import SolverConfig, SolverError, rd_via_smt
+from .smt import SCHEDULES, SolverConfig, SolverError, rd_via_smt
 
 BASE_TAGS = ("exp", "td", "rd", "b1", "b2")
 
@@ -156,6 +156,14 @@ class BoundConfig:
     schedule: str = "linear"
     max_vars: int = DEFAULT_VAR_CAP
     rd_max_states: int = DEFAULT_RD_STATE_CAP
+
+    def __post_init__(self) -> None:
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.max_vars < 1:
+            raise ValueError(f"max_vars must be at least 1, got {self.max_vars}")
+        if self.rd_max_states < 1:
+            raise ValueError(f"rd_max_states must be at least 1, got {self.rd_max_states}")
 
 
 @dataclass(frozen=True)

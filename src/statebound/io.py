@@ -104,6 +104,9 @@ def _parse_json(text: str) -> SystemDocument:
         raise SystemParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(top, dict):
         raise SystemParseError("top-level JSON value must be an object")
+    for key in top:
+        if key not in ("variables", "actions", "metadata"):
+            raise SystemParseError(f"unknown top-level key {key!r}")
     names = top.get("variables")
     if not isinstance(names, list) or any(not isinstance(n, str) for n in names):
         raise SystemParseError("'variables' must be an array of names")
@@ -139,7 +142,7 @@ def _parse_json(text: str) -> SystemDocument:
         actions.append(Action(pre=sides[0], eff=sides[1]))
     metadata = top.get("metadata", {})
     if not isinstance(metadata, dict):
-        metadata = {}
+        raise SystemParseError("'metadata' must be an object")
     system = System(tuple(Variable(i, n) for i, n in enumerate(names)), tuple(actions))
     return SystemDocument(system=system, metadata=metadata)
 

@@ -3,7 +3,13 @@ package emits: Boolean constants plus uninterpreted sorts whose terms are all
 constants (QF_UF without non-constant function terms of sort kind).
 
 ``smt`` calls it in-process through ``check_text``, with a deadline taken
-from the query timeout. It also runs as a separate process
+from the query timeout. Given the ``Grounder`` of an earlier script,
+``check_text`` reads the new text as more commands of that script: their
+assertions are ground into the same CDCL solver, which backtracks to level 0
+and re-solves with the clauses, activities and phases it already has. Since
+the script only gains assertions, every learned clause stays valid. ``smt``
+keeps one grounder per ``rd`` search this way, and a fresh one when a query
+does not extend the last. It also runs as a separate process
 (``statebound-solve`` or ``python -m statebound.minisolver``), which reads a
 script from a file argument or stdin and prints ``sat``/``unsat``/``unknown``
 followed by a model when the script asks for one. It exists so the
@@ -174,9 +180,13 @@ class CdclSolver:
         return v ^ (lit & 1)
 
     def add_clause(self, lits: list[int]) -> None:
-        """Add a problem clause; only valid before solve() is called."""
+        """Add a problem clause. After a solve() it backtracks to level 0
+        first, so learned clauses, activities and saved phases carry over to
+        the next solve()."""
         if not self.ok:
             return
+        if self.trail_lim:
+            self.cancel_until(0)
         out = []
         seen = set()
         for lit in lits:
@@ -617,11 +627,15 @@ class Script:
 
 
 class Grounder:
-    """Compile a Script to CNF and decide it."""
+    """Compile a Script to CNF and decide it. The script may grow between
+    checks: each check grounds only the assertions added since the last one
+    into the same CDCL solver."""
 
     def __init__(self, script: Script) -> None:
         self.script = script
         self.sat = CdclSolver()
+        self.grounded = 0  # assertions of the script ground so far
+        self.sort_consts: int | None = None  # sort constants at the first check
         self.bool_var: dict[str, int] = {}
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
         self.value_var: dict[tuple[str, int], int] = {}
@@ -639,11 +653,11 @@ class Grounder:
         else:
             out.append(node)
 
-    def prepare(self) -> list[tuple]:
+    def prepare(self, assertions: list[tuple]) -> list[tuple]:
         """Pin distinct base constants, absorb ground predicate facts, and
         return the remaining top-level conjuncts."""
         conjuncts: list[tuple] = []
-        for node in self.script.assertions:
+        for node in assertions:
             self._flatten_conjuncts(node, conjuncts)
 
         for sort, consts in self.script.sorts.items():
@@ -881,8 +895,22 @@ class Grounder:
     # -- main entry -----------------------------------------------------------
 
     def check(self, deadline: float | None = None) -> str:
-        remaining = self.prepare()
-        self._encode_free_constants()
+        """Ground the assertions added since the last check and decide the
+        whole script. The first batch fixes the sort sizes, pins constants
+        and absorbs facts; later ones go through ``assert_top`` only, since
+        a fact whose table entry is already a variable must become a clause.
+        So a later batch may declare no sort constant. A check cut short by
+        SolverTimeout leaves its batch half ground: check no further."""
+        batch = self.script.assertions[self.grounded :]
+        self.grounded = len(self.script.assertions)
+        if self.sort_consts is None:
+            remaining = self.prepare(batch)
+            self._encode_free_constants()
+            self.sort_consts = len(self.script.const_sort)
+        elif len(self.script.const_sort) != self.sort_consts:
+            raise SmtUnsupportedError("sort constants declared after the first check")
+        else:
+            remaining = batch
         for node in remaining:
             if not self.sat.ok:
                 break
@@ -923,9 +951,15 @@ def _arguments(command: list, *kinds: type) -> list:
     return args
 
 
-def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]:
-    """Run a script; returns (status token, model lines)."""
-    script = Script()
+def interpret(
+    text: str, deadline: float | None = None, grounder: Grounder | None = None
+) -> tuple[str, list[str]]:
+    """Run a script; returns (status token, model lines). Given the grounder
+    of an earlier script, the text's commands extend that script, and the
+    check re-solves its CDCL solver with what it has learned."""
+    grounder = grounder or Grounder(Script())
+    script = grounder.script
+    script.has_check = script.wants_model = False
     for command in parse_sexprs(text, deadline):
         _check_deadline(deadline)
         if not isinstance(command, list) or not command:
@@ -956,18 +990,20 @@ def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]
             raise SmtUnsupportedError(f"unsupported command {head!r}")
     if not script.has_check:
         raise SmtFormatError("script has no (check-sat)")
-    grounder = Grounder(script)
     status = grounder.check(deadline)
     model = grounder.model_lines() if status == "sat" and script.wants_model else []
     return status, model
 
 
-def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str], str]:
-    """The solver's answer to a script: (status, model lines, reason). A
-    script outside the supported fragment, or malformed, is ``unknown`` with
-    the reason; a passed deadline raises SolverTimeout."""
+def check_text(
+    text: str, deadline: float | None = None, grounder: Grounder | None = None
+) -> tuple[str, list[str], str]:
+    """The solver's answer to a script, fresh or extending ``grounder``'s as
+    in ``interpret``: (status, model lines, reason). A script outside the
+    supported fragment, or malformed, is ``unknown`` with the reason; a
+    passed deadline raises SolverTimeout."""
     try:
-        status, lines = interpret(text, deadline)
+        status, lines = interpret(text, deadline, grounder)
     except (SmtUnsupportedError, SmtFormatError) as exc:
         return "unknown", [], str(exc)
     return status, lines, ""

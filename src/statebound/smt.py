@@ -13,16 +13,20 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
 The bundled solver (``SolverConfig.bundled()``, the default) answers each
 query in the calling thread, under a deadline that ``minisolver`` checks
-against the clock. Any other command spawns one solver process per query,
-and the first token it prints is read back. Satisfiability is monotone in k,
-so one search narrows a bracket between the largest k known sat and the
-smallest k known unsat; the linear or binary schedule only picks the next k
-to ask.
+against the clock. One search keeps one ``SolverSession`` with it: a query
+whose document extends the last one's, with only new Boolean constants
+declared, adds just its new lines to the same CDCL solver and keeps what it
+learned. The factored query for k + 1 extends the one for k; any other query
+starts fresh. Any other command spawns one solver process per query, and the
+first token it prints is read back. Satisfiability is monotone in k, so one
+search narrows a bracket between the largest k known sat and the smallest k
+known unsat; the linear or binary schedule only picks the next k to ask.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -274,33 +278,98 @@ class SolverVerdict:
     model: dict[str, bool] | None = None
 
 
-def run_solver(doc: SmtDocument, cfg: SolverConfig) -> SolverVerdict:
-    """Run one query and classify the response."""
-    (status, raw, model), elapsed_ms = timed_ms(_exchange, doc.rendering, doc.get_model, cfg)
+_BOOL_CONSTANT = re.compile(r"\(declare-fun [^\s()]+ \(\) Bool\)")
+
+
+class SolverSession:
+    """The bundled solver's state across the queries of one search.
+
+    A query extends the last decided one when every declaration and
+    assertion of the last document is also in its document, and every new
+    declaration is a Boolean constant. Then only the new lines are read and
+    ground, at decision level 0, into the same grounder, and its CDCL solver
+    re-solves with the clauses, activities and phases it already has. The
+    factored query for k + 1 extends the one for k. Any other query (the
+    explicit encoding's new step constant, a bisection back down, or the
+    first query after a timeout or error) starts a fresh grounder.
+    """
+
+    def __init__(self) -> None:
+        self._last: SmtDocument | None = None  # the last query answered sat or unsat
+        self._grounder: minisolver.Grounder | None = None
+
+    def check(self, doc: SmtDocument, deadline: float) -> tuple[str, list[str], str]:
+        """``minisolver.check_text`` on ``doc``: (status, model lines, reason)."""
+        text, grounder = self._script_for(doc)
+        self._last = None  # until doc is decided
+        status, lines, reason = minisolver.check_text(text, deadline, grounder)
+        if status in ("sat", "unsat"):
+            self._last = doc
+        return status, lines, reason
+
+    def _script_for(self, doc: SmtDocument) -> tuple[str, minisolver.Grounder]:
+        """The text to read for ``doc`` and the grounder to read it into."""
+        last = self._last
+        new_decls = _added(last.declarations, doc.declarations) if last else None
+        if (
+            new_decls is not None
+            and last.logic == doc.logic
+            and all(_BOOL_CONSTANT.fullmatch(d) for d in new_decls)
+        ):
+            new_asserts = _added(last.assertions, doc.assertions)
+            if new_asserts is not None:
+                lines = new_decls + [f"(assert {body})" for body in new_asserts]
+                lines.append("(check-sat)")
+                if doc.get_model:
+                    lines.append("(get-model)")
+                return "\n".join(lines) + "\n", self._grounder
+        self._grounder = minisolver.Grounder(minisolver.Script())
+        return doc.rendering, self._grounder
+
+
+def _added(old: tuple[str, ...], new: tuple[str, ...]) -> list[str] | None:
+    """The lines of ``new`` not in ``old``, or None when ``new`` lacks one of
+    ``old``'s."""
+    had = set(old)
+    if not had.issubset(new):
+        return None
+    return [line for line in new if line not in had]
+
+
+def run_solver(
+    doc: SmtDocument, cfg: SolverConfig, session: SolverSession | None = None
+) -> SolverVerdict:
+    """Run one query and classify the response. The bundled solver answers
+    through ``session`` (a fresh one when None); any other solver ignores it."""
+    (status, raw, model), elapsed_ms = timed_ms(_exchange, doc, cfg, session)
     return SolverVerdict(status, elapsed_ms, raw=raw, model=model)
 
 
-def _exchange(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
+def _exchange(
+    doc: SmtDocument, cfg: SolverConfig, session: SolverSession | None
+) -> tuple[str, str, dict | None]:
     """Hand one script to the configured solver; returns (status, raw, model
     when asked for and sat), where raw is the first token, an ``unknown``'s
     reason when the solver gives one, or the error text."""
     if cfg.in_process:
-        return _solve_in_process(text, get_model, cfg.timeout_ms)
-    return _solve_in_child(text, get_model, cfg)
+        return _solve_in_process(doc, cfg.timeout_ms, session or SolverSession())
+    return _solve_in_child(doc.rendering, doc.get_model, cfg)
 
 
-def _solve_in_process(text: str, get_model: bool, timeout_ms: int) -> tuple[str, str, dict | None]:
+def _solve_in_process(
+    doc: SmtDocument, timeout_ms: int, session: SolverSession
+) -> tuple[str, str, dict | None]:
     """The bundled solver in the calling thread. Its outcomes map as a
     process's would: a passed deadline is a timeout, an unsupported or
     malformed script ``unknown``, any other exception a solver error."""
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
-        status, lines, reason = minisolver.check_text(text, deadline)
+        status, lines, reason = session.check(doc, deadline)
     except minisolver.SolverTimeout:
         return "timeout", "", None
     except Exception as exc:  # a crash, as a solver process might have had
         return "solver-error", repr(exc), None
-    model = minisolver.bool_model("\n".join(lines)) if status == "sat" and get_model else None
+    model = minisolver.bool_model("\n".join(lines)) if status == "sat" and doc.get_model else None
     return status, reason or status, model
 
 
@@ -354,6 +423,9 @@ def _first_token(stdout: str) -> str | None:
     return None
 
 
+SCHEDULES = ("linear", "binary")
+
+
 @dataclass(frozen=True)
 class RdResult:
     """Outcome of the iterative search: the largest satisfiable k. When a
@@ -382,15 +454,16 @@ def rd_via_smt(
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    if schedule not in ("linear", "binary"):
+    if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
     if cfg is None:
         cfg = SolverConfig.from_env()
     queries: list[tuple[int, SolverVerdict]] = []
     exp = exp_bound(system)  # no simple path can be longer
+    session = SolverSession()
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(system, k, encoding, max_vars), cfg)
+        verdict = run_solver(encode(system, k, encoding, max_vars), cfg, session)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

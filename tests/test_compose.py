@@ -146,6 +146,15 @@ class TestBaseCase:
         with pytest.raises(ValueError):
             BaseCaseKind("b1", td_trigger=-1)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_vars", -1), ("max_vars", 0), ("rd_max_states", 0), ("schedule", "golden")],
+    )
+    def test_invalid_config_rejected(self, field, value):
+        # Each would otherwise give a degraded bound, or fail only once a query runs.
+        with pytest.raises(ValueError, match=field if field != "schedule" else "golden"):
+            BoundConfig(**{field: value})
+
     def test_rd_timeout_degrades_to_td(self, clique2):
         cfg = BoundConfig(solver=_SLEEPER)
         report = compositional_bound(clique2, BaseCaseKind("rd"), cfg)
@@ -183,12 +192,13 @@ _POLICY_TABLE = {
         "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
         "toggles2": "exp:1 td:1 rd:1 rd:1 rd:1",
     }),
-    # td and rd both exceed the variable cap: the state-count bound remains
-    "max_vars=0": ({}, BoundConfig(max_vars=0), {
+    # td and rd both exceed the variable cap on a two-variable cluster: the
+    # state-count bound remains; toggles2's one-variable clusters fit
+    "max_vars=1": ({}, BoundConfig(max_vars=1), {
         "clique2": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "star3": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "lotus7": "exp:7 exp:7! exp:7! exp:7! exp:7!",
-        "toggles2": "exp:1 exp:1! exp:1! exp:1! exp:1!",
+        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
     # no solver and brute force over its state cap: rd falls back to td
     "rd_max_states=2": ({}, BoundConfig(rd_max_states=2), {

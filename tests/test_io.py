@@ -91,6 +91,17 @@ class TestJsonParsing:
         with pytest.raises(SystemParseError):
             parse_system(text, "json")
 
+    def test_unknown_top_level_key_rejected(self):
+        # A misspelt "actions" would otherwise parse as a system with none.
+        text = '{"variables": ["a"], "action": [{"pre": {}, "eff": {"a": true}}]}'
+        with pytest.raises(SystemParseError, match="'action'"):
+            parse_system(text, "json")
+
+    def test_non_object_metadata_rejected(self):
+        text = '{"variables": ["a"], "actions": [], "metadata": [["k", 1]]}'
+        with pytest.raises(SystemParseError, match="'metadata'"):
+            parse_document(text, "json")
+
     def test_empty_array_in_metadata_kept(self):
         document = parse_document(
             '{"variables": ["a"], "actions": [], "metadata": {"tags": []}}', "json"

@@ -120,6 +120,40 @@ class TestCdclAgainstBruteForce:
                         solver.value[lit >> 1] == 1 - (lit & 1) for lit in clause
                     )
 
+    def test_add_clause_after_sat_solve(self):
+        """Clauses added after a sat solve(), with its learned clauses and
+        phases kept, give the verdict of a fresh solver on all clauses."""
+        rng = SplitMix64(7)
+        resolved = {True: 0, False: 0}
+        for _ in range(200):
+            num_vars = 4 + rng.below(6)
+            clauses = []
+            for _ in range(6 + rng.below(30)):
+                ids = list({1 + rng.below(num_vars) for _ in range(1 + rng.below(3))})
+                clauses.append([(v << 1) | rng.below(2) for v in ids])
+            split = len(clauses) // 2
+
+            def solver_with(batch):
+                solver = CdclSolver()
+                for _ in range(num_vars):
+                    solver.new_var()
+                for clause in batch:
+                    solver.add_clause(list(clause))
+                return solver
+
+            incremental = solver_with(clauses[:split])
+            if not incremental.solve():
+                continue
+            for clause in clauses[split:]:
+                incremental.add_clause(list(clause))
+            got = incremental.solve()
+            assert got == solver_with(clauses).solve(), clauses
+            resolved[got] += 1
+            if got:
+                for clause in clauses:
+                    assert any(incremental.value[lit >> 1] == 1 - (lit & 1) for lit in clause)
+        assert min(resolved.values()) >= 10, resolved
+
     def test_pigeonhole_unsat(self):
         solver = CdclSolver()
         holes, pigeons = 5, 6
@@ -154,6 +188,44 @@ class TestCdclAgainstBruteForce:
         assert solver.solve() is False
         assert len(largest) > 100
         assert max(largest) <= 2 * solver.num_vars
+
+
+class TestExtendedScripts:
+    """``interpret`` given an earlier script's grounder reads only the new
+    commands and re-solves the same CDCL solver."""
+
+    _BASE = (
+        "(declare-sort S 0)(declare-fun s0 () S)(declare-fun s1 () S)"
+        "(declare-fun y () S)(declare-fun G (S S) Bool)"
+        "(assert (distinct s0 s1))(assert (G y s1))(check-sat)"
+    )
+
+    def test_later_fact_on_a_table_variable_is_a_clause(self):
+        # (G y s1) made the table entry G(s0, s1) a variable; the later fact
+        # on it must constrain that variable, not be absorbed and dropped.
+        later = "(assert (not (G s0 s1)))(assert (= y s0))(check-sat)"
+        grounder = minisolver.Grounder(minisolver.Script())
+        assert minisolver.interpret(self._BASE, grounder=grounder)[0] == "sat"
+        assert minisolver.interpret(later, grounder=grounder)[0] == "unsat"
+        assert minisolver.interpret(self._BASE + later)[0] == "unsat"
+
+    def test_later_sort_constant_is_unknown(self):
+        grounder = minisolver.Grounder(minisolver.Script())
+        assert minisolver.check_text(self._BASE, grounder=grounder)[0] == "sat"
+        status, _, reason = minisolver.check_text("(declare-fun z () S)(check-sat)", grounder=grounder)
+        assert status == "unknown" and "after the first check" in reason
+
+    def test_model_covers_every_batch(self):
+        grounder = minisolver.Grounder(minisolver.Script())
+        first = "(declare-fun a () Bool)(assert a)(check-sat)(get-model)"
+        assert minisolver.interpret(first, grounder=grounder) == (
+            "sat", ["  (define-fun a () Bool true)"]
+        )
+        later = "(declare-fun b () Bool)(assert (xor a b))(check-sat)"
+        assert minisolver.interpret(later, grounder=grounder) == ("sat", [])
+        status, lines = minisolver.interpret("(check-sat)(get-model)", grounder=grounder)
+        assert status == "sat"
+        assert minisolver.bool_model("\n".join(lines)) == {"a": True, "b": False}
 
 
 def _enumerate_euf(consts, preds, constraints):

@@ -6,7 +6,7 @@ evaluate to true."""
 import itertools
 
 from statebound.gen import SplitMix64
-from statebound.minisolver import solve_text
+from statebound.minisolver import Grounder, Script, bool_model, interpret, solve_text
 
 NAMES = ["p", "q", "r", "s"]
 
@@ -86,6 +86,26 @@ def test_random_boolean_scripts_against_enumeration():
         if status == "sat":
             env = {name: model.get(name, False) for name in NAMES}
             assert all(evaluate(a, env) for a in asts), script
+
+
+def test_extended_scripts_against_enumeration():
+    """One assertion per batch into the same grounder: each check decides
+    every assertion so far. Shared subterms reach the Tseitin memo first in
+    one polarity and later in the other."""
+    rng = SplitMix64(4242)
+    for _ in range(150):
+        asts = [random_ast(rng, 3) for _ in range(2 + rng.below(4))]
+        grounder = Grounder(Script())
+        head = "".join(f"(declare-fun {n} () Bool)" for n in NAMES)
+        for i, ast in enumerate(asts):
+            text = f"{head if i == 0 else ''}(assert {render(ast)})(check-sat)(get-model)"
+            status, lines = interpret(text, grounder=grounder)
+            expect = brute_force_sat(asts[: i + 1])
+            assert status == ("sat" if expect else "unsat"), asts[: i + 1]
+            if status == "sat":
+                model = bool_model("\n".join(lines))
+                env = {name: model.get(name, False) for name in NAMES}
+                assert all(evaluate(a, env) for a in asts[: i + 1])
 
 
 def test_deep_nesting():

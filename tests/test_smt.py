@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from statebound import minisolver, smt
+from statebound.compose import BaseCaseKind, BoundConfig, compositional_bound
 from statebound.core import Action, PartialState, System, build_transition_graph, execute
-from statebound.gen import gen_clique, gen_lotus, gen_star
+from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
 from statebound.oracle import recurrence_diameter_bruteforce
 from statebound.smt import (
     SmtDocument,
@@ -253,7 +254,7 @@ def test_search_schedule_table(schedule, exp, rd, forced, log, outcome, clique2,
     status is forced; the table pins the exact k each schedule asks."""
     forced = dict(_log(forced))
 
-    def stub(doc, cfg):
+    def stub(doc, cfg, session=None):
         return SolverVerdict(forced.get(doc.k, "sat" if doc.k <= rd else "unsat"), 0.0)
 
     monkeypatch.setattr("statebound.smt.run_solver", stub)
@@ -392,7 +393,7 @@ class TestInProcessBundled:
         assert reason and (verdict.status, verdict.raw) == ("unknown", reason)
 
     def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
-        def crash(text, deadline=None):
+        def crash(text, deadline=None, grounder=None):
             raise RecursionError("too deep")
 
         monkeypatch.setattr(minisolver, "check_text", crash)
@@ -404,6 +405,134 @@ class TestInProcessBundled:
         text = "(declare-fun a () Bool)(assert a)(check-sat)"
         assert len(minisolver.parse_sexprs(text)) == 3
         assert minisolver.interpret(text) == ("sat", [])
+
+
+def _fresh_starts(monkeypatch) -> list:
+    """Patch the grounder so that every fresh start is recorded."""
+    starts = []
+
+    class Recorded(minisolver.Grounder):
+        def __init__(self, script):
+            starts.append(self)
+            super().__init__(script)
+
+    monkeypatch.setattr(minisolver, "Grounder", Recorded)
+    return starts
+
+
+def _solved_fresh(monkeypatch):
+    """Make rd_via_smt solve every query fresh, as if it kept no session."""
+    solve = smt.run_solver
+    monkeypatch.setattr(smt, "run_solver", lambda doc, cfg, session=None: solve(doc, cfg))
+
+
+class TestSolverSession:
+    """rd_via_smt keeps one bundled-solver session per search; a factored
+    query for k + 1 extends the one for k instead of starting over."""
+
+    @pytest.mark.parametrize(
+        "encoding,schedule", [("factored", "linear"), ("factored", "binary"), ("explicit", "binary")]
+    )
+    def test_query_logs_match_fresh_solving(self, encoding, schedule, monkeypatch):
+        cfg = SolverConfig.bundled()
+        systems = [make_random(equivalence_family(seed)) for seed in range(1, 21)]
+        starts = _fresh_starts(monkeypatch)
+        session_logs = [rd_via_smt(system, encoding, cfg, schedule) for system in systems]
+        fresh_starts = len(starts)
+        _solved_fresh(monkeypatch)
+        fresh_logs = [rd_via_smt(system, encoding, cfg, schedule) for system in systems]
+        for seed, (here, there) in enumerate(zip(session_logs, fresh_logs), start=1):
+            assert [(k, v.status) for k, v in here.queries] == [
+                (k, v.status) for k, v in there.queries
+            ], seed
+            assert (here.rd, here.exact) == (there.rd, there.exact)
+        queries = sum(len(result.queries) for result in session_logs)
+        if encoding == "explicit":
+            assert fresh_starts == queries  # each query declares a new step constant
+        elif schedule == "linear":
+            assert fresh_starts == len(systems)  # every k extends k - 1
+        else:
+            assert len(systems) < fresh_starts < queries  # bisecting down starts over
+
+    def test_bound_batch_reports_match_fresh_solving(self, monkeypatch):
+        """The bound-batch family under b2: same per-cluster values,
+        properties and query counts with and without sessions."""
+        systems = [
+            gen_random(GeneratorSpec("random", seed, num_vars=12, num_actions=12, max_pre=2, max_eff=2))
+            for seed in range(1, 51)
+        ]
+        cfg = BoundConfig(solver=SolverConfig.bundled())
+
+        def clusters():
+            return [
+                [(c.value, c.property_used, c.rd_queries) for c in report.per_cluster]
+                for report in (compositional_bound(s, BaseCaseKind("b2"), cfg) for s in systems)
+            ]
+
+        with_sessions = clusters()
+        assert sum(c[2] for report in with_sessions for c in report) > 100
+        _solved_fresh(monkeypatch)
+        assert with_sessions == clusters()
+
+    def test_only_an_extension_reuses_the_grounder(self, clique2, monkeypatch):
+        read = []  # (text, grounder) per check
+        check_text = minisolver.check_text
+
+        def recording(text, deadline=None, grounder=None):
+            read.append((text, grounder))
+            return check_text(text, deadline, grounder)
+
+        monkeypatch.setattr(minisolver, "check_text", recording)
+        session = smt.SolverSession()
+        two, three = encode_factored(clique2, 2), encode_factored(clique2, 3, get_model=True)
+        assert session.check(two, math.inf)[0] == "sat"
+        assert session.check(three, math.inf)[0] == "sat"
+        (first_text, grounder), (text, same) = read
+        assert first_text == two.rendering and same is grounder
+        assert text.splitlines() == [
+            *(d for d in three.declarations if d not in two.declarations),
+            *(f"(assert {a})" for a in three.assertions if a not in two.assertions),
+            "(check-sat)",
+            "(get-model)",
+        ]
+        # A bisection back down starts fresh, and so does the query after
+        # one cut short by its deadline, though it extends that one.
+        four = encode_factored(clique2, 4)
+        assert session.check(two, math.inf)[0] == "sat"
+        with pytest.raises(minisolver.SolverTimeout):
+            session.check(three, -math.inf)
+        assert session.check(four, math.inf)[0] == "unsat"
+        (two_text, two_again), (_, three_again), (four_text, after) = read[2:]
+        assert (two_text, four_text) == (two.rendering, four.rendering)
+        assert two_again is not grounder and three_again is two_again
+        assert after is not two_again
+        # The explicit encoding's next query declares a new step constant.
+        del read[:]
+        for k in (1, 2):
+            assert session.check(encode_explicit(clique2, k), math.inf)[0] == "sat"
+        assert [text for text, _ in read] == [encode_explicit(clique2, k).rendering for k in (1, 2)]
+
+    def test_extended_query_answers_and_models(self, clique2):
+        session = smt.SolverSession()
+        cfg = SolverConfig.bundled()
+        for k, status in ((2, "sat"), (3, "sat"), (4, "unsat")):
+            doc = encode_factored(clique2, k, get_model=True)
+            verdict = run_solver(doc, cfg, session)
+            assert verdict.status == status
+            if status == "sat":
+                states, _ = decode_factored_model(clique2, k, verdict.model)
+                assert len(set(states)) == k + 1
+
+    def test_deadline_mid_session_is_a_lower_bound(self, monkeypatch):
+        # clique 3's k = 8 refutation takes seconds; k = 1..7 take milliseconds.
+        starts = _fresh_starts(monkeypatch)
+        result = rd_via_smt(gen_clique(3), "factored", SolverConfig.bundled(timeout_ms=200))
+        assert (result.rd, result.exact) == (7, False)
+        assert [(k, v.status) for k, v in result.queries] == [
+            *((k, "sat") for k in range(1, 8)), (8, "timeout")
+        ]
+        assert len(starts) == 1  # k = 8 timed out inside the session
+        assert result.queries[-1][1].elapsed_ms < 2000
 
 
 class TestModelDecoding:
@@ -425,8 +554,6 @@ class TestModelDecoding:
 
 class TestEncodingSize:
     def test_factored_smaller_than_explicit_at_six_vars(self):
-        from statebound.gen import GeneratorSpec, gen_random
-
         system = gen_random(
             GeneratorSpec("random", seed=424, num_vars=6, num_actions=10, max_pre=2, max_eff=2)
         )
