@@ -28,12 +28,18 @@ satisfiable over a universe no larger than the number of those constants, so
 each constant gets a one-hot value encoding. A top-level
 ``(assert (distinct c1 ... cn))`` over constants pins those constants to fixed
 distinct values (sound up to renaming the universe), and top-level predicate
-literals over pinned constants become table facts. Every atom is then ground
-one way: by clauses that tie it, under a guard of value literals, to a table
-entry, a value literal or a known truth value; a predicate application gets
-one per value combination of its unpinned arguments. The Boolean core is a
-CDCL SAT solver with watched literals, first-UIP learning, VSIDS scoring and
-Luby restarts.
+literals over pinned constants become table facts. A top-level ``or`` of
+equalities between one unpinned constant and pinned constants confines that
+constant to their values; several such disjunctions intersect, and the
+constant gets value literals for the values left only. Every atom is then
+ground one way: by clauses that tie it, under a guard of value literals, to a
+table entry, a value literal or a known truth value; a predicate application
+gets one per value combination of its unpinned arguments. In positive
+polarity an unpinned last argument is ground by table rows instead: one
+clause that it takes a value whose entry is not false, and one per variable
+entry. So the explicit encoding's ``(G y_i y_{i+1})``, with both steps
+confined to the n states, is n clauses. The Boolean core is a CDCL SAT solver
+with watched literals, first-UIP learning, VSIDS scoring and Luby restarts.
 """
 
 from __future__ import annotations
@@ -514,7 +520,9 @@ class Script:
     def declare_sort(self, name: str, arity: str) -> None:
         if arity != "0":
             raise SmtUnsupportedError("only 0-ary sorts are supported")
-        self.sorts.setdefault(name, [])
+        if name in self.sorts:
+            raise SmtFormatError(f"redeclaration of sort {name}")
+        self.sorts[name] = []
 
     def declare_fun(self, name: str, args: list, ret: str) -> None:
         if name in self.const_sort or name in self.predicates or name in self.bool_consts:
@@ -638,6 +646,7 @@ class Grounder:
         self.sort_consts: int | None = None  # sort constants at the first check
         self.bool_var: dict[str, int] = {}
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
+        self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
         self.value_var: dict[tuple[str, int], int] = {}
         self.table: dict[tuple, object] = {}  # (pred, values) -> var index or bool
         self.sort_size: dict[str, int] = {}
@@ -654,8 +663,9 @@ class Grounder:
             out.append(node)
 
     def prepare(self, assertions: list[tuple]) -> list[tuple]:
-        """Pin distinct base constants, absorb ground predicate facts, and
-        return the remaining top-level conjuncts."""
+        """Pin distinct base constants, confine unpinned constants to the
+        values their top-level disjunctions allow, absorb ground predicate
+        facts, and return the remaining top-level conjuncts."""
         conjuncts: list[tuple] = []
         for node in assertions:
             self._flatten_conjuncts(node, conjuncts)
@@ -683,6 +693,8 @@ class Grounder:
             if len(family) >= 2:
                 for value, const in enumerate(family):
                     self.fixed[const] = value
+            every = tuple(range(self.sort_size[sort]))
+            self.values.update((c, every) for c in consts if c not in self.fixed)
 
         remaining: list[tuple] = []
         for node in conjuncts:
@@ -690,6 +702,12 @@ class Grounder:
                 _, a, b = node[1]
                 if a in self.fixed and b in self.fixed:
                     continue  # pinned values are distinct by construction
+            confined = self._confinement(node)
+            if confined is not None:
+                # The exactly-one encoding over these values implies node.
+                const, allowed = confined
+                self.values[const] = tuple(v for v in self.values[const] if v in allowed)
+                continue
             fact = self._ground_fact(node)
             if fact is not None:
                 key, truth = fact
@@ -701,6 +719,25 @@ class Grounder:
                 continue
             remaining.append(node)
         return remaining
+
+    def _confinement(self, node: tuple) -> tuple[str, set[int]] | None:
+        """(c, values) when ``node`` is an ``or`` of equalities between one
+        unpinned constant c and pinned constants, which confines c to their
+        values; None for any other node."""
+        if node[0] != "or":
+            return None
+        free, allowed = None, set()
+        for child in node[1]:
+            if child[0] != "eeq":
+                return None
+            _, a, b = child
+            if a in self.fixed:
+                a, b = b, a
+            if a in self.fixed or b not in self.fixed or free not in (None, a):
+                return None
+            free = a
+            allowed.add(self.fixed[b])
+        return free, allowed
 
     def _ground_fact(self, node: tuple) -> tuple[tuple, bool] | None:
         truth = True
@@ -724,34 +761,34 @@ class Grounder:
             self.bool_var[name] = var
         return var
 
-    def _value_literal(self, const: str, value: int) -> int:
-        """Literal for "const takes universe value ``value``"; pinned
-        constants are handled by the callers and never reach here."""
+    def _value_literal(self, const: str, value: int) -> int | bool:
+        """Literal for "const takes universe value ``value``", or False when
+        ``value`` is not one of const's values. Pinned constants are handled
+        by the callers and never reach here."""
         assert const not in self.fixed
         var = self.value_var.get((const, value))
-        if var is None:
-            var = self.sat.new_var()
-            self.value_var[(const, value)] = var
-        return var << 1
+        return False if var is None else var << 1
 
     def _encode_free_constants(self) -> None:
-        """Exactly-one value per unpinned constant (sequential at-most-one)."""
-        for sort, consts in self.script.sorts.items():
-            size = self.sort_size[sort]
-            for const in consts:
-                if const in self.fixed:
-                    continue
-                lits = [self._value_literal(const, v) for v in range(size)]
-                self.sat.add_clause(list(lits))
-                if size <= 1:
-                    continue
-                chain = [self.sat.new_var() for _ in range(size - 1)]
-                self.sat.add_clause([lits[0] ^ 1, chain[0] << 1])
-                for i in range(1, size - 1):
-                    self.sat.add_clause([(chain[i - 1] << 1) ^ 1, chain[i] << 1])
-                    self.sat.add_clause([lits[i] ^ 1, (chain[i - 1] << 1) ^ 1])
-                    self.sat.add_clause([lits[i] ^ 1, chain[i] << 1])
-                self.sat.add_clause([lits[size - 1] ^ 1, (chain[size - 2] << 1) ^ 1])
+        """A value literal per value of each unpinned constant, and
+        exactly-one of them (sequential at-most-one)."""
+        for const, values in self.values.items():
+            lits = []
+            for v in values:
+                var = self.sat.new_var()
+                self.value_var[(const, v)] = var
+                lits.append(var << 1)
+            self.sat.add_clause(list(lits))
+            size = len(lits)
+            if size <= 1:
+                continue
+            chain = [self.sat.new_var() for _ in range(size - 1)]
+            self.sat.add_clause([lits[0] ^ 1, chain[0] << 1])
+            for i in range(1, size - 1):
+                self.sat.add_clause([(chain[i - 1] << 1) ^ 1, chain[i] << 1])
+                self.sat.add_clause([lits[i] ^ 1, (chain[i - 1] << 1) ^ 1])
+                self.sat.add_clause([lits[i] ^ 1, chain[i] << 1])
+            self.sat.add_clause([lits[size - 1] ^ 1, (chain[size - 2] << 1) ^ 1])
 
     def _table_literal(self, pred: str, values: tuple[int, ...]) -> int | bool:
         """The table entry of ``pred`` at ``values``: a known truth value, or
@@ -764,11 +801,12 @@ class Grounder:
 
     # -- atom grounding ----------------------------------------------------------
     #
-    # Every atom clause ties the atom's literal to one entry (a table entry,
-    # a value literal or a known truth value) under a guard of negated value
-    # literals, in the polarity being ground, and ``_emit`` writes them all.
-    # ``_encode_free_constants`` creates every value literal before the
-    # first atom, so the only variables made here are table entries, in
+    # Every atom clause but a row clause ties the atom's literal to one entry
+    # (a table entry, a value literal or a known truth value) under a guard
+    # of negated value literals, in the polarity being ground, and ``_emit``
+    # writes them all. A guard only holds literals of values a constant can
+    # take. ``_encode_free_constants`` creates every value literal before
+    # the first atom, so the only variables made here are table entries, in
     # combination order.
 
     def _emit(self, lit: int, guard: tuple[int, ...], entry: int | bool, positive: bool) -> None:
@@ -797,27 +835,39 @@ class Grounder:
             self._emit(lit, (), self._value_literal(free, value), positive)
         else:
             # given a=v, the equality is b=v
-            for v in range(self.sort_size[self.script.const_sort[a]]):
+            for v in self.values[a]:
                 guard = (self._value_literal(a, v) ^ 1,)
                 self._emit(lit, guard, self._value_literal(b, v), positive)
 
     def _ground_papp(self, node: tuple, var: int, positive: bool) -> None:
-        """One clause per value combination of the unpinned arguments; with
-        none, the one combination is the pinned values."""
+        """One clause per value combination of the arguments, guarded by the
+        negated value literals of the unpinned ones. In positive polarity an
+        unpinned last argument is ground by rows instead: per combination of
+        the other arguments, one clause that the last takes a value whose
+        entry is not false, and one per variable entry that it holds there."""
         _, pred, args = node
-        domains = []  # per argument: its values
-        guards = []  # per unpinned argument: its negated value literals
-        for a in args:
-            if a in self.fixed:
-                domains.append((self.fixed[a],))
-            else:
-                size = self.sort_size[self.script.const_sort[a]]
-                domains.append(range(size))
-                guards.append([self._value_literal(a, v) ^ 1 for v in range(size)])
-        # Pinned arguments have one value, so both products run in step.
+        choices = [
+            [(self.fixed[a], ())]
+            if a in self.fixed
+            else [(v, (self._value_literal(a, v) ^ 1,)) for v in self.values[a]]
+            for a in args
+        ]
         lit = var << 1
-        for values, guard in zip(product(*domains), product(*guards)):
-            self._emit(lit, guard, self._table_literal(pred, values), positive)
+        last = choices.pop() if positive and args[-1] not in self.fixed else None
+        for row in product(*choices):
+            values = tuple(v for v, _ in row)
+            guard = tuple(g for _, gs in row for g in gs)
+            if last is None:
+                self._emit(lit, guard, self._table_literal(pred, values), positive)
+                continue
+            allowed = []
+            for v, (not_v,) in last:
+                entry = self._table_literal(pred, (*values, v))
+                if entry is not False:
+                    allowed.append(not_v ^ 1)
+                    self._emit(lit, (*guard, not_v), entry, True)
+            if len(allowed) < len(last):  # else implied by exactly-one
+                self.sat.add_clause([lit ^ 1, *guard, *allowed])
 
     # -- Tseitin with polarity tracking -------------------------------------------
 
@@ -954,9 +1004,11 @@ def _arguments(command: list, *kinds: type) -> list:
 def interpret(
     text: str, deadline: float | None = None, grounder: Grounder | None = None
 ) -> tuple[str, list[str]]:
-    """Run a script; returns (status token, model lines). Given the grounder
-    of an earlier script, the text's commands extend that script, and the
-    check re-solves its CDCL solver with what it has learned."""
+    """Run a script; returns (status token, model lines). The text holds one
+    ``(check-sat)``, after its assertions; ``push`` and ``pop`` are
+    unsupported. Given the grounder of an earlier script, the text's
+    commands extend that script, and the check re-solves its CDCL solver
+    with what it has learned."""
     grounder = grounder or Grounder(Script())
     script = grounder.script
     script.has_check = script.wants_model = False
@@ -965,7 +1017,7 @@ def interpret(
         if not isinstance(command, list) or not command:
             raise SmtFormatError("top-level items must be command lists")
         head = command[0]
-        if head in ("set-logic", "set-option", "set-info", "push", "pop"):
+        if head in ("set-logic", "set-option", "set-info"):
             continue
         if head == "exit":
             break
@@ -978,6 +1030,9 @@ def interpret(
         elif head == "declare-const":
             name, sort = _arguments(command, str, str)
             script.declare_fun(name, [], sort)
+        elif head in ("assert", "check-sat") and script.has_check:
+            # One (check-sat) decides every assertion of the script.
+            raise SmtUnsupportedError(f"{head!r} after (check-sat)")
         elif head == "assert":
             if len(command) != 2:
                 raise SmtFormatError("'assert' takes one term")

@@ -4,12 +4,14 @@ enumeration on random CNFs, and finite-domain scripts versus brute-force
 model enumeration over small universes."""
 
 import itertools
+import re
 import subprocess
 import sys
 
 import pytest
 
 from statebound import minisolver
+from statebound.core import build_transition_graph
 from statebound.gen import SplitMix64, gen_clique, gen_lotus
 from statebound.minisolver import CdclSolver, solve_text
 from statebound.smt import encode_explicit, encode_factored
@@ -58,6 +60,32 @@ class TestProtocol:
 
     def test_comments_ignored(self):
         assert solve_text("; a comment\n(check-sat)\n")[0] == "sat"
+
+    # Scripts this one-check solver would otherwise answer wrongly: push and
+    # pop would be skipped, and a later assertion or check-sat merged into
+    # the one check over every assertion.
+    @pytest.mark.parametrize(
+        "script,reason",
+        [
+            ("(declare-fun p () Bool)(push 1)(assert false)(pop 1)(check-sat)", "'push'"),
+            ("(declare-fun p () Bool)(assert p)(pop 1)(check-sat)", "'pop'"),
+            (
+                "(declare-fun p () Bool)(assert p)(check-sat)(assert (not p))(check-sat)",
+                "'assert' after (check-sat)",
+            ),
+            ("(check-sat)(check-sat)", "'check-sat' after (check-sat)"),
+            ("(declare-sort S 0)(declare-sort S 0)(check-sat)", "redeclaration of sort S"),
+        ],
+        ids=["push", "pop", "assert-after-check", "second-check", "repeated-sort"],
+    )
+    def test_unsupported_sequences_are_unknown(self, script, reason):
+        status, model, why = minisolver.check_text(script)
+        assert (status, model) == ("unknown", []) and reason in why
+        assert main_with_stdin(script) == (0, "unknown")
+
+    def test_model_request_after_check_sat(self):
+        text = "(declare-fun p () Bool)(assert p)(check-sat)(get-model)(exit)(assert false)"
+        assert solve_text(text) == ("sat", {"p": True})
 
 
 def main_with_stdin(text):
@@ -207,7 +235,7 @@ class TestExtendedScripts:
         grounder = minisolver.Grounder(minisolver.Script())
         assert minisolver.interpret(self._BASE, grounder=grounder)[0] == "sat"
         assert minisolver.interpret(later, grounder=grounder)[0] == "unsat"
-        assert minisolver.interpret(self._BASE + later)[0] == "unsat"
+        assert minisolver.interpret(self._BASE.removesuffix("(check-sat)") + later)[0] == "unsat"
 
     def test_later_sort_constant_is_unknown(self):
         grounder = minisolver.Grounder(minisolver.Script())
@@ -332,6 +360,33 @@ class TestUninterpretedSorts:
         status, _ = solve_text(text)
         assert status == "sat"
 
+    def test_empty_confinement_is_unsat(self):
+        # Each disjunction confines x to pinned values; they share none.
+        text = (
+            "(declare-sort S 0)"
+            "(declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)"
+            "(declare-fun x () S)"
+            "(assert (distinct s0 s1 s2))"
+            "(assert (or (= x s0) (= s1 x)))(assert (or (= x s2) (= x s0)))"
+            "(assert (or (= x s1) (= x s2)))"
+            "(check-sat)"
+        )
+        assert solve_text(text)[0] == "unsat"
+        # Any two of them leave one value.
+        assert solve_text(text.replace("(assert (or (= x s1) (= x s2)))", ""))[0] == "sat"
+
+    def test_explicit_model_names_pinned_states(self):
+        # lotus 3 has a simple path of 2 edges: the step constants confined
+        # to the pinned states are reported as those states, along edges.
+        lotus = gen_lotus(3)
+        status, lines = minisolver.interpret(encode_explicit(lotus, 2, get_model=True).rendering)
+        assert status == "sat"
+        steps = dict(re.findall(r"\(define-fun (y\d) \(\) S s(\d+)\)", "\n".join(lines)))
+        path = [int(steps[f"y{i}"]) for i in (1, 2, 3)]
+        adj = build_transition_graph(lotus).adj
+        assert len(set(path)) == 3
+        assert all(v in adj[u] for u, v in zip(path, path[1:]))
+
     def test_random_euf_against_enumeration(self):
         rng = SplitMix64(99)
         for _ in range(120):
@@ -390,12 +445,12 @@ _LOTUS3, _SEED5, _CLIQUE2 = gen_lotus(3), make_random(equivalence_family(5)), ge
 @pytest.mark.parametrize(
     "script,status,shape",
     [
-        pytest.param(lambda: encode_explicit(_LOTUS3, 1).rendering, "sat", (52, 76, 2), id="lotus3-explicit-k1"),
-        pytest.param(lambda: encode_explicit(_LOTUS3, 2).rendering, "sat", (89, 176, 5), id="lotus3-explicit-k2"),
-        pytest.param(lambda: encode_explicit(_LOTUS3, 3).rendering, "unsat", (133, 326, 9), id="lotus3-explicit-k3"),
-        pytest.param(lambda: encode_explicit(_SEED5, 1).rendering, "sat", (172, 460, 2), id="seed5-explicit-k1"),
-        pytest.param(lambda: encode_explicit(_SEED5, 2).rendering, "sat", (269, 956, 5), id="seed5-explicit-k2"),
-        pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (373, 1562, 9), id="seed5-explicit-k3"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 1).rendering, "sat", (16, 26, 2), id="lotus3-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 2).rendering, "sat", (26, 47, 5), id="lotus3-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 3).rendering, "unsat", (37, 72, 9), id="lotus3-explicit-k3"),
+        pytest.param(lambda: encode_explicit(_SEED5, 1).rendering, "sat", (64, 122, 2), id="seed5-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_SEED5, 2).rendering, "sat", (98, 215, 5), id="seed5-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (133, 324, 9), id="seed5-explicit-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (68, 93, 0), id="clique2-factored-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (102, 142, 0), id="clique2-factored-k4"),
         pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (52, 88, 7), id="partial-table"),

@@ -1,7 +1,8 @@
-"""Differential fuzzing for the bundled solver's Boolean core: random nested
-formulas are rendered to SMT-LIB, decided by the solver, and compared with
-brute-force evaluation over every assignment; models returned on sat must
-evaluate to true."""
+"""Differential fuzzing for the bundled solver: random nested formulas are
+rendered to SMT-LIB, decided by the solver, and compared with brute-force
+evaluation over every assignment; models returned on sat must evaluate to
+true. Boolean scripts test the CDCL core and its Tseitin encoding; scripts
+over an uninterpreted sort test pinning, confinement and row clauses."""
 
 import itertools
 
@@ -120,3 +121,126 @@ def test_deep_nesting():
         if status == "sat":
             env = {name: model.get(name, False) for name in NAMES}
             assert evaluate(ast, env), script
+
+
+# Sort scripts: pinned constants s0..s2 (when their distinct is asserted),
+# unpinned x and y, a Boolean p and a binary predicate P.
+PINNED = ["s0", "s1", "s2"]
+SORT_CONSTS = PINNED + ["x", "y"]
+
+
+def random_sort_atom(rng: SplitMix64):
+    a = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
+    b = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
+    choice = rng.below(6)
+    if choice == 0:
+        return "p"
+    return ("=" if choice <= 2 else "P", a, b)
+
+
+def random_sort_formula(rng: SplitMix64, depth: int):
+    choice = rng.below(5) if depth > 0 else 0
+    if choice <= 1:
+        atom = random_sort_atom(rng)
+        return ("not", atom) if rng.below(2) else atom
+    if choice == 2:
+        return ("not", random_sort_formula(rng, depth - 1))
+    op = "and" if choice == 3 else "or"
+    return (op, *(random_sort_formula(rng, depth - 1) for _ in range(2)))
+
+
+def confining_or(rng: SplitMix64, const: str):
+    """(or (= const s_i) ...) over a random non-empty subset of the pinned
+    constants, each equality written either way round."""
+    picked = [s for s in PINNED if rng.below(2)] or [PINNED[rng.below(3)]]
+    return ("or", *((("=", const, s) if rng.below(2) else ("=", s, const)) for s in picked))
+
+
+def random_sort_conjunct(rng: SplitMix64):
+    """A confining or, a shape that must not confine, a random formula or a
+    predicate literal."""
+    x, y = ("x", "y") if rng.below(2) else ("y", "x")
+    s = PINNED[rng.below(3)]
+    choice = rng.below(8)
+    if choice <= 1:
+        return confining_or(rng, x)
+    if choice == 2:  # two unpinned constants
+        return ("or", ("=", x, s), ("=", y, PINNED[rng.below(3)]))
+    if choice == 3:  # an unpinned-unpinned equality
+        return ("or", ("=", x, s), ("=", x, y))
+    if choice == 4:  # below the top level
+        return ("or", confining_or(rng, x), random_sort_formula(rng, 1))
+    if choice == 5:
+        return random_sort_formula(rng, 2)
+    if choice == 6:
+        return ("P", SORT_CONSTS[rng.below(len(SORT_CONSTS))], x)  # ground by rows
+    fact = ("P", s, PINNED[rng.below(3)])  # a table fact once s0..s2 are pinned
+    return ("not", fact) if rng.below(4) else fact
+
+
+def evaluate_sort(ast, values, table) -> bool:
+    if ast == "p":
+        return table["p"]
+    op, *args = ast
+    if op == "=":
+        return values[args[0]] == values[args[1]]
+    if op == "P":
+        return table[tuple(values[a] for a in args)]
+    if op == "distinct":
+        return len({values[a] for a in args}) == len(args)
+    if op == "not":
+        return not evaluate_sort(args[0], values, table)
+    results = [evaluate_sort(a, values, table) for a in args]
+    return all(results) if op == "and" else any(results)
+
+
+def partitions(count: int):
+    """Every assignment of ``count`` constants to universe values, up to
+    renaming the universe: each value at most one above the largest so far."""
+    if count == 0:
+        yield ()
+        return
+    for head in partitions(count - 1):
+        for v in range(max(head, default=-1) + 2):
+            yield (*head, v)
+
+
+def predicate_args(ast):
+    if isinstance(ast, str):
+        return
+    if ast[0] == "P":
+        yield ast[1:]
+    elif ast[0] in ("not", "and", "or"):
+        for a in ast[1:]:
+            yield from predicate_args(a)
+
+
+def brute_force_sort_sat(asts) -> bool:
+    """Over every assignment of the constants, and every truth value of p
+    and of the predicate cells the atoms touch under it."""
+    args = {pair for a in asts for pair in predicate_args(a)}
+    for assignment in partitions(len(SORT_CONSTS)):
+        values = dict(zip(SORT_CONSTS, assignment))
+        cells = sorted({(values[a], values[b]) for a, b in args})
+        for bits in itertools.product([False, True], repeat=1 + len(cells)):
+            table = {"p": bits[0], **dict(zip(cells, bits[1:]))}
+            if all(evaluate_sort(a, values, table) for a in asts):
+                return True
+    return False
+
+
+def test_confined_sort_scripts_against_enumeration():
+    rng = SplitMix64(31337)
+    verdicts = []
+    for _ in range(200):
+        asts = [random_sort_conjunct(rng) for _ in range(2 + rng.below(6))]
+        if rng.below(4):
+            asts.insert(0, ("distinct", *PINNED))
+        script = "(declare-sort S 0)(declare-fun p () Bool)(declare-fun P (S S) Bool)"
+        script += "".join(f"(declare-fun {c} () S)" for c in SORT_CONSTS)
+        script += "".join(f"(assert {render(a)})" for a in asts)
+        script += "(check-sat)"
+        status, _ = interpret(script)
+        assert status == ("sat" if brute_force_sort_sat(asts) else "unsat"), script
+        verdicts.append(status)
+    assert verdicts.count("sat") >= 20 and verdicts.count("unsat") >= 20
