@@ -31,6 +31,7 @@ from .oracle import (
     traversal_walk,
 )
 from .smt import (
+    DEFAULT_TIMEOUT_MS,
     ENCODINGS,
     SCHEDULES,
     SOLVER_ENV_VAR,
@@ -93,7 +94,7 @@ def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver-cmd", help=f"solver command (default ${SOLVER_ENV_VAR} or bundled)")
-    parser.add_argument("--timeout-ms", type=int, default=60_000, help="per-query timeout")
+    parser.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS, help="per-query timeout")
     parser.add_argument("--schedule", choices=SCHEDULES, default="linear")
 
 
@@ -165,6 +166,8 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 
 def cmd_rd(args: argparse.Namespace) -> int:
+    if args.emit_smt and args.bruteforce:
+        raise _CliError("--emit-smt and --bruteforce are mutually exclusive", EXIT_CONFIG)
     system, name = _load_system(args)
 
     if args.emit_smt:
@@ -214,6 +217,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
     # A bad batch file fails alone; a bad --input/--gen is a config error up front.
     if args.batch:
+        if args.input or args.gen:
+            raise _CliError("--batch and --input/--gen are mutually exclusive", EXIT_CONFIG)
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
             raise _CliError(f"--batch {batch_dir} is not a directory", EXIT_CONFIG)

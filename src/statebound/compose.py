@@ -302,15 +302,11 @@ def base_case(subsystem: System, kind: BaseCaseKind, cfg: BoundConfig | None = N
 
 
 def compose_values(values) -> int:
-    """Fold per-cluster values: B := B + (B + 1) * v, saturating."""
+    """Fold per-cluster values: B := B + (B + 1) * v from B = 0, saturating.
+    The first step gives B = v."""
     total = 0
-    first = True
     for value in values:
-        if first:
-            total = value
-            first = False
-        else:
-            total = total + (total + 1) * value
+        total = total + (total + 1) * value
         if total >= MAX_BOUND:
             return MAX_BOUND
     return total

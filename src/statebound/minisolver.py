@@ -16,11 +16,13 @@ followed by a model when the script asks for one. It exists so the
 solver-driving pipeline works out of the box; any real SMT-LIB 2 solver
 (Yices, Z3, cvc5, ...) can be configured instead.
 
-A deadline is a ``time.monotonic()`` value checked by the clock, not by a
-watchdog: after each top-level command while parsing, after each assertion
-while grounding, and every 64 conflicts while solving. Past it,
-``SolverTimeout`` is raised, so a solve overshoots its deadline by at most the
-work between two checks.
+A script is read by one regex scan of the whole text, after which the
+s-expression trees are built. A deadline is a ``time.monotonic()`` value
+checked by the clock, not by a watchdog: as each top-level command's tree
+closes, after each assertion while grounding, and every 64 conflicts while
+solving. Past it, ``SolverTimeout`` is raised, so a solve overshoots its
+deadline by at most the work between two checks; the first check comes only
+after the scan.
 
 Uninterpreted sorts are decided by finite-domain grounding: a quantifier-free
 formula whose sort-valued terms are all constants is satisfiable iff it is
@@ -75,44 +77,27 @@ def _check_deadline(deadline: float | None) -> None:
 # S-expression reader
 
 
-def tokenize(text: str):
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtFormatError("unterminated quoted symbol")
-            yield text[i + 1 : j]
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SmtFormatError("unterminated string")
-            yield text[i : j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();|\"":
-                j += 1
-            yield text[i:j]
-            i = j
+# One match per token or comment: a parenthesis, a symbol, a comment, a quoted
+# symbol, a string, or a lone '|' or '"' with no closing one. Whitespace is only space,
+# tab, CR and LF. Every other character starts a match, so the scan skips
+# whitespace and nothing else.
+_TOKEN = re.compile(r'[()]|[^ \t\r\n();|"]+|;[^\n]*|\|[^|]*\||"[^"]*"|[|"]')
 
 
 def parse_sexprs(text: str, deadline: float | None = None) -> list:
+    """The top-level s-expressions of ``text`` as nested lists of strings. A
+    quoted symbol reads as its inner text and a string keeps its quotes. The
+    text is scanned once, then the trees are built, with the deadline
+    checked as each top-level command closes."""
     stack: list[list] = [[]]
-    for tok in tokenize(text):
+    for tok in _TOKEN.findall(text):
+        if tok[0] in ';|"':
+            if tok[0] == ";":
+                continue
+            if len(tok) == 1:
+                raise SmtFormatError("unterminated quoted symbol" if tok == "|" else "unterminated string")
+            if tok[0] == "|":
+                tok = tok[1:-1]  # read on as a token, so |(| opens a list
         if tok == "(":
             stack.append([])
         elif tok == ")":

@@ -40,6 +40,7 @@ from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_g
 from .oracle import exp_bound
 
 SOLVER_ENV_VAR = "STATEBOUND_SOLVER"
+DEFAULT_TIMEOUT_MS = 60_000
 _BUNDLED_COMMAND = (sys.executable, minisolver.__file__)
 
 class SolverError(RuntimeError):
@@ -64,17 +65,25 @@ class SmtDocument:
 
     @cached_property
     def rendering(self) -> str:
-        lines = [f"(set-logic {self.logic})"]
-        lines.extend(self.declarations)
-        lines.extend(f"(assert {body})" for body in self.assertions)
-        lines.append("(check-sat)")
-        if self.get_model:
-            lines.append("(get-model)")
-        return "\n".join(lines) + "\n"
+        heading = [f"(set-logic {self.logic})", *self.declarations]
+        return _script_text(heading, self.assertions, self.get_model)
 
     def script_name(self) -> str:
         tag = 1 if self.encoding == "explicit" else 2
         return f"phi{tag}_k{self.k}.smt2"
+
+
+def _script_text(
+    declarations: list[str], assertions: tuple[str, ...] | list[str], get_model: bool
+) -> str:
+    """The lines of a script, or of the part that extends one: the
+    declarations, an ``(assert ...)`` per assertion, ``(check-sat)``, and
+    ``(get-model)`` when asked for."""
+    lines = declarations + [f"(assert {body})" for body in assertions]
+    lines.append("(check-sat)")
+    if get_model:
+        lines.append("(get-model)")
+    return "\n".join(lines) + "\n"
 
 
 def _or_term(parts: list[str]) -> str:
@@ -233,7 +242,7 @@ class SolverConfig:
     """
 
     command: tuple[str, ...]
-    timeout_ms: int = 60_000
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
 
     def __post_init__(self) -> None:
         if self.timeout_ms < 1:
@@ -245,20 +254,20 @@ class SolverConfig:
         return self.command == _BUNDLED_COMMAND
 
     @classmethod
-    def bundled(cls, timeout_ms: int = 60_000) -> "SolverConfig":
+    def bundled(cls, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> "SolverConfig":
         """The packaged fallback solver. Its command names the module by
         file path, which is how it would be launched as a process."""
         return cls(command=_BUNDLED_COMMAND, timeout_ms=timeout_ms)
 
     @classmethod
-    def from_string(cls, text: str, timeout_ms: int = 60_000) -> "SolverConfig":
+    def from_string(cls, text: str, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> "SolverConfig":
         parts = tuple(shlex.split(text))
         if not parts:
             raise ValueError("empty solver command")
         return cls(command=parts, timeout_ms=timeout_ms)
 
     @classmethod
-    def from_env(cls, timeout_ms: int = 60_000) -> "SolverConfig":
+    def from_env(cls, timeout_ms: int = DEFAULT_TIMEOUT_MS) -> "SolverConfig":
         """Environment override via STATEBOUND_SOLVER, else the bundled solver."""
         text = os.environ.get(SOLVER_ENV_VAR, "").strip()
         if text:
@@ -318,11 +327,7 @@ class SolverSession:
         ):
             new_asserts = _added(last.assertions, doc.assertions)
             if new_asserts is not None:
-                lines = new_decls + [f"(assert {body})" for body in new_asserts]
-                lines.append("(check-sat)")
-                if doc.get_model:
-                    lines.append("(get-model)")
-                return "\n".join(lines) + "\n", self._grounder
+                return _script_text(new_decls, new_asserts, doc.get_model), self._grounder
         self._grounder = minisolver.Grounder(minisolver.Script())
         return doc.rendering, self._grounder
 
@@ -341,19 +346,12 @@ def run_solver(
 ) -> SolverVerdict:
     """Run one query and classify the response. The bundled solver answers
     through ``session`` (a fresh one when None); any other solver ignores it."""
-    (status, raw, model), elapsed_ms = timed_ms(_exchange, doc, cfg, session)
-    return SolverVerdict(status, elapsed_ms, raw=raw, model=model)
-
-
-def _exchange(
-    doc: SmtDocument, cfg: SolverConfig, session: SolverSession | None
-) -> tuple[str, str, dict | None]:
-    """Hand one script to the configured solver; returns (status, raw, model
-    when asked for and sat), where raw is the first token, an ``unknown``'s
-    reason when the solver gives one, or the error text."""
     if cfg.in_process:
-        return _solve_in_process(doc, cfg.timeout_ms, session or SolverSession())
-    return _solve_in_child(doc.rendering, doc.get_model, cfg)
+        answer, elapsed_ms = timed_ms(_solve_in_process, doc, cfg.timeout_ms, session or SolverSession())
+    else:
+        answer, elapsed_ms = timed_ms(_solve_in_child, doc, cfg)
+    status, raw, model = answer
+    return SolverVerdict(status, elapsed_ms, raw=raw, model=model)
 
 
 def _solve_in_process(
@@ -373,17 +371,17 @@ def _solve_in_process(
     return status, reason or status, model
 
 
-def _solve_in_child(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str, str, dict | None]:
+def _solve_in_child(doc: SmtDocument, cfg: SolverConfig) -> tuple[str, str, dict | None]:
     """One fresh solver process for one script."""
     command = list(cfg.command)
-    stdin_text: str | None = text
+    stdin_text: str | None = doc.rendering
     script_path = None
     try:
         if any("{script}" in part for part in command):
             with tempfile.NamedTemporaryFile(
                 "w", suffix=".smt2", delete=False, encoding="utf-8"
             ) as handle:
-                handle.write(text)
+                handle.write(doc.rendering)
             script_path = handle.name
             command = [part.replace("{script}", script_path) for part in command]
             stdin_text = None
@@ -408,7 +406,7 @@ def _solve_in_child(text: str, get_model: bool, cfg: SolverConfig) -> tuple[str,
     token = _first_token(proc.stdout)
     if token not in ("sat", "unsat", "unknown"):
         return "solver-error", token or "", None
-    model = minisolver.bool_model(proc.stdout) if token == "sat" and get_model else None
+    model = minisolver.bool_model(proc.stdout) if token == "sat" and doc.get_model else None
     # The bundled solver prints an ``unknown``'s reason on stderr as "; <reason>".
     reason = proc.stderr.strip().removeprefix("; ") if token == "unknown" else ""
     return token, reason or token, model

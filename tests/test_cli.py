@@ -17,6 +17,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def csv_rows(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 class TestTopo:
     def test_lotus3(self, capsys):
         code, out, _ = run(capsys, "topo", "--gen", "lotus", "--n", "3")
@@ -74,7 +79,7 @@ class TestTopo:
             capsys, "topo", "--gen", "star", "--n", "3", "--csv", str(target)
         )
         assert code == 0
-        rows = list(csv.DictReader(target.open()))
+        rows = csv_rows(target)
         assert rows[0]["base"] == "topo" and rows[0]["problem"] == "star_3"
 
     def test_cap_exceeded_machine_readable(self, capsys):
@@ -157,7 +162,7 @@ class TestBound:
             "--base", "b1", "--csv", str(target),
         )
         assert code == 0 and "total=1" in out
-        rows = list(csv.DictReader(target.open()))
+        rows = csv_rows(target)
         assert rows[0]["rd_queries"] == "0"
 
     def test_batch_and_jobs_determinism(self, capsys, tmp_path):
@@ -182,7 +187,7 @@ class TestBound:
         assert code1 == code2 == 0
 
         def stable(path):
-            rows = list(csv.DictReader(path.open()))
+            rows = csv_rows(path)
             timing = ("rd_time_ms", "td_time_ms", "total_time_ms")
             return [{k: v for k, v in row.items() if k not in timing} for row in rows]
 
@@ -219,7 +224,7 @@ class TestBound:
             assert code == 0
             rows[label] = [
                 (row["problem"], row["total_bound"], row["rd_queries"])
-                for row in csv.DictReader(target.open())
+                for row in csv_rows(target)
             ]
         # Only the in-process solver is held to one thread.
         assert workers == [2, 1, 2]
@@ -244,7 +249,7 @@ class TestBound:
         assert code == 3  # parse failure recorded
         assert "good: total=" in out
         assert "bad" in err and "FAILED" in err
-        rows = list(csv.DictReader(target.open()))
+        rows = csv_rows(target)
         assert len(rows) == 1  # the good problem still produced a row
 
     def test_array_for_object_is_parse_error(self, capsys, tmp_path):
@@ -305,6 +310,28 @@ class TestConfigErrors:
     def test_unreadable_input(self, capsys):
         code, _, _ = run(capsys, "topo", "--input", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("source", [["--input", "missing.json"], ["--gen", "lotus", "--n", "3"]])
+    def test_batch_with_one_system_is_config_error(self, capsys, tmp_path, source):
+        batch = tmp_path / "problems"
+        batch.mkdir()
+        (batch / "lotus_2.json").write_text(serialize_system(gen_lotus(2), "json"), encoding="utf-8")
+        target = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, "bound", "--batch", str(batch), *source, "--bruteforce", "--csv", str(target)
+        )
+        assert code == 2 and out == ""
+        assert "--batch" in err
+        assert not target.exists()
+
+    def test_emit_smt_with_bruteforce_is_config_error(self, capsys, tmp_path):
+        emit_dir = tmp_path / "scripts"
+        code, out, err = run(
+            capsys, "rd", "--gen", "lotus", "--n", "3", "--emit-smt", str(emit_dir), "--bruteforce"
+        )
+        assert code == 2 and out == ""
+        assert "--emit-smt" in err
+        assert not emit_dir.exists()
 
     @pytest.mark.parametrize(
         "command,flag",

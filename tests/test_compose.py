@@ -242,6 +242,24 @@ class TestComposeValues:
         assert compose_values([MAX_BOUND, 5]) == MAX_BOUND
         assert compose_values([2**40, 2**40]) == MAX_BOUND
 
+    @pytest.mark.parametrize(
+        "values,total",
+        [
+            ([], 0),
+            ([7], 7),
+            ([3, 0, 4], 19),
+            ([0, 0, 6], 6),
+            ([MAX_BOUND - 1], MAX_BOUND - 1),
+            ([MAX_BOUND], MAX_BOUND),
+            ([MAX_BOUND, 0], MAX_BOUND),
+            ([2**31, 2**31], 2**62 + 2**32),
+            ([2**31, 2**31, 1], MAX_BOUND),
+            ([2**31, 2**31, 1, 0], MAX_BOUND),
+        ],
+    )
+    def test_fold_table(self, values, total):
+        assert compose_values(values) == total
+
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_every_input(self, values):

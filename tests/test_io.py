@@ -226,7 +226,8 @@ class TestReports:
         report = compositional_bound(clique2, BaseCaseKind("td"), problem="c")
         out = tmp_path / "r.csv"
         write_report(report, out)
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert rows[0]["problem"] == "c"
 
     def test_csv_parses_back(self, toggles2):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statebound import minisolver
 from statebound.core import build_transition_graph
@@ -17,6 +19,16 @@ from statebound.minisolver import CdclSolver, solve_text
 from statebound.smt import encode_explicit, encode_factored
 
 from conftest import equivalence_family, make_random
+
+
+# Symbols as this package writes them, plus form feed, vertical tab and
+# no-break space, which are symbol characters too.
+_SYMBOLS = st.text(alphabet="abyzGS019_-.=<>+*/!?@$%^&~:#\f\v\u00a0", min_size=1, max_size=6)
+_TREES = st.recursive(_SYMBOLS, lambda inner: st.lists(inner, max_size=4), max_leaves=20)
+
+
+def _render(tree) -> str:
+    return tree if isinstance(tree, str) else "(" + " ".join(map(_render, tree)) + ")"
 
 
 class TestProtocol:
@@ -86,6 +98,53 @@ class TestProtocol:
     def test_model_request_after_check_sat(self):
         text = "(declare-fun p () Bool)(assert p)(check-sat)(get-model)(exit)(assert false)"
         assert solve_text(text) == ("sat", {"p": True})
+
+
+class TestReader:
+    """``parse_sexprs``: whitespace is space, tab, CR and LF only, a comment
+    runs to the end of its line, a quoted symbol reads as its inner text and
+    a string keeps its quotes."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("(a |x;(y)\nz| b)", [["a", "x;(y)\nz", "b"]]),
+            ("(f ||)", [["f", ""]]),
+            ('(echo "two words")', [["echo", '"two words"']]),
+            ("(a b) ; trailing", [["a", "b"]]),
+            ("; first\n(a ; inner\n b)", [["a", "b"]]),
+            ("(a\tb\r\nc)", [["a", "b", "c"]]),
+            ("(a\fb c\vd e\u00a0f)", [["a\fb", "c\vd", "e\u00a0f"]]),
+            ("(a |b c)", "unterminated quoted symbol"),
+            ('(a "b c)', "unterminated string"),
+            ("(a))", "unbalanced ')'"),
+            ("((a)", "unbalanced '('"),
+        ],
+        ids=[
+            "quoted-symbol", "empty-quoted-symbol", "string", "comment-at-end", "comments",
+            "whitespace", "other-spaces-in-symbols", "unterminated-quoted-symbol",
+            "unterminated-string", "unbalanced-close", "unbalanced-open",
+        ],
+    )
+    def test_trees_and_errors(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(minisolver.SmtFormatError, match=re.escape(expected)):
+                minisolver.parse_sexprs(text)
+        else:
+            assert minisolver.parse_sexprs(text) == expected
+
+    def test_passed_deadline_stops_reading(self, monkeypatch):
+        monkeypatch.setattr(minisolver, "_clock", lambda: 1.0)
+        assert minisolver.parse_sexprs("(check-sat)", 2.0) == [["check-sat"]]
+        # The deadline is checked as the first command closes, before the
+        # stray parenthesis after it is read.
+        with pytest.raises(minisolver.SolverTimeout):
+            minisolver.parse_sexprs("(check-sat))", 0.5)
+
+    @given(st.lists(_TREES, max_size=4), st.sampled_from([" ", "\n", "\t", "\r\n"]))
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_trees_read_back(self, trees, gap):
+        assert minisolver.parse_sexprs(gap.join(map(_render, trees))) == trees
 
 
 def main_with_stdin(text):
