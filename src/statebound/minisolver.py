@@ -4,12 +4,14 @@ constants (QF_UF without non-constant function terms of sort kind).
 
 ``smt`` calls it in-process through ``check_text``, with a deadline taken
 from the query timeout. Given the ``Grounder`` of an earlier script,
-``check_text`` reads the new text as more commands of that script: their
-assertions are ground into the same CDCL solver, which backtracks to level 0
-and re-solves with the clauses, activities and phases it already has. Since
-the script only gains assertions, every learned clause stays valid. ``smt``
-keeps one grounder per ``rd`` search this way, and a fresh one when a query
-does not extend the last. It also runs as a separate process
+``check_text`` reads the new text as more commands of that script, one batch
+of them. The first batch is the base; the top-level clauses of each later
+batch are guarded by a selector variable of their own, so a check decides
+the base, the new batch and whichever earlier batches it switches on, as
+assumptions of the same CDCL solver. The solver keeps the clauses,
+activities and phases it already has, and since assumptions are only
+decisions, every learned clause stays valid. ``smt`` keeps one grounder per
+``rd`` search this way. It also runs as a separate process
 (``statebound-solve`` or ``python -m statebound.minisolver``), which reads a
 script from a file argument or stdin and prints ``sat``/``unsat``/``unknown``
 followed by a model when the script asks for one. It exists so the
@@ -78,17 +80,18 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 # One match per token or comment: a parenthesis, a symbol, a comment, a quoted
-# symbol, a string, or a lone '|' or '"' with no closing one. Whitespace is only space,
-# tab, CR and LF. Every other character starts a match, so the scan skips
-# whitespace and nothing else.
-_TOKEN = re.compile(r'[()]|[^ \t\r\n();|"]+|;[^\n]*|\|[^|]*\||"[^"]*"|[|"]')
+# symbol, a string (where "" is an escaped quote), or a lone '|' or '"' with no
+# closing one. Whitespace is only space, tab, CR and LF. Every other character
+# starts a match, so the scan skips whitespace and nothing else.
+_TOKEN = re.compile(r'[()]|[^ \t\r\n();|"]+|;[^\n]*|\|[^|]*\||"[^"]*(?:""[^"]*)*"|[|"]')
 
 
 def parse_sexprs(text: str, deadline: float | None = None) -> list:
     """The top-level s-expressions of ``text`` as nested lists of strings. A
-    quoted symbol reads as its inner text and a string keeps its quotes. The
-    text is scanned once, then the trees are built, with the deadline
-    checked as each top-level command closes."""
+    quoted symbol reads as its inner text, always as one symbol, so ``|(|``
+    opens no list; a string keeps its quotes and escapes. The text is
+    scanned once, then the trees are built, with the deadline checked as
+    each top-level command closes."""
     stack: list[list] = [[]]
     for tok in _TOKEN.findall(text):
         if tok[0] in ';|"':
@@ -96,9 +99,8 @@ def parse_sexprs(text: str, deadline: float | None = None) -> list:
                 continue
             if len(tok) == 1:
                 raise SmtFormatError("unterminated quoted symbol" if tok == "|" else "unterminated string")
-            if tok[0] == "|":
-                tok = tok[1:-1]  # read on as a token, so |(| opens a list
-        if tok == "(":
+            stack[-1].append(tok[1:-1] if tok[0] == "|" else tok)
+        elif tok == "(":
             stack.append([])
         elif tok == ")":
             if len(stack) == 1:
@@ -415,11 +417,17 @@ class CdclSolver:
             self.clauses[ci] = None
         self.learned = [ci for ci in self.learned if self.clauses[ci] is not None]
 
-    def solve(self, deadline: float | None = None) -> bool:
-        """Decide the clauses; raises SolverTimeout once ``deadline`` has
-        passed, checked every 64 conflicts."""
+    def solve(self, deadline: float | None = None, *assumptions: int) -> bool:
+        """Decide the clauses with every literal of ``assumptions`` true;
+        raises SolverTimeout once ``deadline`` has passed, checked every 64
+        conflicts. The assumptions are taken MiniSat style, as the first
+        decisions, one level each, so every learned clause follows from the
+        clauses alone and stays valid for later solves. An assumption found
+        false when its turn comes answers unsat and leaves ``ok`` set; only
+        a conflict at level 0 makes the clauses themselves unsat."""
         if not self.ok:
             return False
+        self.cancel_until(0)
         if self.propagate() is not None:
             self.ok = False
             return False
@@ -455,11 +463,17 @@ class CdclSolver:
                         self._reduce_learned()
                         max_learned = int(max_learned * 1.3)
             else:
-                lit = self.pick_branch()
-                if lit == 0:
-                    return True
+                level = len(self.trail_lim)
+                if level < len(assumptions):
+                    lit = assumptions[level]
+                    if self.lit_value(lit) == 0:
+                        return False
+                else:
+                    lit = self.pick_branch()
+                    if lit == 0:
+                        return True
                 self.trail_lim.append(len(self.trail))
-                self.enqueue(lit, -1)
+                self.enqueue(lit, -1)  # a no-op for an assumption already true
 
     @staticmethod
     def _luby(i: int) -> int:
@@ -621,14 +635,21 @@ class Script:
 
 class Grounder:
     """Compile a Script to CNF and decide it. The script may grow between
-    checks: each check grounds only the assertions added since the last one
-    into the same CDCL solver."""
+    checks: each check grounds only the assertions added since the last one,
+    as one batch, into the same CDCL solver. The first batch is the base;
+    each later one gets a selector variable that guards its top-level
+    clauses, and a check switches on the batches it is given."""
 
     def __init__(self, script: Script) -> None:
         self.script = script
         self.sat = CdclSolver()
         self.grounded = 0  # assertions of the script ground so far
-        self.sort_consts: int | None = None  # sort constants at the first check
+        self.sort_consts: int | None = None  # sort constants ground so far
+        self.selectors: list[int] = []  # per later batch, its selector variable
+        self.guard: tuple[int, ...] = ()  # the batch being ground: (not selector,)
+        # sort constant of a later batch -> positions in script.assertions of
+        # the assertions that confine it
+        self.confined_by: dict[str, list[int]] = {}
         self.bool_var: dict[str, int] = {}
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
         self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
@@ -754,16 +775,18 @@ class Grounder:
         var = self.value_var.get((const, value))
         return False if var is None else var << 1
 
-    def _encode_free_constants(self) -> None:
-        """A value literal per value of each unpinned constant, and
-        exactly-one of them (sequential at-most-one)."""
-        for const, values in self.values.items():
+    def _encode_free_constants(self, consts) -> None:
+        """A value literal per value of each given unpinned constant, and
+        exactly-one of them (sequential at-most-one). The at-least-one
+        clause is the only one the batch's guard applies to: with the batch
+        off, the constant may take no value."""
+        for const in consts:
             lits = []
-            for v in values:
+            for v in self.values[const]:
                 var = self.sat.new_var()
                 self.value_var[(const, v)] = var
                 lits.append(var << 1)
-            self.sat.add_clause(list(lits))
+            self.sat.add_clause([*lits, *self.guard])
             size = len(lits)
             if size <= 1:
                 continue
@@ -790,9 +813,10 @@ class Grounder:
     # (a table entry, a value literal or a known truth value) under a guard
     # of negated value literals, in the polarity being ground, and ``_emit``
     # writes them all. A guard only holds literals of values a constant can
-    # take. ``_encode_free_constants`` creates every value literal before
-    # the first atom, so the only variables made here are table entries, in
-    # combination order.
+    # take. ``_encode_free_constants`` creates a batch's value literals
+    # before its first atom, so the only variables made here are table
+    # entries, in combination order. None of these clauses is guarded: each
+    # only defines an atom's literal, which a batch that is off leaves free.
 
     def _emit(self, lit: int, guard: tuple[int, ...], entry: int | bool, positive: bool) -> None:
         """The clause for one combination. ``guard`` holds its negated value
@@ -923,29 +947,35 @@ class Grounder:
             return
         if node[0] == "or":
             children = [self.compile(child, True, False) for child in node[1]]
-            self.sat.add_clause(children)
+            self.sat.add_clause([*children, *self.guard])
             return
-        self.sat.add_clause([self.compile(node, True, False)])
+        self.sat.add_clause([self.compile(node, True, False), *self.guard])
 
     # -- main entry -----------------------------------------------------------
 
-    def check(self, deadline: float | None = None) -> str:
-        """Ground the assertions added since the last check and decide the
-        whole script. The first batch fixes the sort sizes, pins constants
-        and absorbs facts; later ones go through ``assert_top`` only, since
-        a fact whose table entry is already a variable must become a clause.
-        So a later batch may declare no sort constant. A check cut short by
-        SolverTimeout leaves its batch half ground: check no further."""
-        batch = self.script.assertions[self.grounded :]
+    def check(self, deadline: float | None = None, batches: list[int] | None = None) -> str:
+        """Ground the assertions added since the last check as one batch and
+        decide the base, that batch, and the earlier later batches numbered
+        in ``batches`` (positions in ``selectors``; all of them when None),
+        solving under their selectors as assumptions. The base fixes the
+        sort sizes, pins constants and absorbs facts. A later batch goes
+        through ``assert_top`` only, since a fact whose table entry is
+        already a variable must become a clause. It may declare a sort
+        constant only when the same batch confines it to pinned values; that
+        keeps the universe as the base fixed it, and the constant stays
+        confined in every later check. A check cut short by SolverTimeout
+        leaves its batch half ground: check no further."""
+        start = self.grounded
+        batch = self.script.assertions[start:]
         self.grounded = len(self.script.assertions)
         if self.sort_consts is None:
             remaining = self.prepare(batch)
-            self._encode_free_constants()
-            self.sort_consts = len(self.script.const_sort)
-        elif len(self.script.const_sort) != self.sort_consts:
-            raise SmtUnsupportedError("sort constants declared after the first check")
+            self._encode_free_constants(self.values)
         else:
-            remaining = batch
+            self.selectors.append(self.sat.new_var())
+            self.guard = ((self.selectors[-1] << 1) ^ 1,)
+            remaining = self._confine_new(batch, start)
+        self.sort_consts = len(self.script.const_sort)
         for node in remaining:
             if not self.sat.ok:
                 break
@@ -953,7 +983,44 @@ class Grounder:
             self.assert_top(node)
         if not self.sat.ok:
             return "unsat"
-        return "sat" if self.sat.solve(deadline) else "unsat"
+        on = self.selectors
+        if batches is not None:
+            on = [self.selectors[b] for b in batches] + self.selectors[-1:]
+        return "sat" if self.sat.solve(deadline, *(s << 1 for s in on)) else "unsat"
+
+    def fix(self, batches: list[int]) -> None:
+        """Switch the later batches numbered in ``batches`` on for good:
+        their selectors become true at level 0."""
+        for b in batches:
+            self.sat.add_clause([self.selectors[b] << 1])
+
+    def _confine_new(self, batch: list[tuple], start: int) -> list[tuple]:
+        """A later batch's assertions, from position ``start`` of the script,
+        less the confinements of the sort constants it declares, which are
+        taken as those constants' value encodings."""
+        new = list(self.script.const_sort)[self.sort_consts :]
+        if not new:
+            return batch
+        remaining: list[tuple] = []
+        for pos, node in enumerate(batch, start):
+            conjuncts: list[tuple] = []
+            self._flatten_conjuncts(node, conjuncts)
+            for conjunct in conjuncts:
+                confined = self._confinement(conjunct)
+                if confined is None or confined[0] not in new:
+                    remaining.append(conjunct)
+                    continue
+                const, allowed = confined
+                values = self.values.get(const, sorted(allowed))
+                self.values[const] = tuple(v for v in values if v in allowed)
+                self.confined_by.setdefault(const, []).append(pos)
+        for const in new:
+            if const not in self.confined_by:
+                raise SmtUnsupportedError(
+                    f"sort constant {const} declared after the first check is not confined"
+                )
+        self._encode_free_constants(new)
+        return remaining
 
     def model_lines(self) -> list[str]:
         lines = []
@@ -987,13 +1054,18 @@ def _arguments(command: list, *kinds: type) -> list:
 
 
 def interpret(
-    text: str, deadline: float | None = None, grounder: Grounder | None = None
+    text: str,
+    deadline: float | None = None,
+    grounder: Grounder | None = None,
+    batches: list[int] | None = None,
 ) -> tuple[str, list[str]]:
     """Run a script; returns (status token, model lines). The text holds one
     ``(check-sat)``, after its assertions; ``push`` and ``pop`` are
     unsupported. Given the grounder of an earlier script, the text's
-    commands extend that script, and the check re-solves its CDCL solver
-    with what it has learned."""
+    commands extend that script as a new batch, and the check re-solves its
+    CDCL solver with what it has learned, with the base, the new batch and
+    the earlier ``batches`` switched on, all of them when None (see
+    ``Grounder.check``)."""
     grounder = grounder or Grounder(Script())
     script = grounder.script
     script.has_check = script.wants_model = False
@@ -1030,20 +1102,23 @@ def interpret(
             raise SmtUnsupportedError(f"unsupported command {head!r}")
     if not script.has_check:
         raise SmtFormatError("script has no (check-sat)")
-    status = grounder.check(deadline)
+    status = grounder.check(deadline, batches)
     model = grounder.model_lines() if status == "sat" and script.wants_model else []
     return status, model
 
 
 def check_text(
-    text: str, deadline: float | None = None, grounder: Grounder | None = None
+    text: str,
+    deadline: float | None = None,
+    grounder: Grounder | None = None,
+    batches: list[int] | None = None,
 ) -> tuple[str, list[str], str]:
     """The solver's answer to a script, fresh or extending ``grounder``'s as
     in ``interpret``: (status, model lines, reason). A script outside the
     supported fragment, or malformed, is ``unknown`` with the reason; a
     passed deadline raises SolverTimeout."""
     try:
-        status, lines = interpret(text, deadline, grounder)
+        status, lines = interpret(text, deadline, grounder, batches)
     except (SmtUnsupportedError, SmtFormatError) as exc:
         return "unknown", [], str(exc)
     return status, lines, ""

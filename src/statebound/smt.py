@@ -13,25 +13,29 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
 The bundled solver (``SolverConfig.bundled()``, the default) answers each
 query in the calling thread, under a deadline that ``minisolver`` checks
-against the clock. One search keeps one ``SolverSession`` with it: a query
-whose document extends the last one's, with only new Boolean constants
-declared, adds just its new lines to the same CDCL solver and keeps what it
-learned. The factored query for k + 1 extends the one for k; any other query
-starts fresh. Any other command spawns one solver process per query, and the
-first token it prints is read back. Satisfiability is monotone in k, so one
-search narrows a bracket between the largest k known sat and the smallest k
-known unsat; the linear or binary schedule only picks the next k to ask.
+against the clock. One search keeps one ``SolverSession`` with it, and so
+one grounder: the first query is its base, and each later query loads only
+its lines not loaded yet, as a batch guarded by a selector literal. The CDCL
+solver decides each query under assumptions that switch on exactly the
+batches whose lines the query holds, and keeps what it learned. So the
+explicit query for k + 1 adds its new step, not the state table, and a
+bisection back down reuses the session too. A query that lacks a base line
+or a confining line, or that follows a timeout or error, starts fresh. Any
+other command spawns one solver process per query, and the first token it
+prints is read back. Satisfiability is monotone in k, so one search narrows
+a bracket between the largest k known sat and the smallest k known unsat;
+the linear or binary schedule only picks the next k to ask.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import shlex
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -287,58 +291,102 @@ class SolverVerdict:
     model: dict[str, bool] | None = None
 
 
-_BOOL_CONSTANT = re.compile(r"\(declare-fun [^\s()]+ \(\) Bool\)")
-
-
 class SolverSession:
-    """The bundled solver's state across the queries of one search.
+    """The bundled solver's state across the queries of one search: one
+    ``minisolver.Grounder``, and the batches of lines loaded into it.
 
-    A query extends the last decided one when every declaration and
-    assertion of the last document is also in its document, and every new
-    declaration is a Boolean constant. Then only the new lines are read and
-    ground, at decision level 0, into the same grounder, and its CDCL solver
-    re-solves with the clauses, activities and phases it already has. The
-    factored query for k + 1 extends the one for k. Any other query (the
-    explicit encoding's new step constant, a bisection back down, or the
-    first query after a timeout or error) starts a fresh grounder.
+    The first query's lines are the base, ground with no guard. A later
+    query loads, as one new batch, its declarations not loaded yet and its
+    assertions that no batch it fully holds has loaded. A fresh selector
+    guards that batch's top-level clauses, while Tseitin definitions stay
+    shared. The CDCL solver then decides under assumptions that switch on
+    the batches whose every line the query holds, and keeps the clauses,
+    activities and phases it already has. So each query of a search adds
+    only its new steps: the factored query's Boolean constants, or the
+    explicit query's step constants, which the same batch confines to the n
+    states. A bisection back down reads again the lines it holds of a batch
+    it does not fully hold; their atoms are already ground. A sat answer
+    fixes the batches it switched on at level 0, so they join the base: the
+    search never asks below its largest sat k, and so never without them.
+
+    A query starts fresh, its lines the new base, when it lacks a base line,
+    when it declares a constant confined in a later batch without the lines
+    that confine it there, and after a timeout or error. An extension the
+    grounder cannot take, such as an unconfined new sort constant, is
+    answered fresh as well.
     """
 
     def __init__(self) -> None:
-        self._last: SmtDocument | None = None  # the last query answered sat or unsat
-        self._grounder: minisolver.Grounder | None = None
+        self._grounder: minisolver.Grounder | None = None  # None until a query is decided
+        self._batches_of: dict[str, list[int]] = {}  # loaded line -> its batches, 0 the base
+        self._sizes: list[int] = []  # distinct lines per batch
+        self._fixed: set[int] = set()  # batches on at level 0: the base and every sat answer's
+        # declaration of a sort constant of a later batch -> the lines confining it
+        self._confining: dict[str, set[str]] = {}
 
     def check(self, doc: SmtDocument, deadline: float) -> tuple[str, list[str], str]:
         """``minisolver.check_text`` on ``doc``: (status, model lines, reason)."""
-        text, grounder = self._script_for(doc)
-        self._last = None  # until doc is decided
-        status, lines, reason = minisolver.check_text(text, deadline, grounder)
+        grounder, self._grounder = self._grounder, None  # until doc is decided
+        extension = self._extension(doc) if grounder is not None else None
+        if extension is not None:
+            text, on, decls, asserts = extension
+            start = len(grounder.script.assertions)
+            selectors = [b - 1 for b in sorted(on - self._fixed)]
+            status, lines, reason = minisolver.check_text(text, deadline, grounder, selectors)
+            if status == "unknown":
+                extension = None
+            else:
+                on.add(len(self._sizes))
+                self._load({*decls, *asserts})
+                self._note_confined(grounder, decls, asserts, start)
+                if lines:  # the model of doc's constants only
+                    names = {minisolver.parse_sexprs(d)[0][1] for d in doc.declarations}
+                    lines = [line for line in lines if line.split()[1] in names]
+        if extension is None:
+            grounder = minisolver.Grounder(minisolver.Script())
+            status, lines, reason = minisolver.check_text(doc.rendering, deadline, grounder)
+            self._batches_of, self._sizes, self._confining = {}, [], {}
+            self._load({*doc.declarations, *doc.assertions})
+            on = self._fixed = {0}
+        if status == "sat":
+            grounder.fix([b - 1 for b in on - self._fixed])
+            self._fixed |= on
         if status in ("sat", "unsat"):
-            self._last = doc
+            self._grounder = grounder
         return status, lines, reason
 
-    def _script_for(self, doc: SmtDocument) -> tuple[str, minisolver.Grounder]:
-        """The text to read for ``doc`` and the grounder to read it into."""
-        last = self._last
-        new_decls = _added(last.declarations, doc.declarations) if last else None
-        if (
-            new_decls is not None
-            and last.logic == doc.logic
-            and all(_BOOL_CONSTANT.fullmatch(d) for d in new_decls)
-        ):
-            new_asserts = _added(last.assertions, doc.assertions)
-            if new_asserts is not None:
-                return _script_text(new_decls, new_asserts, doc.get_model), self._grounder
-        self._grounder = minisolver.Grounder(minisolver.Script())
-        return doc.rendering, self._grounder
+    def _extension(self, doc: SmtDocument) -> tuple[str, set[int], list[str], list[str]] | None:
+        """The text that extends the grounder to ``doc``, the batches it
+        switches on, and the new batch's declarations and assertions; None
+        when ``doc`` must start fresh."""
+        lines = {*doc.declarations, *doc.assertions}
+        held = Counter(b for line in lines for b in self._batches_of.get(line, ()))
+        if any(held[b] != self._sizes[b] for b in self._fixed):
+            return None
+        if any(decl in lines and not need <= lines for decl, need in self._confining.items()):
+            return None
+        on = {b for b, size in enumerate(self._sizes) if held[b] == size}
+        decls = [d for d in doc.declarations if d not in self._batches_of]
+        asserts = [a for a in doc.assertions if on.isdisjoint(self._batches_of.get(a, ()))]
+        return _script_text(decls, asserts, doc.get_model), on, decls, asserts
 
+    def _load(self, lines: set[str]) -> None:
+        """Record ``lines`` as the next batch."""
+        for line in lines:
+            self._batches_of.setdefault(line, []).append(len(self._sizes))
+        self._sizes.append(len(lines))
 
-def _added(old: tuple[str, ...], new: tuple[str, ...]) -> list[str] | None:
-    """The lines of ``new`` not in ``old``, or None when ``new`` lacks one of
-    ``old``'s."""
-    had = set(old)
-    if not had.issubset(new):
-        return None
-    return [line for line in new if line not in had]
+    def _note_confined(
+        self, grounder: minisolver.Grounder, decls: list[str], asserts: list[str], start: int
+    ) -> None:
+        """Record the lines that confine each sort constant the new batch
+        declared; ``start`` is where its assertions begin in the script."""
+        new = {c: pos for c, pos in grounder.confined_by.items() if pos[0] >= start}
+        if new:
+            for decl in decls:
+                pos = new.get(minisolver.parse_sexprs(decl)[0][1])
+                if pos is not None:
+                    self._confining[decl] = {asserts[p - start] for p in pos}
 
 
 def run_solver(

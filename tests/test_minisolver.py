@@ -102,8 +102,9 @@ class TestProtocol:
 
 class TestReader:
     """``parse_sexprs``: whitespace is space, tab, CR and LF only, a comment
-    runs to the end of its line, a quoted symbol reads as its inner text and
-    a string keeps its quotes."""
+    runs to the end of its line, a quoted symbol reads as its inner text,
+    always as one symbol, and a string keeps its quotes, with ``""`` an
+    escaped quote inside it."""
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -115,13 +116,16 @@ class TestReader:
             ("; first\n(a ; inner\n b)", [["a", "b"]]),
             ("(a\tb\r\nc)", [["a", "b", "c"]]),
             ("(a\fb c\vd e\u00a0f)", [["a\fb", "c\vd", "e\u00a0f"]]),
+            ("(declare-fun |(| () Bool)(assert |)|)", [["declare-fun", "(", [], "Bool"], ["assert", ")"]]),
+            ('(echo "a""b" "")', [["echo", '"a""b"', '""']]),
             ("(a |b c)", "unterminated quoted symbol"),
             ('(a "b c)', "unterminated string"),
             ("(a))", "unbalanced ')'"),
             ("((a)", "unbalanced '('"),
         ],
         ids=[
-            "quoted-symbol", "empty-quoted-symbol", "string", "comment-at-end", "comments",
+            "quoted-symbol", "empty-quoted-symbol", "string", "quoted-parentheses",
+            "escaped-quote", "comment-at-end", "comments",
             "whitespace", "other-spaces-in-symbols", "unterminated-quoted-symbol",
             "unterminated-string", "unbalanced-close", "unbalanced-open",
         ],
@@ -132,6 +136,10 @@ class TestReader:
                 minisolver.parse_sexprs(text)
         else:
             assert minisolver.parse_sexprs(text) == expected
+
+    def test_quoted_parenthesis_is_a_constant(self):
+        text = "(declare-fun |(| () Bool)(assert |(|)(check-sat)"
+        assert minisolver.check_text(text) == ("sat", [], "")
 
     def test_passed_deadline_stops_reading(self, monkeypatch):
         monkeypatch.setattr(minisolver, "_clock", lambda: 1.0)
@@ -277,6 +285,53 @@ class TestCdclAgainstBruteForce:
         assert max(largest) <= 2 * solver.num_vars
 
 
+class TestAssumptions:
+    """``CdclSolver.solve`` under assumptions: an answer for these literals
+    only, which leaves the solver fit for the next solve."""
+
+    @staticmethod
+    def solver(num_vars, clauses):
+        solver = CdclSolver()
+        for _ in range(num_vars):
+            solver.new_var()
+        for clause in clauses:
+            solver.add_clause(clause)
+        return solver
+
+    def test_assumption_false_at_level_zero(self):
+        solver = self.solver(2, [[2], [3, 5]])  # x1, and x1 or x2
+        assert solver.solve(None, 3) is False
+        assert solver.ok and solver.solve() is True and solver.value[1] == 1
+
+    def test_conflicting_assumptions(self):
+        solver = self.solver(3, [[3, 4], [3, 6]])  # not x1 implies x2 and x3
+        assert solver.solve(None, 2, 4) is True
+        assert solver.solve(None, 3, 4) is True
+        assert solver.solve(None, 3, 5, 2) is False
+        assert solver.solve(None, 2, 3) is False
+        assert solver.ok
+
+    def test_unsat_under_assumptions_then_sat_without(self):
+        # Pigeonhole 4 into 3 only when every pigeon's selector is assumed.
+        holes, pigeons = 3, 4
+        solver = CdclSolver()
+        select = [solver.new_var() for _ in range(pigeons)]
+        var = [[solver.new_var() for _ in range(holes)] for _ in range(pigeons)]
+        for i in range(pigeons):
+            solver.add_clause([(select[i] << 1) ^ 1, *(var[i][j] << 1 for j in range(holes))])
+        for j in range(holes):
+            for i1 in range(pigeons):
+                for i2 in range(i1 + 1, pigeons):
+                    solver.add_clause([(var[i1][j] << 1) ^ 1, (var[i2][j] << 1) ^ 1])
+        assert solver.solve(None, *(s << 1 for s in select)) is False
+        assert solver.ok and solver.learned
+        assert solver.solve(None, *(s << 1 for s in select[:3])) is True
+        assert solver.solve() is True
+        solver.add_clause([select[3] << 1])
+        assert solver.solve(None, *(s << 1 for s in select[:3])) is False
+        assert solver.ok and solver.solve() is True
+
+
 class TestExtendedScripts:
     """``interpret`` given an earlier script's grounder reads only the new
     commands and re-solves the same CDCL solver."""
@@ -313,6 +368,27 @@ class TestExtendedScripts:
         status, lines = minisolver.interpret("(check-sat)(get-model)", grounder=grounder)
         assert status == "sat"
         assert minisolver.bool_model("\n".join(lines)) == {"a": True, "b": False}
+
+
+    def test_later_sort_constant_confined_in_its_batch(self):
+        grounder = minisolver.Grounder(minisolver.Script())
+        assert minisolver.check_text(self._BASE, grounder=grounder)[0] == "sat"
+        later = "(declare-fun z () S)(assert (or (= z s0)))(assert (G z y))(check-sat)(get-model)"
+        status, lines, _ = minisolver.check_text(later, grounder=grounder)
+        assert status == "sat" and "  (define-fun z () S s0)" in lines
+        assert grounder.confined_by == {"z": [2]}
+        # z stays confined: the next batch cannot move it off s0.
+        assert minisolver.check_text("(assert (= z s1))(check-sat)", grounder=grounder)[0] == "unsat"
+
+    def test_batches_switch_on_and_off(self):
+        grounder = minisolver.Grounder(minisolver.Script())
+        assert minisolver.interpret(self._BASE, grounder=grounder)[0] == "sat"
+        assert minisolver.interpret("(assert (= y s0))(check-sat)", grounder=grounder)[0] == "sat"
+        assert minisolver.interpret("(assert (= y s1))(check-sat)", grounder=grounder, batches=[])[0] == "sat"
+        assert minisolver.interpret("(check-sat)", grounder=grounder, batches=[0])[0] == "sat"
+        assert minisolver.interpret("(check-sat)", grounder=grounder, batches=[0, 1])[0] == "unsat"
+        assert minisolver.interpret("(check-sat)", grounder=grounder)[0] == "unsat"  # every batch
+        assert grounder.sat.ok
 
 
 def _enumerate_euf(consts, preds, constraints):

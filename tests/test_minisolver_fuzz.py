@@ -5,9 +5,10 @@ true. Boolean scripts test the CDCL core and its Tseitin encoding; scripts
 over an uninterpreted sort test pinning, confinement and row clauses."""
 
 import itertools
+from collections import Counter
 
 from statebound.gen import SplitMix64
-from statebound.minisolver import Grounder, Script, bool_model, interpret, solve_text
+from statebound.minisolver import CdclSolver, Grounder, Script, bool_model, interpret, solve_text
 
 NAMES = ["p", "q", "r", "s"]
 
@@ -107,6 +108,51 @@ def test_extended_scripts_against_enumeration():
                 model = bool_model("\n".join(lines))
                 env = {name: model.get(name, False) for name in NAMES}
                 assert all(evaluate(a, env) for a in asts[: i + 1])
+
+
+def random_clause(rng: SplitMix64, num_vars: int) -> list[int]:
+    ids = {1 + rng.below(num_vars) for _ in range(2 + rng.below(2))}
+    return [(v << 1) | rng.below(2) for v in ids]
+
+
+def brute_force_cnf(num_vars: int, clauses, assumptions) -> bool:
+    return any(
+        all(any(bits[(lit >> 1) - 1] ^ (lit & 1) for lit in clause) for clause in clauses)
+        and all(bits[(lit >> 1) - 1] ^ (lit & 1) for lit in assumptions)
+        for bits in itertools.product([0, 1], repeat=num_vars)
+    )
+
+
+def test_solves_under_assumptions_against_enumeration():
+    """One solver per CNF over at most 12 variables, asked in turn under
+    random assumption sets, with random clauses added between solves. Each
+    answer is the brute-force one, a sat answer's assignment satisfies the
+    clauses and the assumptions, and only unsat clauses clear ``ok``."""
+    rng = SplitMix64(909)
+    answers = Counter()  # (answer, ok) per solve
+    for _ in range(120):
+        num_vars = 3 + rng.below(10)
+        clauses = [random_clause(rng, num_vars) for _ in range(1 + rng.below(3 * num_vars))]
+        solver = CdclSolver()
+        for _ in range(num_vars):
+            solver.new_var()
+        for clause in clauses:
+            solver.add_clause(list(clause))
+        for _ in range(6):
+            for _ in range(rng.below(2)):
+                clauses.append(random_clause(rng, num_vars))
+                solver.add_clause(list(clauses[-1]))
+            picked = {1 + rng.below(num_vars) for _ in range(rng.below(5))}
+            assumptions = [(v << 1) | rng.below(2) for v in picked]
+            got = solver.solve(None, *assumptions)
+            assert got == brute_force_cnf(num_vars, clauses, assumptions), (clauses, assumptions)
+            if got:
+                assert all(solver.value[lit >> 1] == 1 - (lit & 1) for lit in assumptions)
+                for clause in clauses:
+                    assert any(solver.value[lit >> 1] == 1 - (lit & 1) for lit in clause)
+            assert solver.ok or not brute_force_cnf(num_vars, clauses, [])
+            answers[got, solver.ok] += 1
+    assert min(answers[key] for key in ((True, True), (False, True), (False, False))) >= 50, answers
 
 
 def test_deep_nesting():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -427,11 +428,13 @@ def _solved_fresh(monkeypatch):
 
 
 class TestSolverSession:
-    """rd_via_smt keeps one bundled-solver session per search; a factored
-    query for k + 1 extends the one for k instead of starting over."""
+    """rd_via_smt keeps one bundled-solver session per search: every query
+    after the first loads only its new lines into the same grounder, and a
+    bisection back down switches off the batches it does not hold."""
 
     @pytest.mark.parametrize(
-        "encoding,schedule", [("factored", "linear"), ("factored", "binary"), ("explicit", "binary")]
+        "encoding,schedule",
+        [("factored", "linear"), ("factored", "binary"), ("explicit", "linear"), ("explicit", "binary")],
     )
     def test_query_logs_match_fresh_solving(self, encoding, schedule, monkeypatch):
         cfg = SolverConfig.bundled()
@@ -446,13 +449,7 @@ class TestSolverSession:
                 (k, v.status) for k, v in there.queries
             ], seed
             assert (here.rd, here.exact) == (there.rd, there.exact)
-        queries = sum(len(result.queries) for result in session_logs)
-        if encoding == "explicit":
-            assert fresh_starts == queries  # each query declares a new step constant
-        elif schedule == "linear":
-            assert fresh_starts == len(systems)  # every k extends k - 1
-        else:
-            assert len(systems) < fresh_starts < queries  # bisecting down starts over
+        assert fresh_starts == len(systems)  # every query holds the first one's lines
 
     def test_bound_batch_reports_match_fresh_solving(self, monkeypatch):
         """The bound-batch family under b2: same per-cluster values,
@@ -478,39 +475,90 @@ class TestSolverSession:
         read = []  # (text, grounder) per check
         check_text = minisolver.check_text
 
-        def recording(text, deadline=None, grounder=None):
+        def recording(text, deadline=None, grounder=None, batches=None):
             read.append((text, grounder))
-            return check_text(text, deadline, grounder)
+            return check_text(text, deadline, grounder, batches)
+
+        def added(doc, declared, *on):
+            """The lines that load doc: the declarations that ``declared``
+            lacks, and the assertions of no document in ``on``."""
+            asserts = {a for other in on for a in other.assertions}
+            return [
+                *(d for d in doc.declarations if d not in declared.declarations),
+                *(f"(assert {a})" for a in doc.assertions if a not in asserts),
+                "(check-sat)",
+                *(["(get-model)"] if doc.get_model else []),
+            ]
 
         monkeypatch.setattr(minisolver, "check_text", recording)
         session = smt.SolverSession()
-        two, three = encode_factored(clique2, 2), encode_factored(clique2, 3, get_model=True)
-        assert session.check(two, math.inf)[0] == "sat"
-        assert session.check(three, math.inf)[0] == "sat"
-        (first_text, grounder), (text, same) = read
-        assert first_text == two.rendering and same is grounder
-        assert text.splitlines() == [
-            *(d for d in three.declarations if d not in two.declarations),
-            *(f"(assert {a})" for a in three.assertions if a not in two.assertions),
-            "(check-sat)",
-            "(get-model)",
-        ]
-        # A bisection back down starts fresh, and so does the query after
-        # one cut short by its deadline, though it extends that one.
-        four = encode_factored(clique2, 4)
-        assert session.check(two, math.inf)[0] == "sat"
-        with pytest.raises(minisolver.SolverTimeout):
-            session.check(three, -math.inf)
-        assert session.check(four, math.inf)[0] == "unsat"
-        (two_text, two_again), (_, three_again), (four_text, after) = read[2:]
-        assert (two_text, four_text) == (two.rendering, four.rendering)
-        assert two_again is not grounder and three_again is two_again
-        assert after is not two_again
-        # The explicit encoding's next query declares a new step constant.
+        one, two, four = (encode_factored(clique2, k) for k in (1, 2, 4))
+        three = encode_factored(clique2, 3, get_model=True)
+        assert [session.check(doc, math.inf)[0] for doc in (one, four, two)] == ["sat", "unsat", "sat"]
+        (first_text, grounder), (four_text, same), (two_text, still) = read
+        assert first_text == one.rendering and same is grounder and still is grounder
+        assert four_text.splitlines() == added(four, one, one)
+        # Bisecting back down to 2 reads again the lines it holds of 4's batch.
+        assert two_text.splitlines() == added(two, four, one)
+        status, lines, _ = session.check(three, math.inf)
+        assert status == "sat" and read[3][1] is grounder
+        assert read[3][0].splitlines() == added(three, four, one, two)
+        assert {line.split()[1] for line in lines} == {d.split()[1] for d in three.declarations}
+        # The query after one cut short by its deadline starts fresh.
         del read[:]
-        for k in (1, 2):
-            assert session.check(encode_explicit(clique2, k), math.inf)[0] == "sat"
-        assert [text for text, _ in read] == [encode_explicit(clique2, k).rendering for k in (1, 2)]
+        with pytest.raises(minisolver.SolverTimeout):
+            session.check(four, -math.inf)
+        assert session.check(four, math.inf)[0] == "unsat"
+        assert read[1][0] == four.rendering and read[1][1] is not grounder
+        # The explicit encoding's next query loads only its new step.
+        del read[:]
+        explicit = [encode_explicit(clique2, k) for k in (1, 2)]
+        assert [session.check(doc, math.inf)[0] for doc in explicit] == ["sat", "sat"]
+        (first_text, grounder), (text, same) = read
+        assert first_text == explicit[0].rendering and same is grounder
+        assert text.splitlines() == added(explicit[1], explicit[0], explicit[0])
+
+    @pytest.mark.parametrize("history", [(1, 2), (1, 4)], ids=["fixed-by-sat", "confined-in-unsat"])
+    def test_dropping_a_confinement_starts_fresh(self, history, clique2, monkeypatch):
+        """y3 is confined to the four states in the batch of the k = 2 or
+        k = 4 query. A document that declares y3 but puts it outside them,
+        which a universe of seven values allows, is sat, so it must not reuse
+        y3's confined value literals. After k = 2, sat, its batch is fixed
+        on; after k = 4, unsat, the batch is off but y3 stays confined."""
+        starts = _fresh_starts(monkeypatch)
+        session = smt.SolverSession()
+        two = encode_explicit(clique2, 2)
+        confining = "(or (= y3 s0) (= y3 s1) (= y3 s2) (= y3 s3))"
+        assert confining in two.assertions
+        outside = dataclasses.replace(
+            two,
+            assertions=(
+                *(a for a in two.assertions if a != confining),
+                *(f"(not (= y3 s{u}))" for u in range(4)),
+            ),
+        )
+        verdicts = [session.check(encode_explicit(clique2, k), math.inf)[0] for k in history]
+        assert verdicts == ["sat", "sat" if history[1] < 4 else "unsat"] and len(starts) == 1
+        assert session.check(outside, math.inf)[0] == minisolver.check_text(outside.rendering)[0] == "sat"
+        assert len(starts) == 3  # the session's fresh start, and the check against it
+        # The same lines with y3 confined again are unsat, from the new base.
+        inside = dataclasses.replace(outside, assertions=(*outside.assertions, confining))
+        assert session.check(inside, math.inf)[0] == "unsat"
+        assert len(starts) == 3
+
+    def test_dropping_a_line_of_a_sat_query_starts_fresh(self, clique2, monkeypatch):
+        """The batch of the k = 2 query is fixed on once it answers sat. A
+        document without one of its lines starts fresh: here y3 = y1, which
+        only the dropped (not (= y1 y3)) forbids."""
+        starts = _fresh_starts(monkeypatch)
+        session = smt.SolverSession()
+        one, two = encode_explicit(clique2, 1), encode_explicit(clique2, 2)
+        assert "(not (= y1 y3))" in two.assertions
+        loop = dataclasses.replace(
+            two, assertions=(*(a for a in two.assertions if a != "(not (= y1 y3))"), "(= y1 y3)")
+        )
+        assert [session.check(doc, math.inf)[0] for doc in (one, two, loop)] == ["sat"] * 3
+        assert len(starts) == 2
 
     def test_extended_query_answers_and_models(self, clique2):
         session = smt.SolverSession()
