@@ -20,7 +20,7 @@ from .compose import BASE_TAGS, BaseCaseKind, BoundConfig, BoundReport, composit
 from .core import DEFAULT_VAR_CAP, StateSpaceTooLargeError, System, build_transition_graph, timed_ms
 from .gen import GenerationError, GeneratorSpec, generate, provenance
 from .oracle import (
-    DEFAULT_RD_STATE_CAP,
+    DEFAULT_RD_BUDGET,
     MAX_BOUND,
     SimplePathSearchTooLargeError,
     check_conjecture,
@@ -47,7 +47,7 @@ EXIT_PARSE = 3
 EXIT_HARD = 4
 
 # Count flags, on whichever subcommand has them; each must be at least 1.
-_COUNT_FLAGS = ("jobs", "max_vars", "rd_states", "timeout_ms", "max_k")
+_COUNT_FLAGS = ("jobs", "max_vars", "rd_budget", "timeout_ms", "max_k")
 
 
 class _CliError(Exception):
@@ -88,7 +88,10 @@ def _add_cap_flags(parser: argparse.ArgumentParser) -> None:
         "--max-vars", type=int, default=DEFAULT_VAR_CAP, help="explicit-state variable cap"
     )
     parser.add_argument(
-        "--rd-states", type=int, default=DEFAULT_RD_STATE_CAP, help="simple-path search state cap"
+        "--rd-budget",
+        type=int,
+        default=DEFAULT_RD_BUDGET,
+        help="simple-path search work budget: DFS pushes plus reach-count visits",
     )
 
 
@@ -151,12 +154,12 @@ def _fmt_bound(value: int) -> str:
 def cmd_topo(args: argparse.Namespace) -> int:
     system, name = _load_system(args)
     graph, graph_ms = timed_ms(build_transition_graph, system, max_vars=args.max_vars)
-    report = compute_topo_report(graph, problem=name, max_states=args.rd_states)
+    report = compute_topo_report(graph, problem=name, budget=args.rd_budget)
     report.timings["graph_ms"] = graph_ms
     print(f"d={report.d} rd={report.rd} td={report.td} exp={_fmt_bound(report.exp)}")
     if args.witness:
         # The graph keeps the search result, so this does not search again.
-        _, rd_path = longest_simple_path(graph, max_states=args.rd_states)
+        _, rd_path = longest_simple_path(graph, budget=args.rd_budget)
         walk = traversal_walk(graph)
         print("rd witness:", _render_states(system, rd_path))
         print("td walk:   ", _render_states(system, walk))
@@ -184,7 +187,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
 
     if args.bruteforce:
         value = recurrence_diameter_bruteforce(
-            system, max_states=args.rd_states, max_vars=args.max_vars
+            system, budget=args.rd_budget, max_vars=args.max_vars
         )
         print(f"rd={value} (bruteforce)")
         return EXIT_OK
@@ -212,7 +215,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         solver=None if args.bruteforce else _solver_config(args),
         schedule=args.schedule,
         max_vars=args.max_vars,
-        rd_max_states=args.rd_states,
+        rd_budget=args.rd_budget,
     )
 
     # A bad batch file fails alone; a bad --input/--gen is a config error up front.

@@ -8,6 +8,11 @@ value (state-count bound, traversal diameter, longest simple path, or the
 hybrid b1/b2 selectors that only pay for the expensive longest-simple-path
 computation when cheap properties say it can help), and the values fold left
 to right as bound = bound + (bound + 1) * next.
+
+A cluster's transition graph is built once and shared by td and the
+longest-simple-path search. rd comes from that search while it stays within
+its work budget; a configured solver's factored search answers only past
+it, or past the variable cap.
 """
 
 from __future__ import annotations
@@ -21,13 +26,15 @@ from .core import (
     PartialState,
     StateSpaceTooLargeError,
     System,
+    TransitionGraph,
     Variable,
     timed_ms,
 )
 from .oracle import (
-    DEFAULT_RD_STATE_CAP,
+    DEFAULT_RD_BUDGET,
     MAX_BOUND,
     SimplePathSearchTooLargeError,
+    as_graph,
     exp_bound,
     recurrence_diameter_bruteforce,
     strongly_connected_components,
@@ -155,20 +162,27 @@ class BoundConfig:
     solver: SolverConfig | None = None
     schedule: str = "linear"
     max_vars: int = DEFAULT_VAR_CAP
-    rd_max_states: int = DEFAULT_RD_STATE_CAP
+    rd_budget: int = DEFAULT_RD_BUDGET
 
     def __post_init__(self) -> None:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.max_vars < 1:
             raise ValueError(f"max_vars must be at least 1, got {self.max_vars}")
-        if self.rd_max_states < 1:
-            raise ValueError(f"rd_max_states must be at least 1, got {self.rd_max_states}")
+        if self.rd_budget < 1:
+            raise ValueError(f"rd_budget must be at least 1, got {self.rd_budget}")
 
 
 @dataclass(frozen=True)
 class ClusterBound:
-    """Base-case outcome on one projected cluster."""
+    """Base-case outcome on one projected cluster.
+
+    ``cause`` says why a degraded cluster's value is looser than its tag
+    asks for, and is None when it is not degraded: "budget" (the search ran
+    over its work budget, with no solver to turn to), "max-vars" (the
+    cluster is over the explicit-state variable cap), "timeout" (a solver
+    query timed out) or "solver-error".
+    """
 
     var_names: tuple[str, ...]
     value: int
@@ -176,7 +190,11 @@ class ClusterBound:
     rd_queries: int = 0
     rd_time_ms: float = 0.0
     td_time_ms: float = 0.0
-    degraded: bool = False
+    cause: str | None = None
+
+    @property
+    def degraded(self) -> bool:
+        return self.cause is not None
 
 
 @dataclass(frozen=True)
@@ -214,75 +232,97 @@ class BoundReport:
         return max((len(c.var_names) for c in self.per_cluster), default=0)
 
 
-def _rd_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int]:
-    """Longest-simple-path value of one cluster and the solver queries spent:
-    the SMT search when a solver is configured (None when it timed out), else
-    brute force within the explicit caps (None beyond them)."""
+def _rd_detailed(
+    subsystem: System, graph: TransitionGraph | None, cfg: BoundConfig
+) -> tuple[int | None, int, str | None]:
+    """Longest-simple-path value of one cluster, the solver queries spent,
+    and the cause when there is no value.
+
+    The exhaustive search on the cluster's graph answers first, within
+    ``cfg.rd_budget`` work units. The factored SMT search answers only past
+    the budget, or when the graph is over ``cfg.max_vars`` (``graph`` None),
+    and only when a solver is configured. A cluster whose methods all give
+    out has no value: it falls back to td.
+    """
     if not subsystem.actions:
-        return 0, 0
-    queries = 0
-    if cfg.solver is not None:
+        return 0, 0, None
+    cause = "max-vars"
+    if graph is not None:
         try:
-            result = rd_via_smt(
-                subsystem,
-                encoding="factored",
-                cfg=cfg.solver,
-                schedule=cfg.schedule,
-                max_vars=cfg.max_vars,
-            )
-        except SolverError as exc:
-            queries = len(exc.queries)
-        else:
-            return (result.rd if result.exact else None), len(result.queries)
+            return recurrence_diameter_bruteforce(graph, budget=cfg.rd_budget), 0, None
+        except SimplePathSearchTooLargeError:
+            cause = "budget"
+    if cfg.solver is None:
+        return None, 0, cause
     try:
-        return recurrence_diameter_bruteforce(
-            subsystem, max_states=cfg.rd_max_states, max_vars=cfg.max_vars
-        ), queries
-    except (SimplePathSearchTooLargeError, StateSpaceTooLargeError):
-        return None, queries
+        result = rd_via_smt(
+            subsystem,
+            encoding="factored",
+            cfg=cfg.solver,
+            schedule=cfg.schedule,
+            max_vars=cfg.max_vars,
+        )
+    except SolverError as exc:
+        return None, len(exc.queries), "solver-error"
+    if result.exact:
+        return result.rd, len(result.queries), None
+    return None, len(result.queries), "timeout"
 
 
-def _td_detailed(subsystem: System, cfg: BoundConfig) -> tuple[int | None, int]:
+def _td_detailed(
+    subsystem: System, graph: TransitionGraph | None, cfg: BoundConfig
+) -> tuple[int | None, int, str | None]:
     """Traversal diameter of one cluster (no solver queries); None past the cap."""
+    if graph is None:
+        return None, 0, "max-vars"
+    return traversal_diameter(graph), 0, None
+
+
+def _cluster_graph(subsystem: System, cfg: BoundConfig) -> TransitionGraph | None:
+    """The cluster's transition graph, shared by td and the search; None past
+    the variable cap."""
     try:
-        return traversal_diameter(subsystem, max_vars=cfg.max_vars), 0
+        return as_graph(subsystem, cfg.max_vars)
     except StateSpaceTooLargeError:
-        return None, 0
+        return None
 
 
 def _base_case_detailed(
     subsystem: System, kind: BaseCaseKind, cfg: BoundConfig, var_names: tuple[str, ...]
 ) -> ClusterBound:
+    tag = kind.tag
+    if tag == "exp":
+        return ClusterBound(var_names, exp_bound(subsystem), "exp")
+    # The graph is built once, timed with the property that needs it first.
     elapsed_ms = {"td": 0.0, "rd": 0.0}
+    graph, elapsed_ms["rd" if tag == "rd" else "td"] = timed_ms(_cluster_graph, subsystem, cfg)
     rd_queries = 0
-    degraded = False
+    cause: str | None = None
 
     def evaluate(prop: str) -> int | None:
-        """td or rd of the cluster; None (and degraded) when it is out of reach."""
-        nonlocal rd_queries, degraded
+        """td or rd of the cluster; None (with its cause) when out of reach."""
+        nonlocal rd_queries, cause
         detailed = _rd_detailed if prop == "rd" else _td_detailed
-        (value, queries), ms = timed_ms(detailed, subsystem, cfg)
+        (value, queries, why), ms = timed_ms(detailed, subsystem, graph, cfg)
         elapsed_ms[prop] += ms
         rd_queries += queries
-        degraded |= value is None
+        cause = cause or why
         return value
 
     # rd iff the tag asks for it, or a hybrid's cheap properties say it can
     # tighten td; otherwise td; the state-count bound as the last resort.
-    tag = kind.tag
     value: int | None = None
     used = "exp"
-    if tag != "exp":
-        td = None if tag == "rd" else evaluate("td")
-        if tag == "rd" or (
-            tag in ("b1", "b2")
-            and td is not None
-            and td > kind.td_trigger
-            and (tag == "b1" or exp_bound(subsystem) <= kind.rd_state_cap)
-        ):
-            value, used = evaluate("rd"), "rd"
-        if value is None:
-            value, used = (evaluate("td") if tag == "rd" else td), "td"
+    td = None if tag == "rd" else evaluate("td")
+    if tag == "rd" or (
+        tag in ("b1", "b2")
+        and td is not None
+        and td > kind.td_trigger
+        and (tag == "b1" or exp_bound(subsystem) <= kind.rd_state_cap)
+    ):
+        value, used = evaluate("rd"), "rd"
+    if value is None:
+        value, used = (evaluate("td") if tag == "rd" else td), "td"
     if value is None:
         value, used = exp_bound(subsystem), "exp"
     return ClusterBound(
@@ -292,7 +332,7 @@ def _base_case_detailed(
         rd_queries=rd_queries,
         rd_time_ms=elapsed_ms["rd"],
         td_time_ms=elapsed_ms["td"],
-        degraded=degraded,
+        cause=cause,
     )
 
 

@@ -116,6 +116,13 @@ def parse_sexprs(text: str, deadline: float | None = None) -> list:
     return stack[0]
 
 
+def symbols(text: str) -> set[str]:
+    """Every symbol ``text`` uses, read as ``parse_sexprs`` reads them."""
+    return {
+        tok[1:-1] if tok[0] == "|" else tok for tok in _TOKEN.findall(text) if tok[0] not in '();"'
+    }
+
+
 # ---------------------------------------------------------------------------
 # CDCL SAT core
 

@@ -311,15 +311,17 @@ class SolverSession:
 
     A query starts fresh, its lines the new base, when it lacks a base line,
     when it declares a constant confined in a later batch without the lines
-    that confine it there, and after a timeout or error. An extension the
-    grounder cannot take, such as an unconfined new sort constant, is
-    answered fresh as well.
+    that confine it there, when a line it adds uses a symbol that only a
+    declaration it lacks declares, and after a timeout or error. An
+    extension the grounder cannot take, such as an unconfined new sort
+    constant, is answered fresh as well.
     """
 
     def __init__(self) -> None:
         self._grounder: minisolver.Grounder | None = None  # None until a query is decided
         self._batches_of: dict[str, list[int]] = {}  # loaded line -> its batches, 0 the base
         self._sizes: list[int] = []  # distinct lines per batch
+        self._declarations: set[str] = set()  # every loaded declaration line
         self._fixed: set[int] = set()  # batches on at level 0: the base and every sat answer's
         # declaration of a sort constant of a later batch -> the lines confining it
         self._confining: dict[str, set[str]] = {}
@@ -337,7 +339,7 @@ class SolverSession:
                 extension = None
             else:
                 on.add(len(self._sizes))
-                self._load({*decls, *asserts})
+                self._load(decls, asserts)
                 self._note_confined(grounder, decls, asserts, start)
                 if lines:  # the model of doc's constants only
                     names = {minisolver.parse_sexprs(d)[0][1] for d in doc.declarations}
@@ -346,7 +348,8 @@ class SolverSession:
             grounder = minisolver.Grounder(minisolver.Script())
             status, lines, reason = minisolver.check_text(doc.rendering, deadline, grounder)
             self._batches_of, self._sizes, self._confining = {}, [], {}
-            self._load({*doc.declarations, *doc.assertions})
+            self._declarations = set()
+            self._load(doc.declarations, doc.assertions)
             on = self._fixed = {0}
         if status == "sat":
             grounder.fix([b - 1 for b in on - self._fixed])
@@ -368,13 +371,22 @@ class SolverSession:
         on = {b for b, size in enumerate(self._sizes) if held[b] == size}
         decls = [d for d in doc.declarations if d not in self._batches_of]
         asserts = [a for a in doc.assertions if on.isdisjoint(self._batches_of.get(a, ()))]
+        # The grounder reads a new line against all it has declared: a symbol
+        # that doc does not declare must not resolve there.
+        lacked = self._declarations - lines
+        if lacked and asserts:
+            hidden = {minisolver.parse_sexprs(d)[0][1] for d in lacked}
+            if not hidden.isdisjoint(minisolver.symbols(" ".join(asserts))):
+                return None
         return _script_text(decls, asserts, doc.get_model), on, decls, asserts
 
-    def _load(self, lines: set[str]) -> None:
-        """Record ``lines`` as the next batch."""
+    def _load(self, decls, asserts) -> None:
+        """Record ``decls`` and ``asserts`` as the next batch."""
+        lines = {*decls, *asserts}
         for line in lines:
             self._batches_of.setdefault(line, []).append(len(self._sizes))
         self._sizes.append(len(lines))
+        self._declarations.update(decls)
 
     def _note_confined(
         self, grounder: minisolver.Grounder, decls: list[str], asserts: list[str], start: int

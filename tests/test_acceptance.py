@@ -123,7 +123,7 @@ def test_criterion_05_inequality_chain(chain_suite):
     for seed, system in chain_suite:
         graph = build_transition_graph(system)
         d = diameter(graph)
-        rd = recurrence_diameter_bruteforce(graph, max_states=4096)
+        rd = recurrence_diameter_bruteforce(graph)
         td = traversal_diameter(graph)
         exp = exp_bound(system)
         assert d <= rd <= td <= exp, (seed, d, rd, td, exp)

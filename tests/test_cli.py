@@ -90,6 +90,14 @@ class TestTopo:
         reason = json.loads(err.strip())
         assert reason["error"] == "state-space-too-large"
 
+    def test_over_budget_machine_readable(self, capsys):
+        code, out, err = run(capsys, "topo", "--gen", "clique", "--m", "3", "--rd-budget", "5")
+        assert code == 4 and out == ""
+        assert json.loads(err.strip()) == {
+            "error": "simple-path-search-too-large",
+            "detail": "the simple-path search spent 6 work units, over its budget of 5",
+        }
+
 
 class TestRd:
     def test_clique_factored(self, capsys):
@@ -337,13 +345,13 @@ class TestConfigErrors:
         "command,flag",
         [
             ("topo", "--max-vars"),
-            ("topo", "--rd-states"),
+            ("topo", "--rd-budget"),
             ("rd", "--max-vars"),
-            ("rd", "--rd-states"),
+            ("rd", "--rd-budget"),
             ("rd", "--timeout-ms"),
             ("rd", "--max-k"),
             ("bound", "--max-vars"),
-            ("bound", "--rd-states"),
+            ("bound", "--rd-budget"),
             ("bound", "--timeout-ms"),
             ("bound", "--jobs"),
         ],

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from statebound.compose import (
     project,
 )
 from statebound.core import Action, PartialState, System
-from statebound.gen import disjoint_union, gen_lotus
+from statebound.gen import GeneratorSpec, disjoint_union, gen_lotus
 from statebound.oracle import MAX_BOUND, diameter, recurrence_diameter_bruteforce
 from statebound.smt import SolverConfig
 
@@ -148,7 +149,7 @@ class TestBaseCase:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("max_vars", -1), ("max_vars", 0), ("rd_max_states", 0), ("schedule", "golden")],
+        [("max_vars", -1), ("max_vars", 0), ("rd_budget", 0), ("schedule", "golden")],
     )
     def test_invalid_config_rejected(self, field, value):
         # Each would otherwise give a degraded bound, or fail only once a query runs.
@@ -156,37 +157,62 @@ class TestBaseCase:
             BoundConfig(**{field: value})
 
     def test_rd_timeout_degrades_to_td(self, clique2):
-        cfg = BoundConfig(solver=_SLEEPER)
+        # A one-unit budget stops the search, so the solver answers rd.
+        cfg = BoundConfig(solver=_SLEEPER, rd_budget=1)
         report = compositional_bound(clique2, BaseCaseKind("rd"), cfg)
         assert report.degraded
         assert report.per_cluster[0].property_used == "td"
+        assert report.per_cluster[0].cause == "timeout"
         assert report.total == 3  # td of the clique
 
     def test_solver_error_counts_spent_queries(self, clique2):
         garbage = SolverConfig(command=(sys.executable, "-c", "print('garbage')"))
-        report = compositional_bound(clique2, BaseCaseKind("rd"), BoundConfig(solver=garbage))
-        # brute force takes over after the failed query, which still counts
-        assert report.per_cluster[0].property_used == "rd"
-        assert not report.degraded
-        assert report.rd_queries == 1
+        # Past the budget the solver's failure degrades the cluster to td, and
+        # the failed query still counts; within it the search answers alone.
+        for cfg, outcome in (
+            (BoundConfig(solver=garbage, rd_budget=1), ("td", "solver-error", 1)),
+            (BoundConfig(solver=garbage), ("rd", None, 0)),
+        ):
+            report = compositional_bound(clique2, BaseCaseKind("rd"), cfg)
+            cluster = report.per_cluster[0]
+            assert (cluster.property_used, cluster.cause, report.rd_queries) == outcome
+            assert report.total == 3
 
-# Per base-case setting, system -> the outcome of each tag in BASE_TAGS order,
-# written property:value with a trailing "!" when the cluster is degraded.
-# toggles2 has two identical clusters; every cluster must match.
+    def test_over_budget_cluster_degrades_in_time(self):
+        """Seed 4 of the bound-batch family has an 8-variable cluster, td 99,
+        whose search needs more than 38M work units. Without a solver it
+        stops at the default budget, after 6 to 10 s, and the cluster falls
+        back to td."""
+        system = make_random(
+            GeneratorSpec("random", seed=4, num_vars=12, num_actions=12, max_pre=2, max_eff=2)
+        )
+        started = time.perf_counter()
+        report = compositional_bound(system, BaseCaseKind("b1"), BoundConfig(solver=None))
+        assert time.perf_counter() - started < 60.0
+        degraded = [c for c in report.per_cluster if c.degraded]
+        assert [(len(c.var_names), c.value, c.property_used, c.cause) for c in degraded] == [
+            (8, 99, "td", "budget")
+        ]
+
+
+# Per base-case setting: the tag arguments, the configuration, the cause of
+# every degraded cluster, and system -> the outcome of each tag in BASE_TAGS
+# order, written property:value with a trailing "!" when the cluster is
+# degraded. toggles2 has two identical clusters; every cluster must match.
 _POLICY_TABLE = {
-    "defaults": ({}, BoundConfig(), {
+    "defaults": ({}, BoundConfig(), None, {
         "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
         "star3": "exp:3 td:1 rd:1 td:1 td:1",
         "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
-    "rd_state_cap=2": ({"rd_state_cap": 2}, BoundConfig(), {
+    "rd_state_cap=2": ({"rd_state_cap": 2}, BoundConfig(), None, {
         "clique2": "exp:3 td:3 rd:3 rd:3 td:3",
         "star3": "exp:3 td:1 rd:1 td:1 td:1",
         "lotus7": "exp:7 td:7 rd:2 rd:2 td:7",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
-    "td_trigger=0": ({"td_trigger": 0}, BoundConfig(), {
+    "td_trigger=0": ({"td_trigger": 0}, BoundConfig(), None, {
         "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
         "star3": "exp:3 td:1 rd:1 rd:1 rd:1",
         "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
@@ -194,39 +220,47 @@ _POLICY_TABLE = {
     }),
     # td and rd both exceed the variable cap on a two-variable cluster: the
     # state-count bound remains; toggles2's one-variable clusters fit
-    "max_vars=1": ({}, BoundConfig(max_vars=1), {
+    "max_vars=1": ({}, BoundConfig(max_vars=1), "max-vars", {
         "clique2": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "star3": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "lotus7": "exp:7 exp:7! exp:7! exp:7! exp:7!",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
-    # no solver and brute force over its state cap: rd falls back to td
-    "rd_max_states=2": ({}, BoundConfig(rd_max_states=2), {
-        "clique2": "exp:3 td:3 td:3! td:3! td:3!",
-        "star3": "exp:3 td:1 td:1! td:1 td:1",
-        "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
-        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
-    }),
-    "sleeper": ({}, BoundConfig(solver=_SLEEPER), {
+    # no solver and the search over its budget: rd falls back to td
+    "rd_budget=1": ({}, BoundConfig(rd_budget=1), "budget", {
         "clique2": "exp:3 td:3 td:3! td:3! td:3!",
         "star3": "exp:3 td:1 td:1! td:1 td:1",
         "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
         "toggles2": "exp:1 td:1 td:1! td:1 td:1",
+    }),
+    # the search over its budget, then every solver query times out
+    "sleeper": ({}, BoundConfig(solver=_SLEEPER, rd_budget=1), "timeout", {
+        "clique2": "exp:3 td:3 td:3! td:3! td:3!",
+        "star3": "exp:3 td:1 td:1! td:1 td:1",
+        "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
+        "toggles2": "exp:1 td:1 td:1! td:1 td:1",
+    }),
+    # within the default budget the search answers, and the solver is not asked
+    "sleeper-within-budget": ({}, BoundConfig(solver=_SLEEPER), None, {
+        "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
+        "star3": "exp:3 td:1 rd:1 td:1 td:1",
+        "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
+        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
 }
 
 
 @pytest.mark.parametrize("setting", list(_POLICY_TABLE))
 def test_base_case_policy_table(setting, request):
-    kind_args, cfg, expected = _POLICY_TABLE[setting]
+    kind_args, cfg, cause, expected = _POLICY_TABLE[setting]
     systems = {name: request.getfixturevalue(name) for name in ("clique2", "star3", "toggles2")}
     systems["lotus7"] = gen_lotus(7)
     for name, row in expected.items():
         for tag, cell in zip(BASE_TAGS, row.split()):
             used, value = cell.rstrip("!").split(":")
-            want = (int(value), used, cell.endswith("!"))
+            want = (int(value), used, cause if cell.endswith("!") else None)
             report = compositional_bound(systems[name], BaseCaseKind(tag, **kind_args), cfg)
-            got = {(c.value, c.property_used, c.degraded) for c in report.per_cluster}
+            got = {(c.value, c.property_used, c.cause) for c in report.per_cluster}
             assert got == {want}, (name, tag)
 
 

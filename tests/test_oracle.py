@@ -73,10 +73,12 @@ class TestRecurrenceDiameter:
             for u, v in zip(path, path[1:]):
                 assert v in graph.adj[u]
 
-    def test_state_cap(self, clique2):
+    def test_work_budget(self, clique2):
+        # The clique 2 search spends 7 work units: pushes plus reach-count visits.
         graph = build_transition_graph(clique2)
-        with pytest.raises(SimplePathSearchTooLargeError):
-            longest_simple_path(graph, max_states=3)
+        with pytest.raises(SimplePathSearchTooLargeError, match="spent 7 work units, over its budget of 6"):
+            longest_simple_path(graph, budget=6)
+        assert longest_simple_path(graph, budget=7)[0] == 3
 
     def test_deterministic(self, clique2):
         graph = build_transition_graph(clique2)
@@ -168,11 +170,14 @@ class TestSearchMatchesReference:
 
     def test_result_kept_on_graph(self, clique2):
         graph = build_transition_graph(clique2)
+        with pytest.raises(SimplePathSearchTooLargeError):
+            longest_simple_path(graph, budget=1)
+        assert "longest_simple_path" not in graph.derived  # only a completed search is kept
         length, path = longest_simple_path(graph)
         path.append(-1)
         assert longest_simple_path(graph) == (length, path[:-1])
-        with pytest.raises(SimplePathSearchTooLargeError):
-            longest_simple_path(graph, max_states=3)
+        # A kept result is returned without searching, whatever the budget.
+        assert longest_simple_path(graph, budget=1) == (length, path[:-1])
 
 
 class TestTraversalDiameter:

@@ -453,12 +453,13 @@ class TestSolverSession:
 
     def test_bound_batch_reports_match_fresh_solving(self, monkeypatch):
         """The bound-batch family under b2: same per-cluster values,
-        properties and query counts with and without sessions."""
+        properties and query counts with and without sessions. A one-unit
+        search budget sends every rd cluster to the solver."""
         systems = [
-            gen_random(GeneratorSpec("random", seed, num_vars=12, num_actions=12, max_pre=2, max_eff=2))
+            gen_random(GeneratorSpec("random", seed=seed, num_vars=12, num_actions=12, max_pre=2, max_eff=2))
             for seed in range(1, 51)
         ]
-        cfg = BoundConfig(solver=SolverConfig.bundled())
+        cfg = BoundConfig(solver=SolverConfig.bundled(), rd_budget=1)
 
         def clusters():
             return [
@@ -545,6 +546,18 @@ class TestSolverSession:
         inside = dataclasses.replace(outside, assertions=(*outside.assertions, confining))
         assert session.check(inside, math.inf)[0] == "unsat"
         assert len(starts) == 3
+
+    def test_symbol_of_a_lacked_declaration_starts_fresh(self):
+        """After k = 1 (sat) and k = 4 (unsat), the k = 1 document plus an
+        assertion on v0_s5, which only k = 4 declares, is malformed: the
+        session must not resolve v0_s5 through the k = 4 batch."""
+        session = smt.SolverSession()
+        one, four = encode_factored(gen_clique(2), 1), encode_factored(gen_clique(2), 4)
+        assert [session.check(doc, math.inf)[0] for doc in (one, four)] == ["sat", "unsat"]
+        stray = dataclasses.replace(one, assertions=(*one.assertions, "v0_s5"))
+        fresh = minisolver.check_text(stray.rendering)
+        assert fresh == ("unknown", [], "unknown symbol v0_s5")
+        assert session.check(stray, math.inf) == fresh
 
     def test_dropping_a_line_of_a_sat_query_starts_fresh(self, clique2, monkeypatch):
         """The batch of the k = 2 query is fixed on once it answers sat. A
