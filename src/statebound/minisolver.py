@@ -41,9 +41,16 @@ table entry, a value literal or a known truth value; a predicate application
 gets one per value combination of its unpinned arguments. In positive
 polarity an unpinned last argument is ground by table rows instead: one
 clause that it takes a value whose entry is not false, and one per variable
-entry. So the explicit encoding's ``(G y_i y_{i+1})``, with both steps
-confined to the n states, is n clauses. The Boolean core is a CDCL SAT solver
-with watched literals, first-UIP learning, VSIDS scoring and Luby restarts.
+entry; each row is read once, skipping the entries known false. So the
+explicit encoding's ``(G y_i y_{i+1})``, with both steps confined to the n
+states, is n clauses. An atom asserted at the top level has no variable of
+its own: its clauses are guarded by the batch's selector instead, or by
+nothing in the base. Nor does a top-level ``or`` that holds one conjunction
+(the factored encoding's ``(=> a (and ...))``): it becomes one clause per
+conjunct. An ``and`` needed only positively writes an ``or`` child as one
+clause, so an ``xor`` needs one variable, not three. The Boolean core is a
+CDCL SAT solver with watched literals, first-UIP learning, VSIDS scoring and
+Luby restarts.
 """
 
 from __future__ import annotations
@@ -502,6 +509,17 @@ _TRUE = ("true",)
 _FALSE = ("false",)
 
 
+def _flatten(kind: str, node: tuple, out: list[tuple]) -> list[tuple]:
+    """``out`` extended by the operands of ``node``'s nested ``kind``
+    (``and`` or ``or``) nodes; a node of another kind is its own operand."""
+    if node[0] == kind:
+        for child in node[1]:
+            _flatten(kind, child, out)
+    else:
+        out.append(node)
+    return out
+
+
 def _conjunction(pairs: list[tuple]) -> tuple:
     """The pairwise terms of a chained ``=`` or a ``distinct``, as one term."""
     if not pairs:
@@ -663,17 +681,11 @@ class Grounder:
         self.value_var: dict[tuple[str, int], int] = {}
         self.table: dict[tuple, object] = {}  # (pred, values) -> var index or bool
         self.sort_size: dict[str, int] = {}
+        self.rows: dict[tuple, list[int]] = {}  # see _row
         # memo: node -> [var, pos_done, neg_done]
         self.memo: dict[tuple, list] = {}
 
     # -- setup ----------------------------------------------------------------
-
-    def _flatten_conjuncts(self, node: tuple, out: list[tuple]) -> None:
-        if node[0] == "and":
-            for child in node[1]:
-                self._flatten_conjuncts(child, out)
-        else:
-            out.append(node)
 
     def prepare(self, assertions: list[tuple]) -> list[tuple]:
         """Pin distinct base constants, confine unpinned constants to the
@@ -681,7 +693,7 @@ class Grounder:
         facts, and return the remaining top-level conjuncts."""
         conjuncts: list[tuple] = []
         for node in assertions:
-            self._flatten_conjuncts(node, conjuncts)
+            _flatten("and", node, conjuncts)
 
         for sort, consts in self.script.sorts.items():
             self.sort_size[sort] = max(1, len(consts))
@@ -816,46 +828,51 @@ class Grounder:
 
     # -- atom grounding ----------------------------------------------------------
     #
-    # Every atom clause but a row clause ties the atom's literal to one entry
-    # (a table entry, a value literal or a known truth value) under a guard
-    # of negated value literals, in the polarity being ground, and ``_emit``
-    # writes them all. A guard only holds literals of values a constant can
-    # take. ``_encode_free_constants`` creates a batch's value literals
-    # before its first atom, so the only variables made here are table
-    # entries, in combination order. None of these clauses is guarded: each
-    # only defines an atom's literal, which a batch that is off leaves free.
+    # Every atom clause but a row clause ties the atom to one entry (a table
+    # entry, a value literal or a known truth value) under a guard of negated
+    # value literals, in the polarity being ground, and ``_emit`` writes them
+    # all. Each clause starts with a head: the negated literal of the atom's
+    # Tseitin variable, or that literal itself in negative polarity; for an
+    # atom asserted at the top level, the batch's guard, since its selector
+    # serves as the atom's literal. A guard only holds literals of values a
+    # constant can take. ``_encode_free_constants`` creates a batch's value
+    # literals before its first atom, so the only variables made here are
+    # table entries, in combination order. Only a top-level atom's clauses
+    # are guarded: the others only define a Tseitin literal, which a batch
+    # that is off leaves free.
 
-    def _emit(self, lit: int, guard: tuple[int, ...], entry: int | bool, positive: bool) -> None:
-        """The clause for one combination. ``guard`` holds its negated value
-        literals and ``entry`` is a literal or a known truth value; ``lit``
-        implies ``entry`` (positive) or ``entry`` implies ``lit``. A known
-        entry with no guard fixes ``lit`` in either polarity."""
-        if isinstance(entry, bool):
-            if not guard:
-                self.sat.add_clause([lit if entry else lit ^ 1])
-            elif entry != positive:
-                self.sat.add_clause([lit ^ 1 if positive else lit, *guard])
-        elif positive:
-            self.sat.add_clause([lit ^ 1, *guard, entry])
+    def _emit(
+        self, head: tuple[int, ...], guard: tuple[int, ...], entry: int | bool, positive: bool
+    ) -> None:
+        """The clause for one combination: ``head`` or ``guard`` or the
+        entry in the polarity being ground, where ``entry`` is a literal or a
+        known truth value."""
+        if not isinstance(entry, bool):
+            self.sat.add_clause([*head, *guard, entry if positive else entry ^ 1])
+        elif entry != positive:
+            self.sat.add_clause([*head, *guard])
+
+    def _ground_atom(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
+        if node[0] == "eeq":
+            self._ground_eeq(node, head, positive)
         else:
-            self.sat.add_clause([lit, *guard, entry ^ 1])
+            self._ground_papp(node, head, positive)
 
-    def _ground_eeq(self, node: tuple, var: int, positive: bool) -> None:
+    def _ground_eeq(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
         _, a, b = node
         fa, fb = self.fixed.get(a), self.fixed.get(b)
-        lit = var << 1
         if fa is not None and fb is not None:
-            self._emit(lit, (), fa == fb, positive)
+            self._emit(head, (), fa == fb, positive)
         elif fa is not None or fb is not None:
             free, value = (b, fa) if fa is not None else (a, fb)
-            self._emit(lit, (), self._value_literal(free, value), positive)
+            self._emit(head, (), self._value_literal(free, value), positive)
         else:
             # given a=v, the equality is b=v
             for v in self.values[a]:
                 guard = (self._value_literal(a, v) ^ 1,)
-                self._emit(lit, guard, self._value_literal(b, v), positive)
+                self._emit(head, guard, self._value_literal(b, v), positive)
 
-    def _ground_papp(self, node: tuple, var: int, positive: bool) -> None:
+    def _ground_papp(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
         """One clause per value combination of the arguments, guarded by the
         negated value literals of the unpinned ones. In positive polarity an
         unpinned last argument is ground by rows instead: per combination of
@@ -868,24 +885,43 @@ class Grounder:
             else [(v, (self._value_literal(a, v) ^ 1,)) for v in self.values[a]]
             for a in args
         ]
-        lit = var << 1
         last = choices.pop() if positive and args[-1] not in self.fixed else None
+        if last is not None:
+            negated = {v: not_v for v, (not_v,) in last}
         for row in product(*choices):
             values = tuple(v for v, _ in row)
             guard = tuple(g for _, gs in row for g in gs)
             if last is None:
-                self._emit(lit, guard, self._table_literal(pred, values), positive)
+                self._emit(head, guard, self._table_literal(pred, values), positive)
                 continue
             allowed = []
-            for v, (not_v,) in last:
-                entry = self._table_literal(pred, (*values, v))
-                if entry is not False:
+            for v in self._row(pred, values):
+                not_v = negated.get(v)
+                if not_v is not None:
                     allowed.append(not_v ^ 1)
-                    self._emit(lit, (*guard, not_v), entry, True)
+                    self._emit(head, (*guard, not_v), self._table_literal(pred, (*values, v)), True)
             if len(allowed) < len(last):  # else implied by exactly-one
-                self.sat.add_clause([lit ^ 1, *guard, *allowed])
+                self.sat.add_clause([*head, *guard, *allowed])
+
+    def _row(self, pred: str, values: tuple[int, ...]) -> list[int]:
+        """The last-argument values at which ``pred``'s entry, with the other
+        arguments at ``values``, is not known false. Only the base's facts
+        make an entry false, so the row is read once."""
+        row = self.rows.get((pred, values))
+        if row is None:
+            size = self.sort_size[self.script.predicates[pred][-1]]
+            row = [v for v in range(size) if self.table.get((pred, (*values, v))) is not False]
+            self.rows[(pred, values)] = row
+        return row
 
     # -- Tseitin with polarity tracking -------------------------------------------
+    #
+    # A compound node gets a variable, defined only in the polarities it is
+    # needed in (Plaisted and Greenbaum, 1986), and only where no plain
+    # clause says the same. The top level asserts an atom by its guarded
+    # clauses (see above), and an ``or`` that holds one conjunction as one
+    # clause per conjunct; an ``and`` needed only positively writes each
+    # ``or`` child's operands into that child's clause.
 
     def compile(self, node: tuple, need_pos: bool, need_neg: bool) -> int:
         """Return a literal equisatisfiable with ``node``; clauses are emitted
@@ -907,23 +943,27 @@ class Grounder:
         var, pos_done, neg_done = state
         emit_pos = need_pos and not pos_done
         emit_neg = need_neg and not neg_done
+        lit = var << 1
         if not emit_pos and not emit_neg:
-            return var << 1
+            return lit
         state[1] = pos_done or need_pos
         state[2] = neg_done or need_neg
 
         if kind in ("eeq", "papp"):
-            ground = self._ground_eeq if kind == "eeq" else self._ground_papp
             if emit_pos:
-                ground(node, var, positive=True)
+                self._ground_atom(node, (lit ^ 1,), True)
             if emit_neg:
-                ground(node, var, positive=False)
-            return var << 1
+                self._ground_atom(node, (lit,), False)
+            return lit
+        if kind == "and" and not need_neg:
+            for child in node[1]:
+                parts = child[1] if child[0] == "or" else (child,)
+                self.sat.add_clause([lit ^ 1, *(self.compile(p, True, False) for p in parts)])
+            return lit
         if kind in ("and", "or"):
             children = [
                 self.compile(child, need_pos, need_neg) for child in node[1]
             ]
-            lit = var << 1
             if kind == "and":
                 if emit_pos:
                     for child in children:
@@ -936,7 +976,7 @@ class Grounder:
                 if emit_neg:
                     for child in children:
                         self.sat.add_clause([lit, child ^ 1])
-            return var << 1
+            return lit
         raise SmtUnsupportedError(f"cannot compile node {kind!r}")
 
     def _const_literal(self, truth: bool) -> int:
@@ -948,13 +988,28 @@ class Grounder:
         return var << 1 if truth else (var << 1) ^ 1
 
     def assert_top(self, node: tuple) -> None:
-        if node[0] == "and":
+        """Assert ``node`` under the batch's guard: a conjunction conjunct by
+        conjunct, an ``or`` that holds one conjunction as one clause per
+        conjunct, an atom by its guarded clauses, and anything else as one
+        clause of Tseitin literals."""
+        kind = node[0]
+        if kind == "and":
             for child in node[1]:
                 self.assert_top(child)
             return
-        if node[0] == "or":
-            children = [self.compile(child, True, False) for child in node[1]]
-            self.sat.add_clause([*children, *self.guard])
+        if kind == "or":
+            disjuncts = _flatten("or", node, [])
+            conjunctions = [d for d in disjuncts if d[0] == "and"]
+            if len(conjunctions) == 1:
+                rest = tuple(d for d in disjuncts if d[0] != "and")
+                for conjunct in conjunctions[0][1]:
+                    self.assert_top(("or", (*rest, conjunct)) if rest else conjunct)
+                return
+            self.sat.add_clause([*(self.compile(d, True, False) for d in disjuncts), *self.guard])
+            return
+        atom, positive = (node[1], False) if kind == "not" else (node, True)
+        if atom[0] in ("eeq", "papp"):
+            self._ground_atom(atom, self.guard, positive)
             return
         self.sat.add_clause([self.compile(node, True, False), *self.guard])
 
@@ -1010,9 +1065,7 @@ class Grounder:
             return batch
         remaining: list[tuple] = []
         for pos, node in enumerate(batch, start):
-            conjuncts: list[tuple] = []
-            self._flatten_conjuncts(node, conjuncts)
-            for conjunct in conjuncts:
+            for conjunct in _flatten("and", node, []):
                 confined = self._confinement(conjunct)
                 if confined is None or confined[0] not in new:
                     remaining.append(conjunct)

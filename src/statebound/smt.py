@@ -6,7 +6,9 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 * explicit — an uninterpreted state sort with one constant per valid state,
   an edge predicate tabulated over the whole state space, and a chain of k+1
   pairwise-distinct step constants. Script size grows with the square of the
-  state-space size.
+  state-space size. The part that does not depend on k is a ``StateTable``;
+  one search builds it, and so the transition graph, once for all its
+  queries, each of which is still a whole script.
 * factored — Boolean per-step action and variable constants with frame
   equivalences, so the solver explores the state space lazily. Script size
   grows with k * (actions * variables + k * variables).
@@ -18,13 +20,13 @@ one grounder: the first query is its base, and each later query loads only
 its lines not loaded yet, as a batch guarded by a selector literal. The CDCL
 solver decides each query under assumptions that switch on exactly the
 batches whose lines the query holds, and keeps what it learned. So the
-explicit query for k + 1 adds its new step, not the state table, and a
-bisection back down reuses the session too. A query that lacks a base line
-or a confining line, or that follows a timeout or error, starts fresh. Any
-other command spawns one solver process per query, and the first token it
-prints is read back. Satisfiability is monotone in k, so one search narrows
-a bracket between the largest k known sat and the smallest k known unsat;
-the linear or binary schedule only picks the next k to ask.
+explicit query for k + 1 reads and grounds its new step, not the state
+table, and a bisection back down reuses the session too. A query that lacks
+a base line or a confining line, or that follows a timeout or error, starts
+fresh. Any other command spawns one solver process per query, and the first
+token it prints is read back. Satisfiability is monotone in k, so one search
+narrows a bracket between the largest k known sat and the smallest k known
+unsat; the linear or binary schedule only picks the next k to ask.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,24 +107,23 @@ def _and_term(parts: list[str]) -> str:
     return "(and " + " ".join(parts) + ")"
 
 
-def encode_explicit(
-    system: System,
-    k: int,
-    max_vars: int = DEFAULT_VAR_CAP,
-    get_model: bool = False,
-) -> SmtDocument:
-    """Whole-state-space encoding: satisfiable iff a simple path with k edges
-    exists. Builds the explicit transition graph, so the script enumerates
-    every ordered state pair."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+@dataclass(frozen=True)
+class StateTable:
+    """The lines of an explicit query that do not depend on k: the state
+    sort and one constant per state, declared, and the assertions that the
+    constants are distinct and that tabulate the edge predicate over every
+    ordered state pair."""
+
+    num_states: int
+    declarations: tuple[str, ...]
+    assertions: tuple[str, ...]
+
+
+def state_table(system: System, max_vars: int = DEFAULT_VAR_CAP) -> StateTable:
+    """The explicit transition graph of ``system`` as a ``StateTable``."""
     graph = build_transition_graph(system, max_vars=max_vars)
     n = graph.num_states
-    decls = ["(declare-sort S 0)"]
-    decls.extend(f"(declare-fun s{i} () S)" for i in range(n))
-    decls.extend(f"(declare-fun y{i} () S)" for i in range(1, k + 2))
-    decls.append("(declare-fun G (S S) Bool)")
-
+    decls = ["(declare-sort S 0)", *(f"(declare-fun s{i} () S)" for i in range(n))]
     assertions: list[str] = []
     if n >= 2:
         assertions.append("(distinct " + " ".join(f"s{i}" for i in range(n)) + ")")
@@ -136,6 +136,29 @@ def encode_explicit(
         for v in range(n):
             if (u, v) not in edge_set:
                 assertions.append(f"(not (G s{u} s{v}))")
+    return StateTable(n, tuple(decls), tuple(assertions))
+
+
+def encode_explicit(
+    system: System,
+    k: int,
+    max_vars: int = DEFAULT_VAR_CAP,
+    get_model: bool = False,
+    table: StateTable | None = None,
+) -> SmtDocument:
+    """Whole-state-space encoding: satisfiable iff a simple path with k edges
+    exists. The script enumerates every ordered state pair, from ``table``,
+    or from the explicit transition graph, built here, when None."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if table is None:
+        table = state_table(system, max_vars)
+    n = table.num_states
+    decls = [*table.declarations]
+    decls.extend(f"(declare-fun y{i} () S)" for i in range(1, k + 2))
+    decls.append("(declare-fun G (S S) Bool)")
+
+    assertions = [*table.assertions]
     for i in range(1, k + 1):
         assertions.append(f"(G y{i} y{i + 1})")
     for i in range(1, k + 2):
@@ -221,11 +244,18 @@ def encode_factored(system: System, k: int, get_model: bool = False) -> SmtDocum
 ENCODINGS = ("explicit", "factored")
 
 
-def encode(system: System, k: int, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> SmtDocument:
-    """The query for k in ``encoding``. The encoders are looked up as module
-    globals at each call, so a wrapper set on them applies here too."""
+def encode(
+    system: System,
+    k: int,
+    encoding: str,
+    max_vars: int = DEFAULT_VAR_CAP,
+    table: StateTable | None = None,
+) -> SmtDocument:
+    """The query for k in ``encoding``; an explicit one builds on ``table``
+    when given. The encoders are looked up as module globals at each call,
+    so a wrapper set on them applies here too."""
     if encoding == "explicit":
-        return encode_explicit(system, k, max_vars=max_vars)
+        return encode_explicit(system, k, max_vars=max_vars, table=table)
     if encoding == "factored":
         return encode_factored(system, k)
     raise ValueError(f"unknown encoding {encoding!r}")
@@ -293,7 +323,10 @@ class SolverVerdict:
 
 class SolverSession:
     """The bundled solver's state across the queries of one search: one
-    ``minisolver.Grounder``, and the batches of lines loaded into it.
+    ``minisolver.Grounder``, and the lines of each batch loaded into it, as
+    one frozen set per batch. A query holds a batch when that set is a
+    subset of its lines, so matching a query costs set operations over the
+    lines, with their hashes cached when the search shares its line strings.
 
     The first query's lines are the base, ground with no guard. A later
     query loads, as one new batch, its declarations not loaded yet and its
@@ -305,9 +338,10 @@ class SolverSession:
     only its new steps: the factored query's Boolean constants, or the
     explicit query's step constants, which the same batch confines to the n
     states. A bisection back down reads again the lines it holds of a batch
-    it does not fully hold; their atoms are already ground. A sat answer
-    fixes the batches it switched on at level 0, so they join the base: the
-    search never asks below its largest sat k, and so never without them.
+    it does not fully hold, and grounds them again under its own selector.
+    A sat answer fixes the batches it switched on at level 0, so they join
+    the base: the search never asks below its largest sat k, and so never
+    without them.
 
     A query starts fresh, its lines the new base, when it lacks a base line,
     when it declares a constant confined in a later batch without the lines
@@ -319,8 +353,7 @@ class SolverSession:
 
     def __init__(self) -> None:
         self._grounder: minisolver.Grounder | None = None  # None until a query is decided
-        self._batches_of: dict[str, list[int]] = {}  # loaded line -> its batches, 0 the base
-        self._sizes: list[int] = []  # distinct lines per batch
+        self._batches: list[frozenset[str]] = []  # the lines of each batch, 0 the base
         self._declarations: set[str] = set()  # every loaded declaration line
         self._fixed: set[int] = set()  # batches on at level 0: the base and every sat answer's
         # declaration of a sort constant of a later batch -> the lines confining it
@@ -338,7 +371,7 @@ class SolverSession:
             if status == "unknown":
                 extension = None
             else:
-                on.add(len(self._sizes))
+                on.add(len(self._batches))
                 self._load(decls, asserts)
                 self._note_confined(grounder, decls, asserts, start)
                 if lines:  # the model of doc's constants only
@@ -347,8 +380,7 @@ class SolverSession:
         if extension is None:
             grounder = minisolver.Grounder(minisolver.Script())
             status, lines, reason = minisolver.check_text(doc.rendering, deadline, grounder)
-            self._batches_of, self._sizes, self._confining = {}, [], {}
-            self._declarations = set()
+            self._batches, self._declarations, self._confining = [], set(), {}
             self._load(doc.declarations, doc.assertions)
             on = self._fixed = {0}
         if status == "sat":
@@ -363,14 +395,14 @@ class SolverSession:
         switches on, and the new batch's declarations and assertions; None
         when ``doc`` must start fresh."""
         lines = {*doc.declarations, *doc.assertions}
-        held = Counter(b for line in lines for b in self._batches_of.get(line, ()))
-        if any(held[b] != self._sizes[b] for b in self._fixed):
+        on = {b for b, batch in enumerate(self._batches) if batch <= lines}
+        if not self._fixed <= on:
             return None
         if any(decl in lines and not need <= lines for decl, need in self._confining.items()):
             return None
-        on = {b for b, size in enumerate(self._sizes) if held[b] == size}
-        decls = [d for d in doc.declarations if d not in self._batches_of]
-        asserts = [a for a in doc.assertions if on.isdisjoint(self._batches_of.get(a, ()))]
+        decls = [d for d in doc.declarations if d not in self._declarations]
+        fresh = lines.difference(*(self._batches[b] for b in on))
+        asserts = [a for a in doc.assertions if a in fresh]
         # The grounder reads a new line against all it has declared: a symbol
         # that doc does not declare must not resolve there.
         lacked = self._declarations - lines
@@ -382,10 +414,7 @@ class SolverSession:
 
     def _load(self, decls, asserts) -> None:
         """Record ``decls`` and ``asserts`` as the next batch."""
-        lines = {*decls, *asserts}
-        for line in lines:
-            self._batches_of.setdefault(line, []).append(len(self._sizes))
-        self._sizes.append(len(lines))
+        self._batches.append(frozenset((*decls, *asserts)))
         self._declarations.update(decls)
 
     def _note_confined(
@@ -519,9 +548,11 @@ def rd_via_smt(
     queries: list[tuple[int, SolverVerdict]] = []
     exp = exp_bound(system)  # no simple path can be longer
     session = SolverSession()
+    # Every explicit query of the search shares one graph and its table lines.
+    table = state_table(system, max_vars) if encoding == "explicit" else None
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(system, k, encoding, max_vars), cfg, session)
+        verdict = run_solver(encode(system, k, encoding, max_vars, table), cfg, session)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

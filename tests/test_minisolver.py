@@ -576,33 +576,72 @@ _PARTIAL_TABLE_SCRIPT = """(declare-sort S 0)
 
 _LOTUS3, _SEED5, _CLIQUE2 = gen_lotus(3), make_random(equivalence_family(5)), gen_clique(2)
 
+# One script per clause rule that writes no Tseitin variable: an implication
+# whose conjunction holds a Boolean equality, distributed into a clause per
+# conjunct; an or of xors, each and needed only positively; and, in a later
+# batch, a predicate atom and a negated equality ground straight under the
+# batch's selector.
+_IMPLIED_FRAME = """(declare-fun a () Bool)(declare-fun x () Bool)(declare-fun y () Bool)
+(declare-fun z () Bool)
+(assert (=> a (and z (= x y))))
+(check-sat)
+"""
+_XOR_DISTINCT = """(declare-fun a () Bool)(declare-fun b () Bool)(declare-fun c () Bool)
+(declare-fun d () Bool)
+(assert (or (xor a b) (xor c d)))
+(check-sat)
+"""
+_LATER_ATOMS = (
+    """(declare-sort S 0)
+(declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)
+(declare-fun x () S)(declare-fun y () S)
+(declare-fun P (S S) Bool)
+(assert (distinct s0 s1 s2))
+(assert (P s0 s1))
+(check-sat)
+""",
+    """(assert (P x y))
+(assert (not (= x y)))
+(check-sat)
+""",
+)
+
 
 @pytest.mark.parametrize(
     "script,status,shape",
     [
-        pytest.param(lambda: encode_explicit(_LOTUS3, 1).rendering, "sat", (16, 26, 2), id="lotus3-explicit-k1"),
-        pytest.param(lambda: encode_explicit(_LOTUS3, 2).rendering, "sat", (26, 47, 5), id="lotus3-explicit-k2"),
-        pytest.param(lambda: encode_explicit(_LOTUS3, 3).rendering, "unsat", (37, 72, 9), id="lotus3-explicit-k3"),
-        pytest.param(lambda: encode_explicit(_SEED5, 1).rendering, "sat", (64, 122, 2), id="seed5-explicit-k1"),
-        pytest.param(lambda: encode_explicit(_SEED5, 2).rendering, "sat", (98, 215, 5), id="seed5-explicit-k2"),
-        pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (133, 324, 9), id="seed5-explicit-k3"),
-        pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (68, 93, 0), id="clique2-factored-k3"),
-        pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (102, 142, 0), id="clique2-factored-k4"),
-        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (52, 88, 7), id="partial-table"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 1).rendering, "sat", (14, 26, 0), id="lotus3-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 2).rendering, "sat", (21, 47, 0), id="lotus3-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_LOTUS3, 3).rendering, "unsat", (28, 72, 0), id="lotus3-explicit-k3"),
+        pytest.param(lambda: encode_explicit(_SEED5, 1).rendering, "sat", (62, 122, 0), id="seed5-explicit-k1"),
+        pytest.param(lambda: encode_explicit(_SEED5, 2).rendering, "sat", (93, 215, 0), id="seed5-explicit-k2"),
+        pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (124, 324, 0), id="seed5-explicit-k3"),
+        pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (32, 57, 0), id="clique2-factored-k3"),
+        pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (46, 86, 0), id="clique2-factored-k4"),
+        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (50, 91, 2), id="partial-table"),
+        pytest.param(lambda: _IMPLIED_FRAME, "sat", (4, 3, 0), id="implied-frame"),
+        pytest.param(lambda: _XOR_DISTINCT, "sat", (6, 5, 0), id="xor-distinct"),
+        pytest.param(lambda: _LATER_ATOMS, "sat", (43, 53, 0), id="later-batch-atoms"),
     ],
 )
 def test_grounding_shape(script, status, shape, monkeypatch):
     """(variables, problem clauses, literals fixed at level 0) of the
     grounded CNF as CDCL receives it: unit clauses are not stored but
     assigned. A change to grounding that keeps verdicts but changes the CNF
-    shows here."""
+    shows here. A script given as several texts is read batch by batch into
+    one grounder; the shape is the last check's."""
     seen = []
     solve = CdclSolver.solve
 
-    def recording(self, deadline=None):
+    def recording(self, deadline=None, *assumptions):
         seen.append((self.num_vars, len(self.clauses), len(self.trail)))
-        return solve(self, deadline)
+        return solve(self, deadline, *assumptions)
 
     monkeypatch.setattr(CdclSolver, "solve", recording)
-    assert minisolver.interpret(script())[0] == status
-    assert seen == [shape]
+    texts = script()
+    texts = [texts] if isinstance(texts, str) else texts
+    grounder = minisolver.Grounder(minisolver.Script())
+    for text in texts:
+        got = minisolver.interpret(text, grounder=grounder)[0]
+    assert got == status
+    assert seen[len(texts) - 1 :] == [shape]

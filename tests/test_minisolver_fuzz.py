@@ -290,3 +290,47 @@ def test_confined_sort_scripts_against_enumeration():
         assert status == ("sat" if brute_force_sort_sat(asts) else "unsat"), script
         verdicts.append(status)
     assert verdicts.count("sat") >= 20 and verdicts.count("unsat") >= 20
+
+
+def random_later_conjunct(rng: SplitMix64):
+    """Mostly a top-level predicate literal or negated equality, which a
+    later batch grounds straight under its selector; else any conjunct."""
+    a = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
+    b = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
+    choice = rng.below(5)
+    if choice == 0:
+        return ("P", a, b)
+    if choice == 1:
+        return ("not", ("P", a, b))
+    if choice <= 3:
+        return ("not", ("=", a, b))
+    return random_sort_conjunct(rng)
+
+
+def test_later_batches_against_enumeration():
+    """Sort scripts read batch by batch into one grounder. Each check
+    switches a random set of the earlier later batches on, and must decide
+    the base, those batches and the new one."""
+    rng = SplitMix64(5150)
+    verdicts = Counter()
+    head = "(declare-sort S 0)(declare-fun p () Bool)(declare-fun P (S S) Bool)"
+    head += "".join(f"(declare-fun {c} () S)" for c in SORT_CONSTS)
+    for _ in range(120):
+        base = [random_sort_conjunct(rng) for _ in range(rng.below(3))]
+        if rng.below(4):
+            base.insert(0, ("distinct", *PINNED))
+        grounder = Grounder(Script())
+        text = head + "".join(f"(assert {render(a)})" for a in base) + "(check-sat)"
+        status, _ = interpret(text, grounder=grounder)
+        assert status == ("sat" if brute_force_sort_sat(base) else "unsat"), text
+        later: list[list] = []
+        for _ in range(3):
+            batch = [random_later_conjunct(rng) for _ in range(1 + rng.below(2))]
+            on = [b for b in range(len(later)) if rng.below(2)]
+            text = "".join(f"(assert {render(a)})" for a in batch) + "(check-sat)"
+            status, _ = interpret(text, grounder=grounder, batches=on)
+            asts = base + [a for b in on for a in later[b]] + batch
+            assert status == ("sat" if brute_force_sort_sat(asts) else "unsat"), (base, later, on, batch)
+            later.append(batch)
+            verdicts[status] += 1
+    assert verdicts["sat"] >= 20 and verdicts["unsat"] >= 20, verdicts

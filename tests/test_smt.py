@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import sys
 
@@ -19,6 +20,7 @@ from statebound.smt import (
     encode_factored,
     rd_via_smt,
     run_solver,
+    state_table,
 )
 
 from conftest import equivalence_family, make_random
@@ -153,7 +155,56 @@ class TestRunSolver:
         assert verdict.status == "sat"
 
 
+# sha256 of the renderings for k = 1..4, concatenated. Scripts written by
+# ``rd --emit-smt`` and handed to an external solver must keep these bytes.
+_RENDERING_DIGESTS = {
+    ("lotus3", "explicit"): "105e1457dda4fc05aafc47908664fa772ee44b1ff72719cdbb23dfda95ad82d4",
+    ("lotus3", "factored"): "e13a3006820493db855b1a202b407d6674c8b7543e8b5410e6bcc59dda08ce30",
+    ("clique3", "explicit"): "f08bbf5967a52523cef2e46ce9ebeec0dfafd698c8d6d0b411339ed5d1a25019",
+    ("clique3", "factored"): "3f62f30383a5130983c20e0c7ac54231ca620060edccd9a7f43a6dab089fef7f",
+    ("star4", "explicit"): "3f700b044a8d4c5374a808deee5549dc3b838dc02ad60bd5e88bfa515d117e0b",
+    ("star4", "factored"): "ea31c26bad440e479460c55b2793e4c31ccbf180127a624c49b9a32f0912b051",
+    ("random3", "explicit"): "a4ec12b9dd2cb101b303fa9a5124a89f31724f20d89bc48c6163c05180c699d5",
+    ("random3", "factored"): "d15bbc466655fac4d2015f7f8f03c3f4e4fc6ac601ef55393f12964d8cc94f19",
+}
+_DIGEST_SYSTEMS = {
+    "lotus3": lambda: gen_lotus(3),
+    "clique3": lambda: gen_clique(3),
+    "star4": lambda: gen_star(4),
+    "random3": lambda: gen_random(GeneratorSpec("random", seed=3, num_vars=5, num_actions=6)),
+}
+
+
+@pytest.mark.parametrize("name,encoding", sorted(_RENDERING_DIGESTS))
+def test_rendering_digests(name, encoding):
+    """The script bytes; an explicit query gives the same whether it builds
+    its state table or shares one."""
+    system = _DIGEST_SYSTEMS[name]()
+    if encoding == "factored":
+        encoders = [lambda k: encode_factored(system, k)]
+    else:
+        table = state_table(system)
+        encoders = [
+            lambda k: encode_explicit(system, k),
+            lambda k: encode_explicit(system, k, table=table),
+        ]
+    for encoder in encoders:
+        text = "".join(encoder(k).rendering for k in range(1, 5))
+        assert hashlib.sha256(text.encode()).hexdigest() == _RENDERING_DIGESTS[name, encoding]
+
+
 class TestRdViaSmt:
+    def test_explicit_search_builds_one_graph(self, monkeypatch):
+        """Every query of one explicit search shares one graph and table."""
+        built = []
+        build = smt.build_transition_graph
+        monkeypatch.setattr(
+            smt, "build_transition_graph", lambda *a, **kw: built.append(a) or build(*a, **kw)
+        )
+        system = make_random(equivalence_family(5))
+        result = rd_via_smt(system, "explicit", SolverConfig.bundled(), "binary")
+        assert len(result.queries) > 1 and len(built) == 1
+
     def test_clique_linear_query_log(self, clique2, solver_cfg):
         result = rd_via_smt(clique2, "factored", solver_cfg, "linear")
         assert result.rd == 3 and result.exact
