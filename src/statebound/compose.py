@@ -12,7 +12,8 @@ to right as bound = bound + (bound + 1) * next.
 A cluster's transition graph is built once and shared by td and the
 longest-simple-path search. rd comes from that search while it stays within
 its work budget; a configured solver's factored search answers only past
-it, or past the variable cap.
+it, or past the variable cap under tag ``rd``. A ``b1``/``b2`` cluster past
+the cap has no td to trigger rd, so it takes the state-count bound.
 """
 
 from __future__ import annotations
@@ -241,8 +242,10 @@ def _rd_detailed(
     The exhaustive search on the cluster's graph answers first, within
     ``cfg.rd_budget`` work units. The factored SMT search answers only past
     the budget, or when the graph is over ``cfg.max_vars`` (``graph`` None),
-    and only when a solver is configured. A cluster whose methods all give
-    out has no value: it falls back to td.
+    and only when a solver is configured. Only tag ``rd`` gets here without
+    a graph: a hybrid's trigger needs td, so a ``b1``/``b2`` cluster over
+    the cap falls to the state-count bound. A cluster whose methods all
+    give out has no value: it falls back to td.
     """
     if not subsystem.actions:
         return 0, 0, None
@@ -260,7 +263,6 @@ def _rd_detailed(
             encoding="factored",
             cfg=cfg.solver,
             schedule=cfg.schedule,
-            max_vars=cfg.max_vars,
         )
     except SolverError as exc:
         return None, len(exc.queries), "solver-error"
@@ -269,69 +271,43 @@ def _rd_detailed(
     return None, len(result.queries), "timeout"
 
 
-def _td_detailed(
-    subsystem: System, graph: TransitionGraph | None, cfg: BoundConfig
-) -> tuple[int | None, int, str | None]:
-    """Traversal diameter of one cluster (no solver queries); None past the cap."""
-    if graph is None:
-        return None, 0, "max-vars"
-    return traversal_diameter(graph), 0, None
-
-
-def _cluster_graph(subsystem: System, cfg: BoundConfig) -> TransitionGraph | None:
-    """The cluster's transition graph, shared by td and the search; None past
-    the variable cap."""
-    try:
-        return as_graph(subsystem, cfg.max_vars)
-    except StateSpaceTooLargeError:
-        return None
-
-
 def _base_case_detailed(
     subsystem: System, kind: BaseCaseKind, cfg: BoundConfig, var_names: tuple[str, ...]
 ) -> ClusterBound:
+    """One cluster's base value: rd when the tag asks for it, or a hybrid's
+    td says it can help; otherwise, or when rd gives out, td; the
+    state-count bound as the last resort. The cluster's graph is built once,
+    and timed with td; it is None past the variable cap, and so is td."""
     tag = kind.tag
     if tag == "exp":
         return ClusterBound(var_names, exp_bound(subsystem), "exp")
-    # The graph is built once, timed with the property that needs it first.
-    elapsed_ms = {"td": 0.0, "rd": 0.0}
-    graph, elapsed_ms["rd" if tag == "rd" else "td"] = timed_ms(_cluster_graph, subsystem, cfg)
-    rd_queries = 0
-    cause: str | None = None
-
-    def evaluate(prop: str) -> int | None:
-        """td or rd of the cluster; None (with its cause) when out of reach."""
-        nonlocal rd_queries, cause
-        detailed = _rd_detailed if prop == "rd" else _td_detailed
-        (value, queries, why), ms = timed_ms(detailed, subsystem, graph, cfg)
-        elapsed_ms[prop] += ms
-        rd_queries += queries
-        cause = cause or why
-        return value
-
-    # rd iff the tag asks for it, or a hybrid's cheap properties say it can
-    # tighten td; otherwise td; the state-count bound as the last resort.
-    value: int | None = None
-    used = "exp"
-    td = None if tag == "rd" else evaluate("td")
+    try:
+        graph, td_ms = timed_ms(as_graph, subsystem, cfg.max_vars)
+    except StateSpaceTooLargeError:
+        graph = td = None
+        td_ms = 0.0
+    else:
+        td, ms = timed_ms(traversal_diameter, graph)
+        td_ms += ms
+    value, used, rd_queries, rd_ms, cause = None, "rd", 0, 0.0, None
     if tag == "rd" or (
         tag in ("b1", "b2")
         and td is not None
         and td > kind.td_trigger
         and (tag == "b1" or exp_bound(subsystem) <= kind.rd_state_cap)
     ):
-        value, used = evaluate("rd"), "rd"
+        (value, rd_queries, cause), rd_ms = timed_ms(_rd_detailed, subsystem, graph, cfg)
     if value is None:
-        value, used = (evaluate("td") if tag == "rd" else td), "td"
+        value, used = td, "td"
     if value is None:
-        value, used = exp_bound(subsystem), "exp"
+        value, used, cause = exp_bound(subsystem), "exp", cause or "max-vars"
     return ClusterBound(
         var_names=var_names,
         value=value,
         property_used=used,
         rd_queries=rd_queries,
-        rd_time_ms=elapsed_ms["rd"],
-        td_time_ms=elapsed_ms["td"],
+        rd_time_ms=rd_ms,
+        td_time_ms=td_ms,
         cause=cause,
     )
 

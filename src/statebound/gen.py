@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Action, PartialState, System, Variable
+from .core import DEFAULT_VAR_CAP, Action, PartialState, System, Variable
 
 RNG_ALGORITHM = "splitmix64"
+# Draws per action before gen_random gives up on finding a new one.
+_RETRIES_PER_ACTION = 100
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,12 +92,12 @@ def _hub_leaf_variables(n: int) -> tuple[tuple[Variable, ...], int]:
     return variables, (1 << num_vars) - 1
 
 
-def gen_clique(m: int, max_vars: int = 20) -> System:
+def gen_clique(m: int) -> System:
     """All 2^m unconditional full-assignment actions over m variables; the
     state space is a complete digraph."""
     if m < 1:
         raise GenerationError("clique needs at least one variable")
-    if m > max_vars:
+    if m > DEFAULT_VAR_CAP:
         raise GenerationError(f"clique with {m} variables exceeds the explicit-state cap")
     variables = tuple(Variable(i, f"v{i + 1}") for i in range(m))
     mask = (1 << m) - 1
@@ -132,7 +134,7 @@ def gen_lotus(n: int) -> System:
     return System(variables, tuple(actions))
 
 
-def gen_random(spec: GeneratorSpec, max_retries_per_action: int = 100) -> System:
+def gen_random(spec: GeneratorSpec) -> System:
     """Seeded random system; identical spec yields an identical system."""
     m = spec.num_vars
     if m < 1:
@@ -152,7 +154,7 @@ def gen_random(spec: GeneratorSpec, max_retries_per_action: int = 100) -> System
     actions: list[Action] = []
     seen: set[Action] = set()
     for _ in range(spec.num_actions):
-        for _attempt in range(max_retries_per_action):
+        for _attempt in range(_RETRIES_PER_ACTION):
             pre = draw_side(spec.max_pre, 0)
             eff = draw_side(spec.max_eff, 0 if spec.allow_empty_eff else 1)
             action = Action(pre, eff)

@@ -29,13 +29,16 @@ after the scan.
 Uninterpreted sorts are decided by finite-domain grounding: a quantifier-free
 formula whose sort-valued terms are all constants is satisfiable iff it is
 satisfiable over a universe no larger than the number of those constants, so
-each constant gets a one-hot value encoding. A top-level
-``(assert (distinct c1 ... cn))`` over constants pins those constants to fixed
-distinct values (sound up to renaming the universe), and top-level predicate
-literals over pinned constants become table facts. A top-level ``or`` of
-equalities between one unpinned constant and pinned constants confines that
-constant to their values; several such disjunctions intersect, and the
-constant gets value literals for the values left only. Every atom is then
+each constant gets a one-hot value encoding. Every batch is set up by one
+loader. In the base, a top-level ``(assert (distinct c1 ... cn))`` over
+constants pins those constants to fixed distinct values (sound up to renaming
+the universe), and top-level predicate literals over pinned constants become
+table facts; a later batch pins nothing and absorbs no fact. In every batch,
+a top-level ``or`` of equalities between a sort constant the batch declares
+and pinned constants confines that constant to their values; several such
+disjunctions intersect, and the constant gets value literals for the values
+left only. A later batch must so confine each sort constant it declares.
+Every atom is then
 ground one way: by clauses that tie it, under a guard of value literals, to a
 table entry, a value literal or a known truth value; a predicate application
 gets one per value combination of its unpinned arguments. In positive
@@ -59,7 +62,7 @@ import re
 import sys
 import time
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import islice, product
 
 # The clock deadlines are read against.
 _clock = time.monotonic
@@ -663,7 +666,8 @@ class Grounder:
     checks: each check grounds only the assertions added since the last one,
     as one batch, into the same CDCL solver. The first batch is the base;
     each later one gets a selector variable that guards its top-level
-    clauses, and a check switches on the batches it is given."""
+    clauses, and a check switches on the batches it is given. Every batch,
+    the base included, is set up by ``_load``."""
 
     def __init__(self, script: Script) -> None:
         self.script = script
@@ -672,8 +676,8 @@ class Grounder:
         self.sort_consts: int | None = None  # sort constants ground so far
         self.selectors: list[int] = []  # per later batch, its selector variable
         self.guard: tuple[int, ...] = ()  # the batch being ground: (not selector,)
-        # sort constant of a later batch -> positions in script.assertions of
-        # the assertions that confine it
+        # confined sort constant -> positions in script.assertions of the
+        # assertions that confine it
         self.confined_by: dict[str, list[int]] = {}
         self.bool_var: dict[str, int] = {}
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
@@ -687,62 +691,73 @@ class Grounder:
 
     # -- setup ----------------------------------------------------------------
 
-    def prepare(self, assertions: list[tuple]) -> list[tuple]:
-        """Pin distinct base constants, confine unpinned constants to the
-        values their top-level disjunctions allow, absorb ground predicate
-        facts, and return the remaining top-level conjuncts."""
-        conjuncts: list[tuple] = []
-        for node in assertions:
-            _flatten("and", node, conjuncts)
+    def _load(self) -> list[tuple]:
+        """Set up the assertions added since the last check as a batch, and
+        return its top-level conjuncts left to assert. Only the base fixes
+        the sort sizes, pins constants and absorbs facts: a later batch's
+        fact whose table entry is already a variable must become a clause. A
+        later batch gets its selector instead. In every batch, an ``or`` of
+        equalities between a sort constant the batch declares and pinned
+        constants confines that constant to their values, and is taken as
+        its value encoding. A later batch must so confine each sort constant
+        it declares, which keeps the universe as the base fixed it."""
+        start, self.grounded = self.grounded, len(self.script.assertions)
+        conjuncts = [
+            (pos, c)
+            for pos, node in enumerate(self.script.assertions[start:], start)
+            for c in _flatten("and", node, [])
+        ]
+        # the sort constants this batch declares, in declaration order
+        new = dict.fromkeys(islice(self.script.const_sort, self.sort_consts or 0, None))
+        if self.sort_consts is None:
+            for sort, consts in self.script.sorts.items():
+                self.sort_size[sort] = max(1, len(consts))
 
-        for sort, consts in self.script.sorts.items():
-            self.sort_size[sort] = max(1, len(consts))
-
-        # Constants asserted pairwise distinct at the top level may be pinned
-        # to fixed universe values, which is sound up to renaming the
-        # universe. Build the family greedily in declaration order.
-        diseq: dict[str, set[tuple[str, str]]] = {}
-        for node in conjuncts:
-            if node[0] == "not" and node[1][0] == "eeq":
-                _, a, b = node[1]
-                diseq.setdefault(self.script.const_sort[a], set()).add((a, b))
-        for sort, consts in self.script.sorts.items():
-            pairs = diseq.get(sort, set())
-            family: list[str] = []
-            for const in consts:
-                if all(
-                    (min(const, other), max(const, other)) in pairs
-                    for other in family
-                ):
-                    family.append(const)
-            if len(family) >= 2:
-                for value, const in enumerate(family):
-                    self.fixed[const] = value
-            every = tuple(range(self.sort_size[sort]))
-            self.values.update((c, every) for c in consts if c not in self.fixed)
+            # Constants asserted pairwise distinct at the top level may be pinned
+            # to fixed universe values, which is sound up to renaming the
+            # universe. Build the family greedily in declaration order.
+            diseq: dict[str, set[tuple[str, str]]] = {}
+            for _, node in conjuncts:
+                if node[0] == "not" and node[1][0] == "eeq":
+                    _, a, b = node[1]
+                    diseq.setdefault(self.script.const_sort[a], set()).add((a, b))
+            for sort, consts in self.script.sorts.items():
+                pairs = diseq.get(sort, set())
+                family: list[str] = []
+                for const in consts:
+                    if all(
+                        (min(const, other), max(const, other)) in pairs
+                        for other in family
+                    ):
+                        family.append(const)
+                if len(family) >= 2:
+                    for value, const in enumerate(family):
+                        self.fixed[const] = value
+                every = tuple(range(self.sort_size[sort]))
+                self.values.update((c, every) for c in consts if c not in self.fixed)
+            conjuncts = [(pos, c) for pos, c in conjuncts if not self._absorbed(c)]
+        else:
+            self.selectors.append(self.sat.new_var())
+            self.guard = ((self.selectors[-1] << 1) ^ 1,)
+        self.sort_consts = len(self.script.const_sort)
 
         remaining: list[tuple] = []
-        for node in conjuncts:
-            if node[0] == "not" and node[1][0] == "eeq":
-                _, a, b = node[1]
-                if a in self.fixed and b in self.fixed:
-                    continue  # pinned values are distinct by construction
+        for pos, node in conjuncts:
             confined = self._confinement(node)
-            if confined is not None:
-                # The exactly-one encoding over these values implies node.
-                const, allowed = confined
-                self.values[const] = tuple(v for v in self.values[const] if v in allowed)
+            if confined is None or confined[0] not in new:
+                remaining.append(node)
                 continue
-            fact = self._ground_fact(node)
-            if fact is not None:
-                key, truth = fact
-                prior = self.table.get(key)
-                if isinstance(prior, bool) and prior != truth:
-                    self.sat.ok = False
-                elif prior is None or isinstance(prior, bool):
-                    self.table[key] = truth
-                continue
-            remaining.append(node)
+            # The exactly-one encoding over these values implies node.
+            const, allowed = confined
+            values = self.values.get(const, sorted(allowed))
+            self.values[const] = tuple(v for v in values if v in allowed)
+            self.confined_by.setdefault(const, []).append(pos)
+        for const in new:
+            if const not in self.values and const not in self.fixed:
+                raise SmtUnsupportedError(
+                    f"sort constant {const} declared after the first check is not confined"
+                )
+        self._encode_free_constants([c for c in self.values if c in new])
         return remaining
 
     def _confinement(self, node: tuple) -> tuple[str, set[int]] | None:
@@ -764,18 +779,21 @@ class Grounder:
             allowed.add(self.fixed[b])
         return free, allowed
 
-    def _ground_fact(self, node: tuple) -> tuple[tuple, bool] | None:
-        truth = True
-        if node[0] == "not":
-            node = node[1]
-            truth = False
-        if node[0] != "papp":
-            return None
-        _, pred, args = node
-        if all(a in self.fixed for a in args):
-            values = tuple(self.fixed[a] for a in args)
-            return (pred, values), truth
-        return None
+    def _absorbed(self, node: tuple) -> bool:
+        """Whether the base may drop ``node``: a disequality of pinned
+        constants holds by construction, and a predicate literal over pinned
+        constants becomes a table fact."""
+        truth = node[0] != "not"
+        atom = node if truth else node[1]
+        if atom[0] == "eeq":
+            return not truth and atom[1] in self.fixed and atom[2] in self.fixed
+        if atom[0] != "papp" or not all(a in self.fixed for a in atom[2]):
+            return False
+        # The base has no table variable yet: every entry is a known value.
+        key = (atom[1], tuple(self.fixed[a] for a in atom[2]))
+        if self.table.setdefault(key, truth) != truth:
+            self.sat.ok = False
+        return True
 
     # -- variable helpers -------------------------------------------------------
 
@@ -1019,26 +1037,11 @@ class Grounder:
         """Ground the assertions added since the last check as one batch and
         decide the base, that batch, and the earlier later batches numbered
         in ``batches`` (positions in ``selectors``; all of them when None),
-        solving under their selectors as assumptions. The base fixes the
-        sort sizes, pins constants and absorbs facts. A later batch goes
-        through ``assert_top`` only, since a fact whose table entry is
-        already a variable must become a clause. It may declare a sort
-        constant only when the same batch confines it to pinned values; that
-        keeps the universe as the base fixed it, and the constant stays
+        solving under their selectors as assumptions. Every batch is set up
+        by ``_load``; a sort constant that a later batch confines stays
         confined in every later check. A check cut short by SolverTimeout
         leaves its batch half ground: check no further."""
-        start = self.grounded
-        batch = self.script.assertions[start:]
-        self.grounded = len(self.script.assertions)
-        if self.sort_consts is None:
-            remaining = self.prepare(batch)
-            self._encode_free_constants(self.values)
-        else:
-            self.selectors.append(self.sat.new_var())
-            self.guard = ((self.selectors[-1] << 1) ^ 1,)
-            remaining = self._confine_new(batch, start)
-        self.sort_consts = len(self.script.const_sort)
-        for node in remaining:
+        for node in self._load():
             if not self.sat.ok:
                 break
             _check_deadline(deadline)
@@ -1055,32 +1058,6 @@ class Grounder:
         their selectors become true at level 0."""
         for b in batches:
             self.sat.add_clause([self.selectors[b] << 1])
-
-    def _confine_new(self, batch: list[tuple], start: int) -> list[tuple]:
-        """A later batch's assertions, from position ``start`` of the script,
-        less the confinements of the sort constants it declares, which are
-        taken as those constants' value encodings."""
-        new = list(self.script.const_sort)[self.sort_consts :]
-        if not new:
-            return batch
-        remaining: list[tuple] = []
-        for pos, node in enumerate(batch, start):
-            for conjunct in _flatten("and", node, []):
-                confined = self._confinement(conjunct)
-                if confined is None or confined[0] not in new:
-                    remaining.append(conjunct)
-                    continue
-                const, allowed = confined
-                values = self.values.get(const, sorted(allowed))
-                self.values[const] = tuple(v for v in values if v in allowed)
-                self.confined_by.setdefault(const, []).append(pos)
-        for const in new:
-            if const not in self.confined_by:
-                raise SmtUnsupportedError(
-                    f"sort constant {const} declared after the first check is not confined"
-                )
-        self._encode_free_constants(new)
-        return remaining
 
     def model_lines(self) -> list[str]:
         lines = []

@@ -385,17 +385,15 @@ class ConjectureVerdict:
         return self.status == "counterexample"
 
 
-def check_conjecture(
-    system: System,
-    max_vars: int = DEFAULT_VAR_CAP,
-    budget: int = DEFAULT_RD_BUDGET,
-) -> ConjectureVerdict:
-    """Check that td in {0, 1, 2} forces td == rd; vacuous when td > 2."""
-    graph = build_transition_graph(system, max_vars=max_vars)
+def check_conjecture(system: System) -> ConjectureVerdict:
+    """Check that td in {0, 1, 2} forces td == rd; vacuous when td > 2.
+    The graph is built within the default variable cap, and the search runs
+    within the default work budget."""
+    graph = build_transition_graph(system)
     td = traversal_diameter(graph)
     if td > 2:
         return ConjectureVerdict(status="vacuous", td=td)
-    rd, witness = longest_simple_path(graph, budget=budget)
+    rd, witness = longest_simple_path(graph)
     if rd == td:
         return ConjectureVerdict(status="holds", td=td, rd=rd, witness=tuple(witness))
     return ConjectureVerdict(status="counterexample", td=td, rd=rd, witness=tuple(witness))

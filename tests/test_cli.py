@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from statebound import cli, minisolver, oracle
+from statebound import cli, minisolver, oracle, smt
 from statebound.cli import main
 from statebound.gen import gen_lotus
 from statebound.io import serialize_system
@@ -144,6 +144,24 @@ class TestRd:
             "phi1_k1.smt2",
             "phi1_k2.smt2",
         ]
+
+    def test_emit_smt_explicit_builds_one_graph(self, capsys, tmp_path, monkeypatch):
+        builds = []
+        build = smt.build_transition_graph
+        monkeypatch.setattr(
+            smt, "build_transition_graph", lambda *a, **kw: builds.append(a) or build(*a, **kw)
+        )
+        gen_args = ["--gen", "random", "--seed", "3", "--vars", "10", "--actions", "6"]
+        code, _, _ = run(
+            capsys, "rd", *gen_args, "--encoding", "explicit", "--emit-smt", str(tmp_path)
+        )
+        assert code == 0 and len(builds) == 1
+        monkeypatch.undo()
+        system, _ = cli._load_system(cli.build_parser().parse_args(["rd", *gen_args]))
+        assert len(list(tmp_path.iterdir())) == 12
+        for k in range(1, 13):
+            doc = smt.encode(system, k, "explicit")
+            assert (tmp_path / doc.script_name()).read_text(encoding="utf-8") == doc.rendering
 
     def test_missing_solver_is_hard_failure(self, capsys):
         code, _, err = run(

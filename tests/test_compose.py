@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statebound import oracle
 from statebound.compose import (
     BASE_TAGS,
     BaseCaseKind,
@@ -226,6 +227,17 @@ _POLICY_TABLE = {
         "lotus7": "exp:7 exp:7! exp:7! exp:7! exp:7!",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
+    # past the cap the solver answers tag rd, but a hybrid's trigger needs
+    # td, which needs the graph; the b1/b2 cells pin that known gap (a FOUND
+    # in CHANGES.md, ROADMAP item 4): such a cluster never asks the solver
+    "max_vars=1 with a solver": (
+        {}, BoundConfig(max_vars=1, solver=SolverConfig.bundled()), "max-vars", {
+            "clique2": "exp:3 exp:3! rd:3 exp:3! exp:3!",
+            "star3": "exp:3 exp:3! rd:1 exp:3! exp:3!",
+            "lotus7": "exp:7 exp:7! rd:2 exp:7! exp:7!",
+            "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
+        },
+    ),
     # no solver and the search over its budget: rd falls back to td
     "rd_budget=1": ({}, BoundConfig(rd_budget=1), "budget", {
         "clique2": "exp:3 td:3 td:3! td:3! td:3!",
@@ -262,6 +274,38 @@ def test_base_case_policy_table(setting, request):
             report = compositional_bound(systems[name], BaseCaseKind(tag, **kind_args), cfg)
             got = {(c.value, c.property_used, c.cause) for c in report.per_cluster}
             assert got == {want}, (name, tag)
+
+
+# tag -> (graph builds, condensations, searches) on toggles2's two clusters
+# and on lotus7's one: at most one of each per cluster, and a search only
+# where the tag asks for rd
+_ONE_EACH = {
+    "exp": ((0, 0, 0), (0, 0, 0)),
+    "td": ((2, 2, 0), (1, 1, 0)),
+    "rd": ((2, 2, 2), (1, 1, 1)),
+    "b1": ((2, 2, 0), (1, 1, 1)),
+    "b2": ((2, 2, 0), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("tag", BASE_TAGS)
+def test_one_graph_one_condensation_one_search(tag, toggles2, monkeypatch):
+    names = ("build_transition_graph", "_condensation_dp", "_search_longest_simple_path")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    for system, want in zip((toggles2, gen_lotus(7)), _ONE_EACH[tag]):
+        calls.update(dict.fromkeys(names, 0))
+        compositional_bound(system, BaseCaseKind(tag))
+        assert tuple(calls.values()) == want, system
 
 
 class TestComposeValues:
