@@ -39,7 +39,7 @@ from .smt import (
     SolverError,
     encode,
     rd_via_smt,
-    state_table,
+    steps_of,
 )
 
 EXIT_OK = 0
@@ -180,10 +180,10 @@ def cmd_rd(args: argparse.Namespace) -> int:
         if max_k < 1:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Every explicit script shares one graph and its table lines.
-        table = state_table(system, args.max_vars) if args.encoding == "explicit" else None
+        # Every script is assembled from one set of steps: one graph, one table.
+        steps = steps_of(system, args.encoding, args.max_vars)
         for k in range(1, max_k + 1):
-            doc = encode(system, k, args.encoding, args.max_vars, table)
+            doc = encode(system, k, args.encoding, args.max_vars, steps)
             (out_dir / doc.script_name()).write_text(doc.rendering, encoding="utf-8")
         print(f"wrote {max_k} scripts to {out_dir}")
         return EXIT_OK

@@ -2,21 +2,21 @@
 package emits: Boolean constants plus uninterpreted sorts whose terms are all
 constants (QF_UF without non-constant function terms of sort kind).
 
-``smt`` calls it in-process through ``check_text``, with a deadline taken
-from the query timeout. Given the ``Grounder`` of an earlier script,
-``check_text`` reads the new text as more commands of that script, one batch
-of them. The first batch is the base; the top-level clauses of each later
-batch are guarded by a selector variable of their own, so a check decides
-the base, the new batch and whichever earlier batches it switches on, as
-assumptions of the same CDCL solver. The solver keeps the clauses,
-activities and phases it already has, and since assumptions are only
-decisions, every learned clause stays valid. ``smt`` keeps one grounder per
-``rd`` search this way. It also runs as a separate process
-(``statebound-solve`` or ``python -m statebound.minisolver``), which reads a
-script from a file argument or stdin and prints ``sat``/``unsat``/``unknown``
-followed by a model when the script asks for one. It exists so the
-solver-driving pipeline works out of the box; any real SMT-LIB 2 solver
-(Yices, Z3, cvc5, ...) can be configured instead.
+A ``Grounder`` turns a ``Script``'s assertions into CNF batch by batch, into
+one CDCL solver. The first batch is the base; the top-level clauses of each
+later batch are guarded by a selector variable of their own, so a solve
+decides the base and whichever later batches it switches on, as
+assumptions. The solver keeps the clauses, activities and phases it already
+has, and since assumptions are only decisions, every learned clause stays
+valid. ``smt`` keeps one grounder per ``rd`` search, and fills its script
+through ``Script.declare_*`` and ``Script.assertions`` with the terms each
+step adds, so no query of a search is read as text. ``check_text`` reads a
+script's text instead, fresh or as one more batch of a given grounder. The
+solver also runs as a separate process (``statebound-solve`` or ``python -m
+statebound.minisolver``), which reads a script from a file argument or stdin
+and prints ``sat``/``unsat``/``unknown`` followed by a model when the script
+asks for one. It exists so the solver-driving pipeline works out of the box;
+any real SMT-LIB 2 solver (Yices, Z3, cvc5, ...) can be configured instead.
 
 A script is read by one regex scan of the whole text, after which the
 s-expression trees are built. A deadline is a ``time.monotonic()`` value
@@ -124,13 +124,6 @@ def parse_sexprs(text: str, deadline: float | None = None) -> list:
     if len(stack) != 1:
         raise SmtFormatError("unbalanced '('")
     return stack[0]
-
-
-def symbols(text: str) -> set[str]:
-    """Every symbol ``text`` uses, read as ``parse_sexprs`` reads them."""
-    return {
-        tok[1:-1] if tok[0] == "|" else tok for tok in _TOKEN.findall(text) if tok[0] not in '();"'
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +656,10 @@ class Script:
 
 class Grounder:
     """Compile a Script to CNF and decide it. The script may grow between
-    checks: each check grounds only the assertions added since the last one,
+    solves: ``ground`` grounds only the assertions added since its last call,
     as one batch, into the same CDCL solver. The first batch is the base;
     each later one gets a selector variable that guards its top-level
-    clauses, and a check switches on the batches it is given. Every batch,
+    clauses, and ``solve`` switches on the batches it is given. Every batch,
     the base included, is set up by ``_load``."""
 
     def __init__(self, script: Script) -> None:
@@ -676,9 +669,6 @@ class Grounder:
         self.sort_consts: int | None = None  # sort constants ground so far
         self.selectors: list[int] = []  # per later batch, its selector variable
         self.guard: tuple[int, ...] = ()  # the batch being ground: (not selector,)
-        # confined sort constant -> positions in script.assertions of the
-        # assertions that confine it
-        self.confined_by: dict[str, list[int]] = {}
         self.bool_var: dict[str, int] = {}
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
         self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
@@ -702,11 +692,7 @@ class Grounder:
         its value encoding. A later batch must so confine each sort constant
         it declares, which keeps the universe as the base fixed it."""
         start, self.grounded = self.grounded, len(self.script.assertions)
-        conjuncts = [
-            (pos, c)
-            for pos, node in enumerate(self.script.assertions[start:], start)
-            for c in _flatten("and", node, [])
-        ]
+        conjuncts = [c for node in self.script.assertions[start:] for c in _flatten("and", node, [])]
         # the sort constants this batch declares, in declaration order
         new = dict.fromkeys(islice(self.script.const_sort, self.sort_consts or 0, None))
         if self.sort_consts is None:
@@ -717,7 +703,7 @@ class Grounder:
             # to fixed universe values, which is sound up to renaming the
             # universe. Build the family greedily in declaration order.
             diseq: dict[str, set[tuple[str, str]]] = {}
-            for _, node in conjuncts:
+            for node in conjuncts:
                 if node[0] == "not" and node[1][0] == "eeq":
                     _, a, b = node[1]
                     diseq.setdefault(self.script.const_sort[a], set()).add((a, b))
@@ -735,14 +721,14 @@ class Grounder:
                         self.fixed[const] = value
                 every = tuple(range(self.sort_size[sort]))
                 self.values.update((c, every) for c in consts if c not in self.fixed)
-            conjuncts = [(pos, c) for pos, c in conjuncts if not self._absorbed(c)]
+            conjuncts = [c for c in conjuncts if not self._absorbed(c)]
         else:
             self.selectors.append(self.sat.new_var())
             self.guard = ((self.selectors[-1] << 1) ^ 1,)
         self.sort_consts = len(self.script.const_sort)
 
         remaining: list[tuple] = []
-        for pos, node in conjuncts:
+        for node in conjuncts:
             confined = self._confinement(node)
             if confined is None or confined[0] not in new:
                 remaining.append(node)
@@ -751,7 +737,6 @@ class Grounder:
             const, allowed = confined
             values = self.values.get(const, sorted(allowed))
             self.values[const] = tuple(v for v in values if v in allowed)
-            self.confined_by.setdefault(const, []).append(pos)
         for const in new:
             if const not in self.values and const not in self.fixed:
                 raise SmtUnsupportedError(
@@ -1033,38 +1018,44 @@ class Grounder:
 
     # -- main entry -----------------------------------------------------------
 
-    def check(self, deadline: float | None = None, batches: list[int] | None = None) -> str:
-        """Ground the assertions added since the last check as one batch and
-        decide the base, that batch, and the earlier later batches numbered
-        in ``batches`` (positions in ``selectors``; all of them when None),
-        solving under their selectors as assumptions. Every batch is set up
-        by ``_load``; a sort constant that a later batch confines stays
-        confined in every later check. A check cut short by SolverTimeout
-        leaves its batch half ground: check no further."""
+    def ground(self, deadline: float | None = None) -> None:
+        """Ground the assertions added since the last call as one batch, set
+        up by ``_load``: the first is the base, each later one is guarded by
+        the next selector. A sort constant that a later batch confines stays
+        confined in every later batch. A call cut short by SolverTimeout
+        leaves its batch half ground: use the grounder no further."""
         for node in self._load():
             if not self.sat.ok:
                 break
             _check_deadline(deadline)
             self.assert_top(node)
+
+    def solve(self, deadline: float | None = None, batches: list[int] | range | None = None) -> str:
+        """Decide the base and the later batches numbered in ``batches``
+        (positions in ``selectors``; all of them when None), under their
+        selectors as assumptions."""
         if not self.sat.ok:
             return "unsat"
-        on = self.selectors
-        if batches is not None:
-            on = [self.selectors[b] for b in batches] + self.selectors[-1:]
+        on = self.selectors if batches is None else [self.selectors[b] for b in batches]
         return "sat" if self.sat.solve(deadline, *(s << 1 for s in on)) else "unsat"
 
-    def fix(self, batches: list[int]) -> None:
+    def fix(self, batches: list[int] | range) -> None:
         """Switch the later batches numbered in ``batches`` on for good:
         their selectors become true at level 0."""
         for b in batches:
             self.sat.add_clause([self.selectors[b] << 1])
 
+    def bool_values(self, names: list[str]) -> dict[str, bool]:
+        """The model's value of each Boolean constant named; one that no
+        clause mentions is false."""
+        var, value = self.bool_var, self.sat.value
+        return {name: name in var and value[var[name]] == 1 for name in names}
+
     def model_lines(self) -> list[str]:
-        lines = []
-        for name in self.script.bool_consts:
-            var = self.bool_var.get(name)
-            value = self.sat.value[var] == 1 if var is not None else False
-            lines.append(f"  (define-fun {name} () Bool {'true' if value else 'false'})")
+        lines = [
+            f"  (define-fun {name} () Bool {'true' if value else 'false'})"
+            for name, value in self.bool_values(self.script.bool_consts).items()
+        ]
         for sort, consts in self.script.sorts.items():
             by_value = {v: c for c, v in self.fixed.items() if self.script.const_sort[c] == sort}
             for const in consts:
@@ -1101,8 +1092,7 @@ def interpret(
     unsupported. Given the grounder of an earlier script, the text's
     commands extend that script as a new batch, and the check re-solves its
     CDCL solver with what it has learned, with the base, the new batch and
-    the earlier ``batches`` switched on, all of them when None (see
-    ``Grounder.check``)."""
+    the earlier ``batches`` switched on, all of them when None."""
     grounder = grounder or Grounder(Script())
     script = grounder.script
     script.has_check = script.wants_model = False
@@ -1139,7 +1129,10 @@ def interpret(
             raise SmtUnsupportedError(f"unsupported command {head!r}")
     if not script.has_check:
         raise SmtFormatError("script has no (check-sat)")
-    status = grounder.check(deadline, batches)
+    grounder.ground(deadline)
+    if batches is not None:
+        batches = [*batches, *range(len(grounder.selectors))[-1:]]  # and the new batch
+    status = grounder.solve(deadline, batches)
     model = grounder.model_lines() if status == "sat" and script.wants_model else []
     return status, model
 
@@ -1148,14 +1141,13 @@ def check_text(
     text: str,
     deadline: float | None = None,
     grounder: Grounder | None = None,
-    batches: list[int] | None = None,
 ) -> tuple[str, list[str], str]:
     """The solver's answer to a script, fresh or extending ``grounder``'s as
     in ``interpret``: (status, model lines, reason). A script outside the
     supported fragment, or malformed, is ``unknown`` with the reason; a
     passed deadline raises SolverTimeout."""
     try:
-        status, lines = interpret(text, deadline, grounder, batches)
+        status, lines = interpret(text, deadline, grounder)
     except (SmtUnsupportedError, SmtFormatError) as exc:
         return "unknown", [], str(exc)
     return status, lines, ""

@@ -6,24 +6,20 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 * explicit — an uninterpreted state sort with one constant per valid state,
   an edge predicate tabulated over the whole state space, and a chain of k+1
   pairwise-distinct step constants. Script size grows with the square of the
-  state-space size. The part that does not depend on k is a ``StateTable``;
-  one search builds it, and so the transition graph, once for all its
-  queries, each of which is still a whole script.
+  state-space size.
 * factored — Boolean per-step action and variable constants with frame
   equivalences, so the solver explores the state space lazily. Script size
   grows with k * (actions * variables + k * variables).
 
-The bundled solver (``SolverConfig.bundled()``, the default) answers each
-query in the calling thread, under a deadline that ``minisolver`` checks
-against the clock. One search keeps one ``SolverSession`` with it, and so
-one grounder: the first query is its base, and each later query loads only
-its lines not loaded yet, as a batch guarded by a selector literal. The CDCL
-solver decides each query under assumptions that switch on exactly the
-batches whose lines the query holds, and keeps what it learned. So the
-explicit query for k + 1 reads and grounds its new step, not the state
-table, and a bisection back down reuses the session too. A query that lacks
-a base line or a confining line, or that follows a timeout or error, starts
-fresh. Any other command spawns one solver process per query, and the first
+The query for k is the query for k - 1 plus one step. A ``Steps`` builder
+makes the base and each step once per search, every declaration and
+assertion both as its line and as what ``minisolver`` reads from it, and the
+encoders assemble a query's lines from them. The bundled solver
+(``SolverConfig.bundled()``, the default) runs in the calling thread, under
+a deadline it checks against the clock. Through a ``SolverSession`` it
+grounds each step once per search, from its terms, and no query is rendered
+or read as text; without one, it reads the rendered script. Any other
+command is spawned once per query, fed the rendered script, and the first
 token it prints is read back. Satisfiability is monotone in k, so one search
 narrows a bracket between the largest k known sat and the smallest k known
 unsat; the linear or binary schedule only picks the next k to ask.
@@ -31,14 +27,16 @@ unsat; the linear or binary schedule only picks the next k to ask.
 
 from __future__ import annotations
 
+import operator
 import os
 import shlex
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import minisolver
 from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_graph, timed_ms
@@ -56,10 +54,31 @@ class SolverError(RuntimeError):
         self.queries = queries
 
 
+@dataclass(frozen=True, eq=False)
+class Step:
+    """What one step adds to a query, or the base of every query, as SMT-LIB
+    lines and as what ``minisolver`` reads from each: the ``Script.declare_*``
+    call of a declaration, method name first, and the term of an assertion."""
+
+    declarations: tuple[str, ...]
+    assertions: tuple[str, ...]
+    declared: tuple[tuple, ...]
+    terms: tuple[tuple, ...]
+
+    @classmethod
+    def of(cls, declarations: list[tuple], assertions: list[tuple]) -> "Step":
+        """The step of these (line, reading) pairs."""
+        decls, calls = zip(*declarations) if declarations else ((), ())
+        asserts, terms = zip(*assertions) if assertions else ((), ())
+        return cls(decls, asserts, calls, terms)
+
+
 @dataclass(frozen=True)
 class SmtDocument:
     """A self-contained SMT-LIB 2 script: set-logic, declarations, assertions
-    and exactly one (check-sat)."""
+    and exactly one (check-sat). ``steps`` are the steps 0..k an encoder
+    assembled it from, neither compared nor rendered; only ``_assembled``
+    sets them, so a document changed by ``dataclasses.replace`` has none."""
 
     logic: str
     declarations: tuple[str, ...]
@@ -67,76 +86,120 @@ class SmtDocument:
     encoding: str  # "explicit" | "factored"
     k: int
     get_model: bool = False
+    steps: tuple[Step, ...] = field(default=(), init=False, compare=False, repr=False)
 
     @cached_property
     def rendering(self) -> str:
-        heading = [f"(set-logic {self.logic})", *self.declarations]
-        return _script_text(heading, self.assertions, self.get_model)
+        lines = [f"(set-logic {self.logic})", *self.declarations]
+        lines += [f"(assert {body})" for body in self.assertions]
+        lines.append("(check-sat)")
+        if self.get_model:
+            lines.append("(get-model)")
+        return "\n".join(lines) + "\n"
 
     def script_name(self) -> str:
         tag = 1 if self.encoding == "explicit" else 2
         return f"phi{tag}_k{self.k}.smt2"
 
 
-def _script_text(
-    declarations: list[str], assertions: tuple[str, ...] | list[str], get_model: bool
-) -> str:
-    """The lines of a script, or of the part that extends one: the
-    declarations, an ``(assert ...)`` per assertion, ``(check-sat)``, and
-    ``(get-model)`` when asked for."""
-    lines = declarations + [f"(assert {body})" for body in assertions]
-    lines.append("(check-sat)")
-    if get_model:
-        lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+def _assembled(steps: tuple[Step, ...], decls: list, asserts: list, encoding: str, get_model: bool):
+    """The query for k = len(steps) - 1 of these lines of ``steps``, carrying them."""
+    doc = SmtDocument("QF_UF", tuple(decls), tuple(asserts), encoding, len(steps) - 1, get_model)
+    object.__setattr__(doc, "steps", steps)
+    return doc
 
 
-def _or_term(parts: list[str]) -> str:
+# Each helper below gives a (line, term) pair: an SMT-LIB term, and the tuple
+# that ``minisolver.Script.parse_term`` reads from it, desugared the same way.
+
+
+def _bool(name: str) -> tuple:
+    return name, ("bvar", name)
+
+
+def _not(x: tuple) -> tuple:
+    return f"(not {x[0]})", ("not", x[1])
+
+
+def _nary(op: str, unit: str, parts: list[tuple]) -> tuple:
+    """``(op parts...)``; ``unit`` for no parts, and the part itself for one."""
     if not parts:
-        return "false"
+        return unit, (unit,)
     if len(parts) == 1:
         return parts[0]
-    return "(or " + " ".join(parts) + ")"
+    return f"({op} " + " ".join(line for line, _ in parts) + ")", (op, tuple(t for _, t in parts))
 
 
-def _and_term(parts: list[str]) -> str:
-    if not parts:
-        return "true"
-    if len(parts) == 1:
-        return parts[0]
-    return "(and " + " ".join(parts) + ")"
+def _implies(a: tuple, b: tuple) -> tuple:
+    return f"(=> {a[0]} {b[0]})", ("or", (("not", a[1]), b[1]))
 
 
-@dataclass(frozen=True)
-class StateTable:
-    """The lines of an explicit query that do not depend on k: the state
-    sort and one constant per state, declared, and the assertions that the
-    constants are distinct and that tabulate the edge predicate over every
-    ordered state pair."""
-
-    num_states: int
-    declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
+def _iff(a: tuple, b: tuple) -> tuple:
+    """``(= a b)`` over Booleans."""
+    return f"(= {a[0]} {b[0]})", ("and", (("or", (("not", a[1]), b[1])), ("or", (a[1], ("not", b[1])))))
 
 
-def state_table(system: System, max_vars: int = DEFAULT_VAR_CAP) -> StateTable:
-    """The explicit transition graph of ``system`` as a ``StateTable``."""
+def _xor(a: tuple, b: tuple) -> tuple:
+    return f"(xor {a[0]} {b[0]})", ("and", (("or", (a[1], b[1])), ("or", (("not", a[1]), ("not", b[1])))))
+
+
+def _equal(a: str, b: str) -> tuple:
+    """``(= a b)`` over two distinct sort constants."""
+    return f"(= {a} {b})", ("eeq", min(a, b), max(a, b))
+
+
+def _edge(a: str, b: str) -> tuple:
+    return f"(G {a} {b})", ("papp", "G", (a, b))
+
+
+def _fun(name: str, sort: str, *args: str) -> tuple:
+    """A ``declare-fun`` line and its call."""
+    return f"(declare-fun {name} ({' '.join(args)}) {sort})", ("declare_fun", name, args, sort)
+
+
+class Steps:
+    """The base (step 0) and the later steps of one encoding of one system,
+    each built once, when a query first needs it; ``step(i)`` builds step i."""
+
+    def __init__(self, base: Step, step: Callable[[int], Step]) -> None:
+        self._built, self._step = [base], step
+
+    def upto(self, k: int) -> tuple[Step, ...]:
+        """Steps 0..k, for the query for k."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        while len(self._built) <= k:
+            self._built.append(self._step(len(self._built)))
+        return tuple(self._built[: k + 1])
+
+
+def _explicit_steps(system: System, max_vars: int) -> Steps:
+    """The base holds the state sort, one constant per state, asserted
+    distinct, the edge predicate tabulated over every ordered state pair,
+    and y1; step i adds y_{i+1}, the edge (y_i, y_{i+1}), y_{i+1} distinct
+    from y_1..y_i, and y_{i+1} confined to the states."""
     graph = build_transition_graph(system, max_vars=max_vars)
-    n = graph.num_states
-    decls = ["(declare-sort S 0)", *(f"(declare-fun s{i} () S)" for i in range(n))]
-    assertions: list[str] = []
-    if n >= 2:
-        assertions.append("(distinct " + " ".join(f"s{i}" for i in range(n)) + ")")
-    edge_set = set()
-    for u, succs in enumerate(graph.adj):
-        for v in succs:
-            edge_set.add((u, v))
-            assertions.append(f"(G s{u} s{v})")
-    for u in range(n):
-        for v in range(n):
-            if (u, v) not in edge_set:
-                assertions.append(f"(not (G s{u} s{v}))")
-    return StateTable(n, tuple(decls), tuple(assertions))
+    states = [f"s{u}" for u in range(graph.num_states)]
+
+    def confined(y: str) -> tuple:
+        return _nary("or", "false", [_equal(y, s) for s in states])
+
+    def step(i: int) -> Step:
+        y = f"y{i + 1}"
+        distinct = [_not(_equal(f"y{p}", y)) for p in range(1, i + 1)]
+        return Step.of([_fun(y, "S")], [_edge(f"y{i}", y), *distinct, confined(y)])
+
+    decls = [("(declare-sort S 0)", ("declare_sort", "S", "0")), *(_fun(s, "S") for s in states)]
+    decls += [_fun("y1", "S"), _fun("G", "Bool", "S", "S")]
+    asserts = []
+    if len(states) >= 2:
+        pairs = [_not(_equal(a, b)) for i, a in enumerate(states) for b in states[i + 1 :]]
+        asserts.append((f"(distinct {' '.join(states)})", _nary("and", "true", pairs)[1]))
+    asserts += [_edge(states[u], states[v]) for u, succs in enumerate(graph.adj) for v in succs]
+    for a, succs in zip(states, map(set, graph.adj)):
+        asserts += [_not(_edge(a, b)) for v, b in enumerate(states) if v not in succs]
+    asserts.append(confined("y1"))
+    return Steps(Step.of(decls, asserts), step)
 
 
 def encode_explicit(
@@ -144,36 +207,21 @@ def encode_explicit(
     k: int,
     max_vars: int = DEFAULT_VAR_CAP,
     get_model: bool = False,
-    table: StateTable | None = None,
+    steps: Steps | None = None,
 ) -> SmtDocument:
     """Whole-state-space encoding: satisfiable iff a simple path with k edges
-    exists. The script enumerates every ordered state pair, from ``table``,
-    or from the explicit transition graph, built here, when None."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if table is None:
-        table = state_table(system, max_vars)
-    n = table.num_states
-    decls = [*table.declarations]
-    decls.extend(f"(declare-fun y{i} () S)" for i in range(1, k + 2))
-    decls.append("(declare-fun G (S S) Bool)")
-
-    assertions = [*table.assertions]
-    for i in range(1, k + 1):
-        assertions.append(f"(G y{i} y{i + 1})")
-    for i in range(1, k + 2):
-        for j in range(i + 1, k + 2):
-            assertions.append(f"(not (= y{i} y{j}))")
-    for i in range(1, k + 2):
-        assertions.append(_or_term([f"(= y{i} s{u})" for u in range(n)]))
-    return SmtDocument(
-        logic="QF_UF",
-        declarations=tuple(decls),
-        assertions=tuple(assertions),
-        encoding="explicit",
-        k=k,
-        get_model=get_model,
-    )
+    exists. The script enumerates every ordered state pair. It is assembled
+    from ``steps``, or from a builder made here, which builds the explicit
+    transition graph, when None."""
+    steps = (steps or _explicit_steps(system, max_vars)).upto(k)
+    base, later = steps[0], steps[1:]
+    # The base's declarations end with y1 and G; its assertions with y1's confinement.
+    decls = [*base.declarations[:-1], *(s.declarations[0] for s in later), base.declarations[-1]]
+    asserts = [*base.assertions[:-1], *(s.assertions[0] for s in later)]
+    # (not (= y_p y_q)) for p < q, which step q - 1 adds as its p-th assertion
+    asserts += [steps[q - 1].assertions[p] for p in range(1, k + 2) for q in range(p + 1, k + 2)]
+    asserts += [s.assertions[-1] for s in steps]
+    return _assembled(steps, decls, asserts, "explicit", get_model)
 
 
 def _var_symbol(var_id: int, step: int) -> str:
@@ -184,61 +232,65 @@ def _action_symbol(action_index: int, step: int) -> str:
     return f"a{action_index}_s{step}"
 
 
-def encode_factored(system: System, k: int, get_model: bool = False) -> SmtDocument:
-    """Factored encoding over per-step Boolean constants: an action constant
-    implies its preconditions now, its effects next, and frame equivalences
-    for untouched variables; some action fires each step; every pair of steps
-    differs in some variable."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    domain = system.domain
-    actions = system.actions
+def _factored_steps(system: System) -> Steps:
+    """The base declares the variables at step 1; step i declares them at
+    step i + 1 and the actions at step i, then asserts, per action, that it
+    implies its preconditions at i, its effects at i + 1 and frame
+    equivalences for the variables it leaves; that some action fires at i;
+    and, per earlier step p, that the state at p differs from the state at
+    i + 1 in some variable."""
+    domain, actions = system.domain, system.actions
 
-    decls: list[str] = []
-    for var_id in domain:
-        decls.extend(
-            f"(declare-fun {_var_symbol(var_id, i)} () Bool)" for i in range(1, k + 2)
-        )
-    for j in range(len(actions)):
-        decls.extend(
-            f"(declare-fun {_action_symbol(j, i)} () Bool)" for i in range(1, k + 1)
-        )
+    def var(var_id: int, step: int) -> tuple:
+        return _bool(_var_symbol(var_id, step))
 
-    def literal(var_id: int, value: bool, step: int) -> str:
-        name = _var_symbol(var_id, step)
-        return name if value else f"(not {name})"
+    def literal(var_id: int, value: bool, step: int) -> tuple:
+        return var(var_id, step) if value else _not(var(var_id, step))
 
-    assertions: list[str] = []
-    for i in range(1, k + 1):
+    def step(i: int) -> Step:
+        decls = [_fun(_var_symbol(v, i + 1), "Bool") for v in domain]
+        decls += [_fun(_action_symbol(j, i), "Bool") for j in range(len(actions))]
+        asserts = []
         for j, action in enumerate(actions):
             parts = [literal(v, val, i) for v, val in action.pre.items()]
             parts += [literal(v, val, i + 1) for v, val in action.eff.items()]
-            parts += [
-                f"(= {_var_symbol(v, i)} {_var_symbol(v, i + 1)})"
-                for v in domain
-                if v not in action.eff
-            ]
-            assertions.append(f"(=> {_action_symbol(j, i)} {_and_term(parts)})")
-    for i in range(1, k + 1):
-        assertions.append(_or_term([_action_symbol(j, i) for j in range(len(actions))]))
-    for i in range(1, k + 2):
-        for j in range(i + 1, k + 2):
-            assertions.append(
-                _or_term(
-                    [
-                        f"(xor {_var_symbol(v, i)} {_var_symbol(v, j)})"
-                        for v in domain
-                    ]
-                )
-            )
-    return SmtDocument(
-        logic="QF_UF",
-        declarations=tuple(decls),
-        assertions=tuple(assertions),
-        encoding="factored",
-        k=k,
-        get_model=get_model,
-    )
+            parts += [_iff(var(v, i), var(v, i + 1)) for v in domain if v not in action.eff]
+            asserts.append(_implies(_bool(_action_symbol(j, i)), _nary("and", "true", parts)))
+        asserts.append(_nary("or", "false", [_bool(_action_symbol(j, i)) for j in range(len(actions))]))
+        for p in range(1, i + 1):
+            asserts.append(_nary("or", "false", [_xor(var(v, p), var(v, i + 1)) for v in domain]))
+        return Step.of(decls, asserts)
+
+    return Steps(Step.of([_fun(_var_symbol(v, 1), "Bool") for v in domain], []), step)
+
+
+def encode_factored(
+    system: System, k: int, get_model: bool = False, steps: Steps | None = None
+) -> SmtDocument:
+    """Factored encoding over per-step Boolean constants: an action constant
+    implies its preconditions now, its effects next, and frame equivalences
+    for untouched variables; some action fires each step; every pair of steps
+    differs in some variable. Assembled from ``steps``, or from a builder
+    made here when None."""
+    steps = (steps or _factored_steps(system)).upto(k)
+    later = steps[1:]
+    nv, na = len(system.domain), len(system.actions)
+    decls = [s.declarations[x] for x in range(nv) for s in steps]
+    decls += [s.declarations[nv + j] for j in range(na) for s in later]
+    asserts = [s.assertions[j] for s in later for j in range(na)]
+    asserts += [s.assertions[na] for s in later]
+    # the differences of steps p < q, which step q - 1 adds after its na + 1 others
+    asserts += [steps[q - 1].assertions[na + p] for p in range(1, k + 2) for q in range(p + 1, k + 2)]
+    return _assembled(steps, decls, asserts, "factored", get_model)
+
+
+def steps_of(system: System, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> Steps:
+    """The step builder of ``encoding`` for ``system``; an explicit one builds its graph here."""
+    if encoding == "explicit":
+        return _explicit_steps(system, max_vars)
+    if encoding == "factored":
+        return _factored_steps(system)
+    raise ValueError(f"unknown encoding {encoding!r}")
 
 
 ENCODINGS = ("explicit", "factored")
@@ -249,15 +301,15 @@ def encode(
     k: int,
     encoding: str,
     max_vars: int = DEFAULT_VAR_CAP,
-    table: StateTable | None = None,
+    steps: Steps | None = None,
 ) -> SmtDocument:
-    """The query for k in ``encoding``; an explicit one builds on ``table``
-    when given. The encoders are looked up as module globals at each call,
-    so a wrapper set on them applies here too."""
+    """The query for k in ``encoding``, assembled from ``steps`` when given.
+    The encoders are looked up as module globals at each call, so a wrapper
+    set on them applies here too."""
     if encoding == "explicit":
-        return encode_explicit(system, k, max_vars=max_vars, table=table)
+        return encode_explicit(system, k, max_vars=max_vars, steps=steps)
     if encoding == "factored":
-        return encode_factored(system, k)
+        return encode_factored(system, k, steps=steps)
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
@@ -323,120 +375,74 @@ class SolverVerdict:
 
 class SolverSession:
     """The bundled solver's state across the queries of one search: one
-    ``minisolver.Grounder``, and the lines of each batch loaded into it, as
-    one frozen set per batch. A query holds a batch when that set is a
-    subset of its lines, so matching a query costs set operations over the
-    lines, with their hashes cached when the search shares its line strings.
+    ``minisolver.Grounder`` and the steps loaded into it, 0 the base.
 
-    The first query's lines are the base, ground with no guard. A later
-    query loads, as one new batch, its declarations not loaded yet and its
-    assertions that no batch it fully holds has loaded. A fresh selector
-    guards that batch's top-level clauses, while Tseitin definitions stay
-    shared. The CDCL solver then decides under assumptions that switch on
-    the batches whose every line the query holds, and keeps the clauses,
-    activities and phases it already has. So each query of a search adds
-    only its new steps: the factored query's Boolean constants, or the
-    explicit query's step constants, which the same batch confines to the n
-    states. A bisection back down reads again the lines it holds of a batch
-    it does not fully hold, and grounds them again under its own selector.
-    A sat answer fixes the batches it switched on at level 0, so they join
-    the base: the search never asks below its largest sat k, and so never
-    without them.
+    A query's document carries its steps 0..k. The session grounds each
+    step not loaded yet as one batch, from its terms: the base with no
+    guard, every later step under a selector of its own. The CDCL solver
+    then decides the query under the selectors of steps 1..k not yet fixed,
+    as assumptions, and keeps the clauses, activities and phases it already
+    has. A sat answer fixes those selectors true at level 0, since the
+    search never asks below its largest sat k. So each step is ground once
+    per search, and a bisection back down loads nothing.
 
-    A query starts fresh, its lines the new base, when it lacks a base line,
-    when it declares a constant confined in a later batch without the lines
-    that confine it there, when a line it adds uses a symbol that only a
-    declaration it lacks declares, and after a timeout or error. An
-    extension the grounder cannot take, such as an unconfined new sort
-    constant, is answered fresh as well.
+    It starts over from the document's steps when one of them is not the
+    object loaded at its place, when k is below a fixed step, and after a
+    timeout or error. A document that carries no steps (a hand-built one) or
+    whose steps the grounder refuses is answered from its text, fresh.
     """
 
     def __init__(self) -> None:
         self._grounder: minisolver.Grounder | None = None  # None until a query is decided
-        self._batches: list[frozenset[str]] = []  # the lines of each batch, 0 the base
-        self._declarations: set[str] = set()  # every loaded declaration line
-        self._fixed: set[int] = set()  # batches on at level 0: the base and every sat answer's
-        # declaration of a sort constant of a later batch -> the lines confining it
-        self._confining: dict[str, set[str]] = {}
+        self._steps: tuple[Step, ...] = ()  # the steps loaded into it
+        self._fixed = 0  # steps 1.._fixed are on for good
 
-    def check(self, doc: SmtDocument, deadline: float) -> tuple[str, list[str], str]:
-        """``minisolver.check_text`` on ``doc``: (status, model lines, reason)."""
+    def check(self, doc: SmtDocument, deadline: float) -> tuple[str, dict[str, bool] | None, str]:
+        """(status, Boolean model, reason) for ``doc``, as ``_check_text``."""
+        steps, k = doc.steps, len(doc.steps) - 1
+        if not steps:
+            return _check_text(doc, deadline)
         grounder, self._grounder = self._grounder, None  # until doc is decided
-        extension = self._extension(doc) if grounder is not None else None
-        if extension is not None:
-            text, on, decls, asserts = extension
-            start = len(grounder.script.assertions)
-            selectors = [b - 1 for b in sorted(on - self._fixed)]
-            status, lines, reason = minisolver.check_text(text, deadline, grounder, selectors)
-            if status == "unknown":
-                extension = None
-            else:
-                on.add(len(self._batches))
-                self._load(decls, asserts)
-                self._note_confined(grounder, decls, asserts, start)
-                if lines:  # the model of doc's constants only
-                    names = {minisolver.parse_sexprs(d)[0][1] for d in doc.declarations}
-                    lines = [line for line in lines if line.split()[1] in names]
-        if extension is None:
-            grounder = minisolver.Grounder(minisolver.Script())
-            status, lines, reason = minisolver.check_text(doc.rendering, deadline, grounder)
-            self._batches, self._declarations, self._confining = [], set(), {}
-            self._load(doc.declarations, doc.assertions)
-            on = self._fixed = {0}
+        if grounder is None or k < self._fixed or not all(map(operator.is_, steps, self._steps)):
+            grounder, self._steps, self._fixed = minisolver.Grounder(minisolver.Script()), (), 0
+        try:
+            for step in steps[len(self._steps) :]:
+                for call, *args in step.declared:
+                    getattr(grounder.script, call)(*args)
+                grounder.script.assertions.extend(step.terms)
+                grounder.ground(deadline)
+        except (minisolver.SmtUnsupportedError, minisolver.SmtFormatError):
+            return _check_text(doc, deadline)
+        self._steps = max(self._steps, steps, key=len)
+        on = range(self._fixed, k)  # the selectors of steps _fixed + 1..k
+        status, model = grounder.solve(deadline, on), None
         if status == "sat":
-            grounder.fix([b - 1 for b in on - self._fixed])
-            self._fixed |= on
-        if status in ("sat", "unsat"):
-            self._grounder = grounder
-        return status, lines, reason
+            if doc.get_model:  # read before fix() backtracks to level 0
+                names = [call[1] for step in steps for call in step.declared if call[2:] == ((), "Bool")]
+                model = grounder.bool_values(names)
+            grounder.fix(on)
+            self._fixed = k
+        self._grounder = grounder
+        return status, model, ""
 
-    def _extension(self, doc: SmtDocument) -> tuple[str, set[int], list[str], list[str]] | None:
-        """The text that extends the grounder to ``doc``, the batches it
-        switches on, and the new batch's declarations and assertions; None
-        when ``doc`` must start fresh."""
-        lines = {*doc.declarations, *doc.assertions}
-        on = {b for b, batch in enumerate(self._batches) if batch <= lines}
-        if not self._fixed <= on:
-            return None
-        if any(decl in lines and not need <= lines for decl, need in self._confining.items()):
-            return None
-        decls = [d for d in doc.declarations if d not in self._declarations]
-        fresh = lines.difference(*(self._batches[b] for b in on))
-        asserts = [a for a in doc.assertions if a in fresh]
-        # The grounder reads a new line against all it has declared: a symbol
-        # that doc does not declare must not resolve there.
-        lacked = self._declarations - lines
-        if lacked and asserts:
-            hidden = {minisolver.parse_sexprs(d)[0][1] for d in lacked}
-            if not hidden.isdisjoint(minisolver.symbols(" ".join(asserts))):
-                return None
-        return _script_text(decls, asserts, doc.get_model), on, decls, asserts
 
-    def _load(self, decls, asserts) -> None:
-        """Record ``decls`` and ``asserts`` as the next batch."""
-        self._batches.append(frozenset((*decls, *asserts)))
-        self._declarations.update(decls)
-
-    def _note_confined(
-        self, grounder: minisolver.Grounder, decls: list[str], asserts: list[str], start: int
-    ) -> None:
-        """Record the lines that confine each sort constant the new batch
-        declared; ``start`` is where its assertions begin in the script."""
-        new = {c: pos for c, pos in grounder.confined_by.items() if pos[0] >= start}
-        if new:
-            for decl in decls:
-                pos = new.get(minisolver.parse_sexprs(decl)[0][1])
-                if pos is not None:
-                    self._confining[decl] = {asserts[p - start] for p in pos}
+def _check_text(doc: SmtDocument, deadline: float) -> tuple[str, dict[str, bool] | None, str]:
+    """A fresh bundled solver on ``doc``'s rendering: (status, the Boolean
+    model when sat and asked for, else None, and an ``unknown``'s reason)."""
+    grounder = minisolver.Grounder(minisolver.Script())
+    status, _, reason = minisolver.check_text(doc.rendering, deadline, grounder)
+    wanted = status == "sat" and doc.get_model
+    return status, grounder.bool_values(grounder.script.bool_consts) if wanted else None, reason
 
 
 def run_solver(
     doc: SmtDocument, cfg: SolverConfig, session: SolverSession | None = None
 ) -> SolverVerdict:
     """Run one query and classify the response. The bundled solver answers
-    through ``session`` (a fresh one when None); any other solver ignores it."""
+    through ``session``, or from the script's text when None; any other
+    solver ignores it."""
     if cfg.in_process:
-        answer, elapsed_ms = timed_ms(_solve_in_process, doc, cfg.timeout_ms, session or SolverSession())
+        answer, elapsed_ms = timed_ms(_solve_in_process, doc, cfg.timeout_ms, session)
     else:
         answer, elapsed_ms = timed_ms(_solve_in_child, doc, cfg)
     status, raw, model = answer
@@ -444,19 +450,19 @@ def run_solver(
 
 
 def _solve_in_process(
-    doc: SmtDocument, timeout_ms: int, session: SolverSession
+    doc: SmtDocument, timeout_ms: int, session: SolverSession | None
 ) -> tuple[str, str, dict | None]:
     """The bundled solver in the calling thread. Its outcomes map as a
     process's would: a passed deadline is a timeout, an unsupported or
     malformed script ``unknown``, any other exception a solver error."""
     deadline = time.monotonic() + timeout_ms / 1000.0
+    check = _check_text if session is None else session.check
     try:
-        status, lines, reason = session.check(doc, deadline)
+        status, model, reason = check(doc, deadline)
     except minisolver.SolverTimeout:
         return "timeout", "", None
     except Exception as exc:  # a crash, as a solver process might have had
         return "solver-error", repr(exc), None
-    model = minisolver.bool_model("\n".join(lines)) if status == "sat" and doc.get_model else None
     return status, reason or status, model
 
 
@@ -539,20 +545,17 @@ def rd_via_smt(
     linear one asks low + 1; the binary one doubles low (capped at exp + 1)
     until an unsat k is found, then bisects.
     """
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
+    steps = steps_of(system, encoding, max_vars)  # every query's steps, built once
     if cfg is None:
         cfg = SolverConfig.from_env()
     queries: list[tuple[int, SolverVerdict]] = []
     exp = exp_bound(system)  # no simple path can be longer
     session = SolverSession()
-    # Every explicit query of the search shares one graph and its table lines.
-    table = state_table(system, max_vars) if encoding == "explicit" else None
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(system, k, encoding, max_vars, table), cfg, session)
+        verdict = run_solver(encode(system, k, encoding, max_vars, steps), cfg, session)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

@@ -376,7 +376,7 @@ class TestExtendedScripts:
         later = "(declare-fun z () S)(assert (or (= z s0)))(assert (G z y))(check-sat)(get-model)"
         status, lines, _ = minisolver.check_text(later, grounder=grounder)
         assert status == "sat" and "  (define-fun z () S s0)" in lines
-        assert grounder.confined_by == {"z": [2]}
+        assert grounder.values["z"] == (grounder.fixed["s0"],)  # confined to s0's value
         # z stays confined: the next batch cannot move it off s0.
         assert minisolver.check_text("(assert (= z s1))(check-sat)", grounder=grounder)[0] == "unsat"
 

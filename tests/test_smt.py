@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import sys
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -20,7 +22,6 @@ from statebound.smt import (
     encode_factored,
     rd_via_smt,
     run_solver,
-    state_table,
 )
 
 from conftest import equivalence_family, make_random
@@ -155,8 +156,10 @@ class TestRunSolver:
         assert verdict.status == "sat"
 
 
-# sha256 of the renderings for k = 1..4, concatenated. Scripts written by
-# ``rd --emit-smt`` and handed to an external solver must keep these bytes.
+# sha256 of the renderings for k = 1..top, concatenated. Scripts written by
+# ``rd --emit-smt`` and handed to an external solver must keep these bytes;
+# the lotus5, clique2 and random3-to-k9 rows were computed before queries were
+# assembled from steps.
 _RENDERING_DIGESTS = {
     ("lotus3", "explicit"): "105e1457dda4fc05aafc47908664fa772ee44b1ff72719cdbb23dfda95ad82d4",
     ("lotus3", "factored"): "e13a3006820493db855b1a202b407d6674c8b7543e8b5410e6bcc59dda08ce30",
@@ -166,30 +169,72 @@ _RENDERING_DIGESTS = {
     ("star4", "factored"): "ea31c26bad440e479460c55b2793e4c31ccbf180127a624c49b9a32f0912b051",
     ("random3", "explicit"): "a4ec12b9dd2cb101b303fa9a5124a89f31724f20d89bc48c6163c05180c699d5",
     ("random3", "factored"): "d15bbc466655fac4d2015f7f8f03c3f4e4fc6ac601ef55393f12964d8cc94f19",
+    ("lotus5", "explicit"): "b33b44646676363d7fe1406db9d9b9b625068f8fde119606c919a4c64985d9e2",
+    ("lotus5", "factored"): "56c227ca9dc27354aa54cd56eb5ee365043086b4917a5938e991b184d4c4a5fb",
+    ("clique2", "explicit"): "76a1cf1a3963a6d10931c0dd0ff1cd60c3009985b32d8b0c16141659aceeca1d",
+    ("clique2", "factored"): "d9b1a8251fa2268ca5d546d49f1812f2614d447bf0ed5c8ff97997779b20c254",
+    ("random3-to-k9", "explicit"): "2f502c7bf50f6c6401b321ab2ff5535f0606c7d9084500260a4038535cac46ad",
+    ("random3-to-k9", "factored"): "d7199ab0f899b93d1ceb541370e57517f3f9c8004cba7bf97564c0b9367d771b",
 }
-_DIGEST_SYSTEMS = {
-    "lotus3": lambda: gen_lotus(3),
-    "clique3": lambda: gen_clique(3),
-    "star4": lambda: gen_star(4),
-    "random3": lambda: gen_random(GeneratorSpec("random", seed=3, num_vars=5, num_actions=6)),
+_RANDOM3 = GeneratorSpec("random", seed=3, num_vars=5, num_actions=6)
+_DIGEST_SYSTEMS = {  # name -> (system, top k)
+    "lotus3": (lambda: gen_lotus(3), 4),
+    "clique3": (lambda: gen_clique(3), 4),
+    "star4": (lambda: gen_star(4), 4),
+    "random3": (lambda: gen_random(_RANDOM3), 4),
+    "lotus5": (lambda: gen_lotus(5), 3),
+    "clique2": (lambda: gen_clique(2), 4),
+    "random3-to-k9": (lambda: gen_random(_RANDOM3), 9),
 }
+
+
+def _read_script(text: str) -> tuple[list[tuple], list[tuple]]:
+    """The declarations of a script, as the ``Script.declare_*`` calls that
+    read them, and its assertions, as ``Script.parse_term`` reads them."""
+    script, declared, terms = minisolver.Script(), [], []
+    for head, *args in minisolver.parse_sexprs(text):
+        if head == "declare-sort":
+            declared.append(("declare_sort", *args))
+            script.declare_sort(*args)
+        elif head == "declare-fun":
+            name, params, sort = args
+            declared.append(("declare_fun", name, tuple(params), sort))
+            script.declare_fun(name, params, sort)
+        elif head == "assert":
+            terms.append(script.parse_term(args[0]))
+    return declared, terms
+
+
+@pytest.mark.parametrize("encoding", smt.ENCODINGS)
+def test_steps_read_as_their_lines(encoding):
+    """What the session loads for a query, taken together, is what the
+    bundled solver reads from the query's text, line for line."""
+    for seed in range(1, 6):
+        system = make_random(equivalence_family(seed))
+        steps = smt.steps_of(system, encoding)
+        for k in range(1, recurrence_diameter_bruteforce(system) + 2):
+            doc = smt.encode(system, k, encoding, steps=steps)
+            declared, terms = _read_script(doc.rendering)
+            assert Counter(call for step in doc.steps for call in step.declared) == Counter(declared)
+            assert Counter(term for step in doc.steps for term in step.terms) == Counter(terms), (seed, k)
 
 
 @pytest.mark.parametrize("name,encoding", sorted(_RENDERING_DIGESTS))
 def test_rendering_digests(name, encoding):
     """The script bytes; an explicit query gives the same whether it builds
-    its state table or shares one."""
-    system = _DIGEST_SYSTEMS[name]()
+    its steps or shares them."""
+    make, top = _DIGEST_SYSTEMS[name]
+    system = make()
     if encoding == "factored":
         encoders = [lambda k: encode_factored(system, k)]
     else:
-        table = state_table(system)
+        steps = smt.steps_of(system, "explicit")
         encoders = [
             lambda k: encode_explicit(system, k),
-            lambda k: encode_explicit(system, k, table=table),
+            lambda k: encode_explicit(system, k, steps=steps),
         ]
     for encoder in encoders:
-        text = "".join(encoder(k).rendering for k in range(1, 5))
+        text = "".join(encoder(k).rendering for k in range(1, top + 1))
         assert hashlib.sha256(text.encode()).hexdigest() == _RENDERING_DIGESTS[name, encoding]
 
 
@@ -479,9 +524,9 @@ def _solved_fresh(monkeypatch):
 
 
 class TestSolverSession:
-    """rd_via_smt keeps one bundled-solver session per search: every query
-    after the first loads only its new lines into the same grounder, and a
-    bisection back down switches off the batches it does not hold."""
+    """rd_via_smt keeps one bundled-solver session per search: each query
+    grounds only its steps not loaded yet, from their terms, into the same
+    grounder, and a bisection back down loads nothing."""
 
     @pytest.mark.parametrize(
         "encoding,schedule",
@@ -523,65 +568,50 @@ class TestSolverSession:
         _solved_fresh(monkeypatch)
         assert with_sessions == clusters()
 
-    def test_only_an_extension_reuses_the_grounder(self, clique2, monkeypatch):
-        read = []  # (text, grounder) per check
-        check_text = minisolver.check_text
+    @pytest.mark.parametrize("encoding", smt.ENCODINGS)
+    def test_binary_search_grounds_each_step_once(self, encoding, monkeypatch):
+        """Seed 2 asks k = 1, 2, 4, 8, 6, 5: one grounder, the base and each
+        step up to 8 ground once, one selector per step, and the bisection
+        back down to 6 and 5 grounds nothing."""
+        starts = _fresh_starts(monkeypatch)
+        ground = minisolver.Grounder.ground
+        grounded = []  # the script's assertions at each ground
 
-        def recording(text, deadline=None, grounder=None, batches=None):
-            read.append((text, grounder))
-            return check_text(text, deadline, grounder, batches)
+        def recording(grounder, deadline=None):
+            grounded.append(len(grounder.script.assertions))
+            ground(grounder, deadline)
 
-        def added(doc, declared, *on):
-            """The lines that load doc: the declarations that ``declared``
-            lacks, and the assertions of no document in ``on``."""
-            asserts = {a for other in on for a in other.assertions}
-            return [
-                *(d for d in doc.declarations if d not in declared.declarations),
-                *(f"(assert {a})" for a in doc.assertions if a not in asserts),
-                "(check-sat)",
-                *(["(get-model)"] if doc.get_model else []),
-            ]
+        monkeypatch.setattr(minisolver.Grounder, "ground", recording)
+        system = make_random(equivalence_family(2))
+        result = rd_via_smt(system, encoding, SolverConfig.bundled(), "binary")
+        assert [k for k, _ in result.queries] == [1, 2, 4, 8, 6, 5] and result.rd == 4
+        (grounder,) = starts
+        assert len(grounder.selectors) == 8
+        steps = smt.steps_of(system, encoding).upto(8)
+        assert grounded == list(accumulate(len(step.terms) for step in steps))
 
-        monkeypatch.setattr(minisolver, "check_text", recording)
+    def test_query_after_a_timeout_starts_fresh(self, clique2, monkeypatch):
+        starts = _fresh_starts(monkeypatch)
         session = smt.SolverSession()
-        one, two, four = (encode_factored(clique2, k) for k in (1, 2, 4))
-        three = encode_factored(clique2, 3, get_model=True)
-        assert [session.check(doc, math.inf)[0] for doc in (one, four, two)] == ["sat", "unsat", "sat"]
-        (first_text, grounder), (four_text, same), (two_text, still) = read
-        assert first_text == one.rendering and same is grounder and still is grounder
-        assert four_text.splitlines() == added(four, one, one)
-        # Bisecting back down to 2 reads again the lines it holds of 4's batch.
-        assert two_text.splitlines() == added(two, four, one)
-        status, lines, _ = session.check(three, math.inf)
-        assert status == "sat" and read[3][1] is grounder
-        assert read[3][0].splitlines() == added(three, four, one, two)
-        assert {line.split()[1] for line in lines} == {d.split()[1] for d in three.declarations}
-        # The query after one cut short by its deadline starts fresh.
-        del read[:]
+        steps = smt.steps_of(clique2, "explicit")
+        one, four = (encode_explicit(clique2, k, steps=steps) for k in (1, 4))
+        assert session.check(one, math.inf)[0] == "sat"
         with pytest.raises(minisolver.SolverTimeout):
             session.check(four, -math.inf)
-        assert session.check(four, math.inf)[0] == "unsat"
-        assert read[1][0] == four.rendering and read[1][1] is not grounder
-        # The explicit encoding's next query loads only its new step.
-        del read[:]
-        explicit = [encode_explicit(clique2, k) for k in (1, 2)]
-        assert [session.check(doc, math.inf)[0] for doc in explicit] == ["sat", "sat"]
-        (first_text, grounder), (text, same) = read
-        assert first_text == explicit[0].rendering and same is grounder
-        assert text.splitlines() == added(explicit[1], explicit[0], explicit[0])
+        assert len(starts) == 1  # k = 4 timed out extending k = 1's grounder
+        assert session.check(four, math.inf)[0] == minisolver.check_text(four.rendering)[0] == "unsat"
+        assert len(starts) == 3  # the session's fresh start, and the text's check
 
-    @pytest.mark.parametrize("history", [(1, 2), (1, 4)], ids=["fixed-by-sat", "confined-in-unsat"])
-    def test_dropping_a_confinement_starts_fresh(self, history, clique2, monkeypatch):
-        """y3 is confined to the four states in the batch of the k = 2 or
-        k = 4 query. A document that declares y3 but puts it outside them,
-        which a universe of seven values allows, is sat, so it must not reuse
-        y3's confined value literals. After k = 2, sat, its batch is fixed
-        on; after k = 4, unsat, the batch is off but y3 stays confined."""
+    def test_document_without_steps_is_answered_from_its_text(self, clique2, monkeypatch):
+        """A document changed by dataclasses.replace carries no steps, so its
+        lines are read, as a fresh solver reads them, and the session's
+        grounder is left as it was. y3 is confined to the four states in the
+        k = 2 query; put outside them, which a universe of seven values
+        allows, it is sat. v0_s5 is declared only at k = 4."""
         starts = _fresh_starts(monkeypatch)
         session = smt.SolverSession()
         two = encode_explicit(clique2, 2)
         confining = "(or (= y3 s0) (= y3 s1) (= y3 s2) (= y3 s3))"
-        assert confining in two.assertions
         outside = dataclasses.replace(
             two,
             assertions=(
@@ -589,40 +619,18 @@ class TestSolverSession:
                 *(f"(not (= y3 s{u}))" for u in range(4)),
             ),
         )
-        verdicts = [session.check(encode_explicit(clique2, k), math.inf)[0] for k in history]
-        assert verdicts == ["sat", "sat" if history[1] < 4 else "unsat"] and len(starts) == 1
-        assert session.check(outside, math.inf)[0] == minisolver.check_text(outside.rendering)[0] == "sat"
-        assert len(starts) == 3  # the session's fresh start, and the check against it
-        # The same lines with y3 confined again are unsat, from the new base.
-        inside = dataclasses.replace(outside, assertions=(*outside.assertions, confining))
-        assert session.check(inside, math.inf)[0] == "unsat"
-        assert len(starts) == 3
-
-    def test_symbol_of_a_lacked_declaration_starts_fresh(self):
-        """After k = 1 (sat) and k = 4 (unsat), the k = 1 document plus an
-        assertion on v0_s5, which only k = 4 declares, is malformed: the
-        session must not resolve v0_s5 through the k = 4 batch."""
-        session = smt.SolverSession()
-        one, four = encode_factored(gen_clique(2), 1), encode_factored(gen_clique(2), 4)
-        assert [session.check(doc, math.inf)[0] for doc in (one, four)] == ["sat", "unsat"]
+        assert not outside.steps and confining in two.assertions
+        assert session.check(two, math.inf)[0] == "sat"
+        assert session.check(outside, math.inf) == ("sat", None, "")
+        steps = smt.steps_of(clique2, "factored")
+        one, three, four = (encode_factored(clique2, k, steps=steps) for k in (1, 3, 4))
         stray = dataclasses.replace(one, assertions=(*one.assertions, "v0_s5"))
-        fresh = minisolver.check_text(stray.rendering)
-        assert fresh == ("unknown", [], "unknown symbol v0_s5")
-        assert session.check(stray, math.inf) == fresh
-
-    def test_dropping_a_line_of_a_sat_query_starts_fresh(self, clique2, monkeypatch):
-        """The batch of the k = 2 query is fixed on once it answers sat. A
-        document without one of its lines starts fresh: here y3 = y1, which
-        only the dropped (not (= y1 y3)) forbids."""
-        starts = _fresh_starts(monkeypatch)
-        session = smt.SolverSession()
-        one, two = encode_explicit(clique2, 1), encode_explicit(clique2, 2)
-        assert "(not (= y1 y3))" in two.assertions
-        loop = dataclasses.replace(
-            two, assertions=(*(a for a in two.assertions if a != "(not (= y1 y3))"), "(= y1 y3)")
-        )
-        assert [session.check(doc, math.inf)[0] for doc in (one, two, loop)] == ["sat"] * 3
-        assert len(starts) == 2
+        assert [session.check(doc, math.inf)[0] for doc in (one, four)] == ["sat", "unsat"]
+        assert session.check(stray, math.inf) == ("unknown", None, "unknown symbol v0_s5")
+        assert minisolver.check_text(stray.rendering) == ("unknown", [], "unknown symbol v0_s5")
+        starts_before = len(starts)
+        assert session.check(three, math.inf)[0] == "sat"
+        assert len(starts) == starts_before  # k = 3 extends k = 4's grounder
 
     def test_extended_query_answers_and_models(self, clique2):
         session = smt.SolverSession()
