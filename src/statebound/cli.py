@@ -111,6 +111,18 @@ def _read_system(path: Path, fmt: str | None) -> tuple[System, str]:
     return sysio.parse_system(text, fmt or sysio.detect_format(path.name)), path.stem
 
 
+def _random_spec(args: argparse.Namespace, seed: int) -> GeneratorSpec:
+    """The random family at ``seed``, sized by the command's flags."""
+    return GeneratorSpec(
+        family="random",
+        seed=seed,
+        num_vars=args.vars,
+        num_actions=args.actions,
+        max_pre=args.max_pre,
+        max_eff=args.max_eff,
+    )
+
+
 def _load_system(args: argparse.Namespace) -> tuple[System, str]:
     """Returns (system, problem name)."""
     if args.input and args.gen:
@@ -120,15 +132,7 @@ def _load_system(args: argparse.Namespace) -> tuple[System, str]:
     if args.gen:
         size = args.m if args.gen == "clique" else args.n
         if args.gen == "random":
-            spec = GeneratorSpec(
-                family="random",
-                seed=args.seed,
-                num_vars=args.vars,
-                num_actions=args.actions,
-                max_pre=args.max_pre,
-                max_eff=args.max_eff,
-            )
-            return generate(spec), f"random_s{args.seed}"
+            return generate(_random_spec(args, args.seed)), f"random_s{args.seed}"
         if size is None:
             raise _CliError(f"--gen {args.gen} needs --n (or --m for clique)", EXIT_CONFIG)
         spec = GeneratorSpec(family=args.gen, n=size)
@@ -281,14 +285,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     counts = {"holds": 0, "vacuous": 0, "counterexample": 0}
     out_dir = Path(args.out) if args.out else Path.cwd()
     for seed in seed_range:
-        spec = GeneratorSpec(
-            family="random",
-            seed=seed,
-            num_vars=args.vars,
-            num_actions=args.actions,
-            max_pre=args.max_pre,
-            max_eff=args.max_eff,
-        )
+        spec = _random_spec(args, seed)
         system = generate(spec)
         verdict = check_conjecture(system)
         counts[verdict.status] += 1
@@ -342,8 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(bound)
     bound.add_argument("--batch", metavar="DIR", help="bound every system file in a directory")
     bound.add_argument("--base", choices=BASE_TAGS, default="b2")
-    bound.add_argument("--rd-state-cap", type=int, default=50, help="b2 state-count cutoff")
-    bound.add_argument("--td-trigger", type=int, default=2, help="b1 traversal-diameter cutoff")
+    bound.add_argument(
+        "--rd-state-cap", type=int, default=BaseCaseKind.rd_state_cap, help="b2 state-count cutoff"
+    )
+    bound.add_argument(
+        "--td-trigger", type=int, default=BaseCaseKind.td_trigger, help="b1 traversal-diameter cutoff"
+    )
     _add_solver_flags(bound)
     bound.add_argument("--bruteforce", action="store_true", help="never call a solver")
     bound.add_argument("--csv", metavar="PATH", help="write per-problem CSV rows")

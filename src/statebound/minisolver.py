@@ -9,14 +9,15 @@ decides the base and whichever later batches it switches on, as
 assumptions. The solver keeps the clauses, activities and phases it already
 has, and since assumptions are only decisions, every learned clause stays
 valid. ``smt`` keeps one grounder per ``rd`` search, and fills its script
-through ``Script.declare_*`` and ``Script.assertions`` with the terms each
-step adds, so no query of a search is read as text. ``check_text`` reads a
-script's text instead, fresh or as one more batch of a given grounder. The
-solver also runs as a separate process (``statebound-solve`` or ``python -m
-statebound.minisolver``), which reads a script from a file argument or stdin
-and prints ``sat``/``unsat``/``unknown`` followed by a model when the script
-asks for one. It exists so the solver-driving pipeline works out of the box;
-any real SMT-LIB 2 solver (Yices, Z3, cvc5, ...) can be configured instead.
+through ``Script.declare`` and ``Script.assertions`` with the declaration
+commands and terms each step adds, so no query of a search is read as text.
+``check_text`` reads a script's whole text into a fresh grounder instead,
+through the same ``Script.read`` of commands. The solver also runs as a
+separate process (``statebound-solve`` or ``python -m statebound.minisolver``),
+which reads a script from a file argument or stdin and prints
+``sat``/``unsat``/``unknown`` followed by a model when the script asks for
+one. It exists so the solver-driving pipeline works out of the box; any real
+SMT-LIB 2 solver (Yices, Z3, cvc5, ...) can be configured instead.
 
 A script is read by one regex scan of the whole text, after which the
 s-expression trees are built. A deadline is a ``time.monotonic()`` value
@@ -527,15 +528,62 @@ class Script:
     """Declarations and assertions of one SMT-LIB script."""
 
     def __init__(self) -> None:
-        self.bool_consts: list[str] = []
+        self.bool_consts: dict[str, None] = {}  # in declaration order
         self.sorts: dict[str, list[str]] = {}
         self.const_sort: dict[str, str] = {}
         self.predicates: dict[str, list[str]] = {}  # name -> argument sorts
         self.assertions: list[tuple] = []
-        self.wants_model = False
-        self.has_check = False
 
-    # -- declaration handling ------------------------------------------------
+    # -- command reading -------------------------------------------------------
+
+    def read(self, text: str, deadline: float | None = None) -> bool:
+        """Read a script's declarations and assertions into this one, and
+        return whether it asks for a model. The text holds one
+        ``(check-sat)``, after its assertions; ``push`` and ``pop`` are
+        unsupported."""
+        has_check = wants_model = False
+        for command in parse_sexprs(text, deadline):
+            _check_deadline(deadline)
+            if not isinstance(command, list) or not command:
+                raise SmtFormatError("top-level items must be command lists")
+            head = command[0]
+            if head in ("set-logic", "set-option", "set-info"):
+                continue
+            if head == "exit":
+                break
+            if head in ("assert", "check-sat") and has_check:
+                # One (check-sat) decides every assertion of the script.
+                raise SmtUnsupportedError(f"{head!r} after (check-sat)")
+            elif head == "assert":
+                if len(command) != 2:
+                    raise SmtFormatError("'assert' takes one term")
+                self.assertions.append(self.parse_term(command[1]))
+            elif head == "check-sat":
+                has_check = True
+            elif head == "get-model":
+                wants_model = True
+            else:
+                self.declare(command)
+        if not has_check:
+            raise SmtFormatError("script has no (check-sat)")
+        return wants_model
+
+    def declare(self, command: list | tuple) -> None:
+        """Read one ``declare-sort``, ``declare-fun`` or ``declare-const``
+        command, as ``parse_sexprs`` gives it; a parenthesised list may also
+        be a tuple. Any other command is unsupported."""
+        head = command[0]
+        if head == "declare-sort":
+            if len(command) == 2:
+                command = [*command, "0"]  # the arity may be left out
+            self.declare_sort(*_arguments(command, str, str))
+        elif head == "declare-fun":
+            self.declare_fun(*_arguments(command, str, (list, tuple), str))
+        elif head == "declare-const":
+            name, sort = _arguments(command, str, str)
+            self.declare_fun(name, [], sort)
+        else:
+            raise SmtUnsupportedError(f"unsupported command {head!r}")
 
     def declare_sort(self, name: str, arity: str) -> None:
         if arity != "0":
@@ -549,7 +597,7 @@ class Script:
             raise SmtFormatError(f"redeclaration of {name}")
         if not args:
             if ret == "Bool":
-                self.bool_consts.append(name)
+                self.bool_consts[name] = None
             elif ret in self.sorts:
                 self.sorts[ret].append(name)
                 self.const_sort[name] = ret
@@ -1030,14 +1078,14 @@ class Grounder:
             _check_deadline(deadline)
             self.assert_top(node)
 
-    def solve(self, deadline: float | None = None, batches: list[int] | range | None = None) -> str:
+    def solve(self, deadline: float | None = None, batches: list[int] | range = ()) -> str:
         """Decide the base and the later batches numbered in ``batches``
-        (positions in ``selectors``; all of them when None), under their
-        selectors as assumptions."""
+        (positions in ``selectors``), under their selectors as assumptions;
+        a batch not listed is off unless ``fix`` switched it on."""
         if not self.sat.ok:
             return "unsat"
-        on = self.selectors if batches is None else [self.selectors[b] for b in batches]
-        return "sat" if self.sat.solve(deadline, *(s << 1 for s in on)) else "unsat"
+        on = (self.selectors[b] << 1 for b in batches)
+        return "sat" if self.sat.solve(deadline, *on) else "unsat"
 
     def fix(self, batches: list[int] | range) -> None:
         """Switch the later batches numbered in ``batches`` on for good:
@@ -1072,82 +1120,31 @@ class Grounder:
         return lines
 
 
-def _arguments(command: list, *kinds: type) -> list:
+def _arguments(command: list | tuple, *kinds) -> list | tuple:
     """A declaration's arguments, checked in number and kind (``str`` for a
-    symbol, ``list`` for a parenthesised list)."""
+    symbol, ``(list, tuple)`` for a parenthesised list)."""
     args = command[1:]
-    if tuple(map(type, args)) != kinds:
+    if len(args) != len(kinds) or not all(map(isinstance, args, kinds)):
         raise SmtFormatError(f"malformed {command[0]!r} command")
     return args
 
 
-def interpret(
-    text: str,
-    deadline: float | None = None,
-    grounder: Grounder | None = None,
-    batches: list[int] | None = None,
-) -> tuple[str, list[str]]:
-    """Run a script; returns (status token, model lines). The text holds one
-    ``(check-sat)``, after its assertions; ``push`` and ``pop`` are
-    unsupported. Given the grounder of an earlier script, the text's
-    commands extend that script as a new batch, and the check re-solves its
-    CDCL solver with what it has learned, with the base, the new batch and
-    the earlier ``batches`` switched on, all of them when None."""
-    grounder = grounder or Grounder(Script())
-    script = grounder.script
-    script.has_check = script.wants_model = False
-    for command in parse_sexprs(text, deadline):
-        _check_deadline(deadline)
-        if not isinstance(command, list) or not command:
-            raise SmtFormatError("top-level items must be command lists")
-        head = command[0]
-        if head in ("set-logic", "set-option", "set-info"):
-            continue
-        if head == "exit":
-            break
-        if head == "declare-sort":
-            if len(command) == 2:
-                command = [*command, "0"]  # the arity may be left out
-            script.declare_sort(*_arguments(command, str, str))
-        elif head == "declare-fun":
-            script.declare_fun(*_arguments(command, str, list, str))
-        elif head == "declare-const":
-            name, sort = _arguments(command, str, str)
-            script.declare_fun(name, [], sort)
-        elif head in ("assert", "check-sat") and script.has_check:
-            # One (check-sat) decides every assertion of the script.
-            raise SmtUnsupportedError(f"{head!r} after (check-sat)")
-        elif head == "assert":
-            if len(command) != 2:
-                raise SmtFormatError("'assert' takes one term")
-            script.assertions.append(script.parse_term(command[1]))
-        elif head == "check-sat":
-            script.has_check = True
-        elif head == "get-model":
-            script.wants_model = True
-        else:
-            raise SmtUnsupportedError(f"unsupported command {head!r}")
-    if not script.has_check:
-        raise SmtFormatError("script has no (check-sat)")
+def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]:
+    """Run a script in a fresh grounder; returns (status token, model
+    lines). The script is read whole by ``Script.read``."""
+    grounder = Grounder(Script())
+    wants_model = grounder.script.read(text, deadline)
     grounder.ground(deadline)
-    if batches is not None:
-        batches = [*batches, *range(len(grounder.selectors))[-1:]]  # and the new batch
-    status = grounder.solve(deadline, batches)
-    model = grounder.model_lines() if status == "sat" and script.wants_model else []
-    return status, model
+    status = grounder.solve(deadline)
+    return status, grounder.model_lines() if status == "sat" and wants_model else []
 
 
-def check_text(
-    text: str,
-    deadline: float | None = None,
-    grounder: Grounder | None = None,
-) -> tuple[str, list[str], str]:
-    """The solver's answer to a script, fresh or extending ``grounder``'s as
-    in ``interpret``: (status, model lines, reason). A script outside the
-    supported fragment, or malformed, is ``unknown`` with the reason; a
-    passed deadline raises SolverTimeout."""
+def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str], str]:
+    """The solver's answer to a script, as in ``interpret``: (status, model
+    lines, reason). A script outside the supported fragment, or malformed,
+    is ``unknown`` with the reason; a passed deadline raises SolverTimeout."""
     try:
-        status, lines = interpret(text, deadline, grounder)
+        status, lines = interpret(text, deadline)
     except (SmtUnsupportedError, SmtFormatError) as exc:
         return "unknown", [], str(exc)
     return status, lines, ""

@@ -57,8 +57,9 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class Step:
     """What one step adds to a query, or the base of every query, as SMT-LIB
-    lines and as what ``minisolver`` reads from each: the ``Script.declare_*``
-    call of a declaration, method name first, and the term of an assertion."""
+    lines and as what ``minisolver`` reads from each: the command of a
+    declaration, as ``Script.declare`` reads it, and the term of an
+    assertion."""
 
     declarations: tuple[str, ...]
     assertions: tuple[str, ...]
@@ -68,9 +69,9 @@ class Step:
     @classmethod
     def of(cls, declarations: list[tuple], assertions: list[tuple]) -> "Step":
         """The step of these (line, reading) pairs."""
-        decls, calls = zip(*declarations) if declarations else ((), ())
+        decls, commands = zip(*declarations) if declarations else ((), ())
         asserts, terms = zip(*assertions) if assertions else ((), ())
-        return cls(decls, asserts, calls, terms)
+        return cls(decls, asserts, commands, terms)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ def _edge(a: str, b: str) -> tuple:
 
 
 def _fun(name: str, sort: str, *args: str) -> tuple:
-    """A ``declare-fun`` line and its call."""
-    return f"(declare-fun {name} ({' '.join(args)}) {sort})", ("declare_fun", name, args, sort)
+    """A ``declare-fun`` line and its command."""
+    return f"(declare-fun {name} ({' '.join(args)}) {sort})", ("declare-fun", name, args, sort)
 
 
 class Steps:
@@ -189,7 +190,7 @@ def _explicit_steps(system: System, max_vars: int) -> Steps:
         distinct = [_not(_equal(f"y{p}", y)) for p in range(1, i + 1)]
         return Step.of([_fun(y, "S")], [_edge(f"y{i}", y), *distinct, confined(y)])
 
-    decls = [("(declare-sort S 0)", ("declare_sort", "S", "0")), *(_fun(s, "S") for s in states)]
+    decls = [("(declare-sort S 0)", ("declare-sort", "S", "0")), *(_fun(s, "S") for s in states)]
     decls += [_fun("y1", "S"), _fun("G", "Bool", "S", "S")]
     asserts = []
     if len(states) >= 2:
@@ -407,8 +408,8 @@ class SolverSession:
             grounder, self._steps, self._fixed = minisolver.Grounder(minisolver.Script()), (), 0
         try:
             for step in steps[len(self._steps) :]:
-                for call, *args in step.declared:
-                    getattr(grounder.script, call)(*args)
+                for command in step.declared:
+                    grounder.script.declare(command)
                 grounder.script.assertions.extend(step.terms)
                 grounder.ground(deadline)
         except (minisolver.SmtUnsupportedError, minisolver.SmtFormatError):
@@ -418,7 +419,7 @@ class SolverSession:
         status, model = grounder.solve(deadline, on), None
         if status == "sat":
             if doc.get_model:  # read before fix() backtracks to level 0
-                names = [call[1] for step in steps for call in step.declared if call[2:] == ((), "Bool")]
+                names = [cmd[1] for step in steps for cmd in step.declared if cmd[2:] == ((), "Bool")]
                 model = grounder.bool_values(names)
             grounder.fix(on)
             self._fixed = k
@@ -429,10 +430,9 @@ class SolverSession:
 def _check_text(doc: SmtDocument, deadline: float) -> tuple[str, dict[str, bool] | None, str]:
     """A fresh bundled solver on ``doc``'s rendering: (status, the Boolean
     model when sat and asked for, else None, and an ``unknown``'s reason)."""
-    grounder = minisolver.Grounder(minisolver.Script())
-    status, _, reason = minisolver.check_text(doc.rendering, deadline, grounder)
+    status, lines, reason = minisolver.check_text(doc.rendering, deadline)
     wanted = status == "sat" and doc.get_model
-    return status, grounder.bool_values(grounder.script.bool_consts) if wanted else None, reason
+    return status, minisolver.bool_model("\n".join(lines)) if wanted else None, reason
 
 
 def run_solver(

@@ -333,8 +333,10 @@ class TestAssumptions:
 
 
 class TestExtendedScripts:
-    """``interpret`` given an earlier script's grounder reads only the new
-    commands and re-solves the same CDCL solver."""
+    """A grounder's script read text after text: ``ground`` grounds each
+    text's assertions as one batch, the first the base and each later one
+    under its selector, and ``solve`` re-solves the same CDCL solver with
+    the later batches it is given switched on."""
 
     _BASE = (
         "(declare-sort S 0)(declare-fun s0 () S)(declare-fun s1 () S)"
@@ -342,53 +344,71 @@ class TestExtendedScripts:
         "(assert (distinct s0 s1))(assert (G y s1))(check-sat)"
     )
 
+    @staticmethod
+    def _grounded(*texts: str) -> minisolver.Grounder:
+        """A grounder with each text read and ground as one batch."""
+        grounder = minisolver.Grounder(minisolver.Script())
+        for text in texts:
+            grounder.script.read(text)
+            grounder.ground()
+        return grounder
+
     def test_later_fact_on_a_table_variable_is_a_clause(self):
         # (G y s1) made the table entry G(s0, s1) a variable; the later fact
         # on it must constrain that variable, not be absorbed and dropped.
         later = "(assert (not (G s0 s1)))(assert (= y s0))(check-sat)"
-        grounder = minisolver.Grounder(minisolver.Script())
-        assert minisolver.interpret(self._BASE, grounder=grounder)[0] == "sat"
-        assert minisolver.interpret(later, grounder=grounder)[0] == "unsat"
+        grounder = self._grounded(self._BASE)
+        assert grounder.solve() == "sat"
+        grounder.script.read(later)
+        grounder.ground()
+        assert grounder.solve(None, [0]) == "unsat"
         assert minisolver.interpret(self._BASE.removesuffix("(check-sat)") + later)[0] == "unsat"
 
     def test_later_sort_constant_is_unknown(self):
-        grounder = minisolver.Grounder(minisolver.Script())
-        assert minisolver.check_text(self._BASE, grounder=grounder)[0] == "sat"
-        status, _, reason = minisolver.check_text("(declare-fun z () S)(check-sat)", grounder=grounder)
-        assert status == "unknown" and "after the first check" in reason
+        grounder = self._grounded(self._BASE)
+        assert grounder.solve() == "sat"
+        grounder.script.read("(declare-fun z () S)(check-sat)")
+        with pytest.raises(minisolver.SmtUnsupportedError, match="after the first check"):
+            grounder.ground()
 
     def test_model_covers_every_batch(self):
         grounder = minisolver.Grounder(minisolver.Script())
-        first = "(declare-fun a () Bool)(assert a)(check-sat)(get-model)"
-        assert minisolver.interpret(first, grounder=grounder) == (
-            "sat", ["  (define-fun a () Bool true)"]
-        )
-        later = "(declare-fun b () Bool)(assert (xor a b))(check-sat)"
-        assert minisolver.interpret(later, grounder=grounder) == ("sat", [])
-        status, lines = minisolver.interpret("(check-sat)(get-model)", grounder=grounder)
-        assert status == "sat"
-        assert minisolver.bool_model("\n".join(lines)) == {"a": True, "b": False}
-
+        assert grounder.script.read("(declare-fun a () Bool)(assert a)(check-sat)(get-model)")
+        grounder.ground()
+        assert grounder.solve() == "sat"
+        assert grounder.model_lines() == ["  (define-fun a () Bool true)"]
+        assert not grounder.script.read("(declare-fun b () Bool)(assert (xor a b))(check-sat)")
+        grounder.ground()
+        assert grounder.solve(None, [0]) == "sat"
+        assert minisolver.bool_model("\n".join(grounder.model_lines())) == {"a": True, "b": False}
 
     def test_later_sort_constant_confined_in_its_batch(self):
-        grounder = minisolver.Grounder(minisolver.Script())
-        assert minisolver.check_text(self._BASE, grounder=grounder)[0] == "sat"
+        grounder = self._grounded(self._BASE)
+        assert grounder.solve() == "sat"
         later = "(declare-fun z () S)(assert (or (= z s0)))(assert (G z y))(check-sat)(get-model)"
-        status, lines, _ = minisolver.check_text(later, grounder=grounder)
-        assert status == "sat" and "  (define-fun z () S s0)" in lines
+        assert grounder.script.read(later)
+        grounder.ground()
+        assert grounder.solve(None, [0]) == "sat" and "  (define-fun z () S s0)" in grounder.model_lines()
         assert grounder.values["z"] == (grounder.fixed["s0"],)  # confined to s0's value
         # z stays confined: the next batch cannot move it off s0.
-        assert minisolver.check_text("(assert (= z s1))(check-sat)", grounder=grounder)[0] == "unsat"
+        grounder.script.read("(assert (= z s1))(check-sat)")
+        grounder.ground()
+        assert grounder.solve(None, [0, 1]) == "unsat"
 
     def test_batches_switch_on_and_off(self):
-        grounder = minisolver.Grounder(minisolver.Script())
-        assert minisolver.interpret(self._BASE, grounder=grounder)[0] == "sat"
-        assert minisolver.interpret("(assert (= y s0))(check-sat)", grounder=grounder)[0] == "sat"
-        assert minisolver.interpret("(assert (= y s1))(check-sat)", grounder=grounder, batches=[])[0] == "sat"
-        assert minisolver.interpret("(check-sat)", grounder=grounder, batches=[0])[0] == "sat"
-        assert minisolver.interpret("(check-sat)", grounder=grounder, batches=[0, 1])[0] == "unsat"
-        assert minisolver.interpret("(check-sat)", grounder=grounder)[0] == "unsat"  # every batch
+        grounder = self._grounded(self._BASE, "(assert (= y s0))(check-sat)", "(assert (= y s1))(check-sat)")
+        assert grounder.solve() == "sat"
+        assert grounder.solve(None, [0]) == "sat"
+        assert grounder.solve(None, [1]) == "sat"
+        assert grounder.solve(None, [0, 1]) == "unsat"
         assert grounder.sat.ok
+        # A fixed batch is on without being listed, in every later solve.
+        grounder.fix([0])
+        assert grounder.solve() == "sat"
+        assert grounder.solve(None, [1]) == "unsat"
+        assert grounder.sat.ok
+        grounder.fix([1])
+        assert grounder.solve() == "unsat" and not grounder.sat.ok
 
 
 def _enumerate_euf(consts, preds, constraints):
@@ -629,7 +649,8 @@ def test_grounding_shape(script, status, shape, monkeypatch):
     grounded CNF as CDCL receives it: unit clauses are not stored but
     assigned. A change to grounding that keeps verdicts but changes the CNF
     shows here. A script given as several texts is read batch by batch into
-    one grounder; the shape is the last check's."""
+    one grounder, and each solve switches every later batch on; the shape
+    is the last solve's."""
     seen = []
     solve = CdclSolver.solve
 
@@ -642,6 +663,8 @@ def test_grounding_shape(script, status, shape, monkeypatch):
     texts = [texts] if isinstance(texts, str) else texts
     grounder = minisolver.Grounder(minisolver.Script())
     for text in texts:
-        got = minisolver.interpret(text, grounder=grounder)[0]
+        grounder.script.read(text)
+        grounder.ground()
+        got = grounder.solve(None, range(len(grounder.selectors)))
     assert got == status
     assert seen[len(texts) - 1 :] == [shape]

@@ -91,21 +91,22 @@ def test_random_boolean_scripts_against_enumeration():
 
 
 def test_extended_scripts_against_enumeration():
-    """One assertion per batch into the same grounder: each check decides
-    every assertion so far. Shared subterms reach the Tseitin memo first in
-    one polarity and later in the other."""
+    """One assertion per batch into the same grounder: each solve switches
+    every batch on, so it decides every assertion so far. Shared subterms
+    reach the Tseitin memo first in one polarity and later in the other."""
     rng = SplitMix64(4242)
     for _ in range(150):
         asts = [random_ast(rng, 3) for _ in range(2 + rng.below(4))]
         grounder = Grounder(Script())
         head = "".join(f"(declare-fun {n} () Bool)" for n in NAMES)
         for i, ast in enumerate(asts):
-            text = f"{head if i == 0 else ''}(assert {render(ast)})(check-sat)(get-model)"
-            status, lines = interpret(text, grounder=grounder)
+            grounder.script.read(f"{head if i == 0 else ''}(assert {render(ast)})(check-sat)(get-model)")
+            grounder.ground()
+            status = grounder.solve(None, range(len(grounder.selectors)))
             expect = brute_force_sat(asts[: i + 1])
             assert status == ("sat" if expect else "unsat"), asts[: i + 1]
             if status == "sat":
-                model = bool_model("\n".join(lines))
+                model = bool_model("\n".join(grounder.model_lines()))
                 env = {name: model.get(name, False) for name in NAMES}
                 assert all(evaluate(a, env) for a in asts[: i + 1])
 
@@ -308,9 +309,9 @@ def random_later_conjunct(rng: SplitMix64):
 
 
 def test_later_batches_against_enumeration():
-    """Sort scripts read batch by batch into one grounder. Each check
-    switches a random set of the earlier later batches on, and must decide
-    the base, those batches and the new one."""
+    """Sort scripts read batch by batch into one grounder. Each solve
+    switches the new batch and a random set of the earlier later batches
+    on, and must decide the base and those batches."""
     rng = SplitMix64(5150)
     verdicts = Counter()
     head = "(declare-sort S 0)(declare-fun p () Bool)(declare-fun P (S S) Bool)"
@@ -321,14 +322,18 @@ def test_later_batches_against_enumeration():
             base.insert(0, ("distinct", *PINNED))
         grounder = Grounder(Script())
         text = head + "".join(f"(assert {render(a)})" for a in base) + "(check-sat)"
-        status, _ = interpret(text, grounder=grounder)
+        grounder.script.read(text)
+        grounder.ground()
+        status = grounder.solve()
         assert status == ("sat" if brute_force_sort_sat(base) else "unsat"), text
         later: list[list] = []
         for _ in range(3):
             batch = [random_later_conjunct(rng) for _ in range(1 + rng.below(2))]
             on = [b for b in range(len(later)) if rng.below(2)]
             text = "".join(f"(assert {render(a)})" for a in batch) + "(check-sat)"
-            status, _ = interpret(text, grounder=grounder, batches=on)
+            grounder.script.read(text)
+            grounder.ground()
+            status = grounder.solve(None, [*on, len(later)])
             asts = base + [a for b in on for a in later[b]] + batch
             assert status == ("sat" if brute_force_sort_sat(asts) else "unsat"), (base, later, on, batch)
             later.append(batch)

@@ -189,19 +189,16 @@ _DIGEST_SYSTEMS = {  # name -> (system, top k)
 
 
 def _read_script(text: str) -> tuple[list[tuple], list[tuple]]:
-    """The declarations of a script, as the ``Script.declare_*`` calls that
-    read them, and its assertions, as ``Script.parse_term`` reads them."""
+    """The declarations of a script, as the commands ``Script.declare``
+    reads, each list a tuple, and its assertions, as ``Script.parse_term``
+    reads them."""
     script, declared, terms = minisolver.Script(), [], []
-    for head, *args in minisolver.parse_sexprs(text):
-        if head == "declare-sort":
-            declared.append(("declare_sort", *args))
-            script.declare_sort(*args)
-        elif head == "declare-fun":
-            name, params, sort = args
-            declared.append(("declare_fun", name, tuple(params), sort))
-            script.declare_fun(name, params, sort)
-        elif head == "assert":
-            terms.append(script.parse_term(args[0]))
+    for command in minisolver.parse_sexprs(text):
+        if command[0] in ("declare-sort", "declare-fun"):
+            declared.append(tuple(tuple(a) if isinstance(a, list) else a for a in command))
+            script.declare(command)
+        elif command[0] == "assert":
+            terms.append(script.parse_term(command[1]))
     return declared, terms
 
 
@@ -490,7 +487,7 @@ class TestInProcessBundled:
         assert reason and (verdict.status, verdict.raw) == ("unknown", reason)
 
     def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
-        def crash(text, deadline=None, grounder=None):
+        def crash(text, deadline=None):
             raise RecursionError("too deep")
 
         monkeypatch.setattr(minisolver, "check_text", crash)
@@ -631,6 +628,23 @@ class TestSolverSession:
         starts_before = len(starts)
         assert session.check(three, math.inf)[0] == "sat"
         assert len(starts) == starts_before  # k = 3 extends k = 4's grounder
+
+    @pytest.mark.parametrize("schedule", smt.SCHEDULES)
+    def test_refused_steps_are_answered_from_the_text(self, schedule, monkeypatch):
+        """A one-state system's explicit step asserts (= y2 s0), not an or of
+        equalities, so y2 is left unconfined: the grounder refuses the step
+        and the query is answered from its text."""
+        check_text, texts = smt._check_text, []
+
+        def recording(doc, deadline):
+            texts.append(doc.k)
+            return check_text(doc, deadline)
+
+        monkeypatch.setattr(smt, "_check_text", recording)
+        result = rd_via_smt(System.from_names(["v1"], ()), "explicit", SolverConfig.bundled(), schedule)
+        assert (result.rd, result.exact) == (0, True)
+        assert [(k, v.status) for k, v in result.queries] == [(1, "unsat")]
+        assert texts == [1]
 
     def test_extended_query_answers_and_models(self, clique2):
         session = smt.SolverSession()
