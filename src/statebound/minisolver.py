@@ -1101,7 +1101,7 @@ class Grounder:
 
     def model_lines(self) -> list[str]:
         lines = [
-            f"  (define-fun {name} () Bool {'true' if value else 'false'})"
+            f"  (define-fun {_symbol(name)} () Bool {'true' if value else 'false'})"
             for name, value in self.bool_values(self.script.bool_consts).items()
         ]
         for sort, consts in self.script.sorts.items():
@@ -1115,9 +1115,20 @@ class Grounder:
                         if var is not None and self.sat.value[var] == 1:
                             value = v
                             break
-                rep = by_value.get(value, f"@{sort}!val!{value}")
-                lines.append(f"  (define-fun {const} () {sort} {rep})")
+                rep = _symbol(by_value.get(value, f"@{sort}!val!{value}"))
+                lines.append(f"  (define-fun {_symbol(const)} () {_symbol(sort)} {rep})")
         return lines
+
+
+# SMT-LIB's simple symbols: letters, digits and ~!@$%^&*_-+=<>.?/, not led by
+# a digit. Any other name is printed as a quoted symbol.
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*\Z")
+
+
+def _symbol(name: str) -> str:
+    """``name`` as a model prints it: bare if it is a simple symbol, else
+    between bars."""
+    return name if _SIMPLE_SYMBOL.match(name) else f"|{name}|"
 
 
 def _arguments(command: list | tuple, *kinds) -> list | tuple:
@@ -1151,14 +1162,15 @@ def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str]
 
 
 _MODEL_BOOL_RE = re.compile(
-    r"\(\s*define-fun\s+([^\s()]+)\s*\(\s*\)\s*Bool\s+(true|false)\s*\)"
+    r"\(\s*define-fun\s+(\|[^|]*\||[^\s()|]+)\s*\(\s*\)\s*Bool\s+(true|false)\s*\)"
 )
 
 
 def bool_model(text: str) -> dict[str, bool]:
     """The Boolean-constant values in a printed model, this solver's or any
-    other's; a ``define-fun`` may span several lines."""
-    return {name: value == "true" for name, value in _MODEL_BOOL_RE.findall(text)}
+    other's; a ``define-fun`` may span several lines, and a quoted name is
+    read without its bars."""
+    return {name.strip("|"): value == "true" for name, value in _MODEL_BOOL_RE.findall(text)}
 
 
 def solve_text(text: str) -> tuple[str, dict[str, bool]]:

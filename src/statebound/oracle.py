@@ -8,10 +8,14 @@ obviously correct and deterministic over being clever.
 The exhaustive longest-simple-path search is bounded by td: no path from a
 vertex has more edges than its SCC-condensation value minus 1, so the search
 stops at a path of td edges and cuts every branch that this ceiling shows
-cannot beat the best path so far. A branch that survives is then cut by its
+cannot beat the best path so far. Once the search from a start vertex
+finishes, no path from it is longer than the best path, so that length
+becomes its ceiling; on a hub-shaped space the hub's finished start cuts
+every later start at the hub. A branch that survives is then cut by its
 residual reachable-vertex count, which stops counting as soon as it is large
 enough not to cut. The condensation and the search result are computed once
-per graph and kept on it.
+per graph and kept on it. The diameter's BFS from a source stops once every
+state has a distance.
 
 The search runs under a work budget, not a state cap: the state count does
 not bound its work, which depends on how well the cuts fire. One work unit
@@ -71,7 +75,12 @@ def exp_bound(system: System) -> int:
 
 
 def diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> int:
-    """Longest shortest path over all ordered reachable state pairs."""
+    """Longest shortest path over all ordered reachable state pairs.
+
+    One BFS per source, which stops once every state has a distance: BFS
+    finds states in nondecreasing distance order, so the last state found,
+    then or when the queue runs dry, is at the source's eccentricity.
+    """
     graph = as_graph(obj, max_vars)
     adj = graph.adj
     n = graph.num_states
@@ -79,16 +88,17 @@ def diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> 
     for source in range(n):
         distance = [-1] * n
         distance[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = distance[u]
-            if du > best:
-                best = du
+        found = [source]  # the BFS queue, read as it grows
+        for u in found:
+            if len(found) == n:
+                break
+            du = distance[u] + 1
             for v in adj[u]:
                 if distance[v] < 0:
-                    distance[v] = du + 1
-                    queue.append(v)
+                    distance[v] = du
+                    found.append(v)
+        if distance[found[-1]] > best:
+            best = distance[found[-1]]
     return best
 
 
@@ -171,6 +181,11 @@ def _search_longest_simple_path(graph: TransitionGraph, budget: int) -> tuple[in
                     break
                 iters.pop()
                 visited[path.pop()] = 0
+        # The search from start is done, and it cut only branches that could
+        # not beat the best: no simple path from start, so no residual path
+        # from it either, is longer than the best. The best is a path from
+        # start or was below start's ceiling, so this never raises it.
+        ceiling[start] = best_len
     if work > budget:  # the push that reached td was not checked
         raise _over_budget(work, budget)
     return best_len, best_path
@@ -193,9 +208,10 @@ def longest_simple_path(
     ascending id order; the witness is the first longest path found. With
     ceiling(v) = v's SCC-condensation value minus 1, the search stops once the
     best path has td edges, skips a start whose ceiling is at most the best,
-    and cuts a branch whose length plus ceiling, or else length plus residual
-    reachable-vertex count, is at most the best. Every cut drops only branches
-    that cannot strictly improve, so the result equals the unpruned search's.
+    lowers a finished start's ceiling to the best, and cuts a branch whose
+    length plus ceiling, or else length plus residual reachable-vertex count,
+    is at most the best. Every cut drops only branches that cannot strictly
+    improve, so the result equals the unpruned search's.
     Raises ``SimplePathSearchTooLargeError`` once the search has spent more
     than ``budget`` work units (pushes plus reach-count visits). A completed
     result is kept on the graph: a second call does not search again.

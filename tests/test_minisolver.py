@@ -99,6 +99,24 @@ class TestProtocol:
         text = "(declare-fun p () Bool)(assert p)(check-sat)(get-model)(exit)(assert false)"
         assert solve_text(text) == ("sat", {"p": True})
 
+    @pytest.mark.parametrize("name", ["a b", "x(y"])
+    def test_quoted_name_in_model(self, name):
+        # A name that is not a simple symbol is printed between bars, and
+        # bool_model reads it back without them.
+        text = (
+            f"(declare-fun |{name}| () Bool)(declare-fun b () Bool)"
+            f"(assert (and |{name}| (not b)))(check-sat)(get-model)"
+        )
+        assert minisolver.interpret(text) == (
+            "sat",
+            [f"  (define-fun |{name}| () Bool true)", "  (define-fun b () Bool false)"],
+        )
+        assert solve_text(text) == ("sat", {name: True, "b": False})
+
+    def test_quoted_sort_names_in_model(self):
+        text = "(declare-sort |S t| 0)(declare-fun |c d| () |S t|)(check-sat)(get-model)"
+        assert minisolver.interpret(text) == ("sat", ["  (define-fun |c d| () |S t| |@S t!val!0|)"])
+
 
 class TestReader:
     """``parse_sexprs``: whitespace is space, tab, CR and LF only, a comment

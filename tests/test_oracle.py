@@ -1,4 +1,5 @@
 import time
+from collections import deque
 
 import pytest
 
@@ -40,7 +41,44 @@ class TestExpBound:
         assert exp_bound(system) == MAX_BOUND
 
 
+def reference_diameter(graph):
+    """All-pairs BFS that scans every edge from every source."""
+    n, adj = graph.num_states, graph.adj
+    best = 0
+    for source in range(n):
+        distance = [-1] * n
+        distance[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            best = max(best, distance[u])
+            for v in adj[u]:
+                if distance[v] < 0:
+                    distance[v] = distance[u] + 1
+                    queue.append(v)
+    return best
+
+
 class TestDiameter:
+    def check(self, system):
+        graph = build_transition_graph(system)
+        assert diameter(graph) == reference_diameter(graph)
+
+    def test_matches_reference_on_chain_family(self):
+        for seed in range(1, 101):
+            self.check(make_random(chain_family(seed)))
+
+    def test_matches_reference_on_generator_families(self):
+        # star is one-way, so its BFS queues run dry before every state has
+        # a distance.
+        for m in range(1, 5):
+            self.check(gen_clique(m))
+        for n in range(1, 65):
+            self.check(gen_lotus(n))
+        for n in range(3, 7):
+            self.check(gen_star(n))
+        self.check(System.from_names(["a"], ()))
+
     def test_clique_is_one(self, clique2):
         assert diameter(clique2) == 1
 
@@ -79,6 +117,13 @@ class TestRecurrenceDiameter:
         with pytest.raises(SimplePathSearchTooLargeError, match="spent 7 work units, over its budget of 6"):
             longest_simple_path(graph, budget=6)
         assert longest_simple_path(graph, budget=7)[0] == 3
+
+    def test_lotus_hub_start_caps_its_ceiling(self):
+        # Once the hub's search finishes, its ceiling is 1, so each later
+        # leaf start is cut at the hub: 1,786 work units where every start
+        # through the hub to every other leaf took 66,810.
+        graph = build_transition_graph(gen_lotus(255))
+        assert longest_simple_path(graph, budget=2048)[0] == 2
 
     def test_deterministic(self, clique2):
         graph = build_transition_graph(clique2)
@@ -152,7 +197,7 @@ class TestSearchMatchesReference:
     def test_generator_families(self):
         for m in range(1, 5):
             self.check(gen_clique(m))
-        for n in range(1, 65):
+        for n in (*range(1, 65), 96, 127, 128, 191, 255):
             self.check(gen_lotus(n))
         for n in range(3, 7):
             self.check(gen_star(n))
