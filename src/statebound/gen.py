@@ -77,7 +77,6 @@ class GeneratorSpec:
     num_actions: int = 6
     max_pre: int = 2
     max_eff: int = 2
-    allow_empty_eff: bool = False
 
 
 def _encoded_state(mask: int, value: int) -> PartialState:
@@ -141,8 +140,8 @@ def gen_random(spec: GeneratorSpec) -> System:
         raise GenerationError("random system needs at least one variable")
     if spec.num_actions < 1:
         raise GenerationError("random system needs at least one action")
-    if spec.max_eff < 1 and not spec.allow_empty_eff:
-        raise GenerationError("max_eff must be at least 1 unless empty effects are allowed")
+    if spec.max_eff < 1:
+        raise GenerationError("max_eff must be at least 1")
     rng = SplitMix64(spec.seed)
     variables = tuple(Variable(i, f"v{i + 1}") for i in range(m))
 
@@ -156,7 +155,7 @@ def gen_random(spec: GeneratorSpec) -> System:
     for _ in range(spec.num_actions):
         for _attempt in range(_RETRIES_PER_ACTION):
             pre = draw_side(spec.max_pre, 0)
-            eff = draw_side(spec.max_eff, 0 if spec.allow_empty_eff else 1)
+            eff = draw_side(spec.max_eff, 1)
             action = Action(pre, eff)
             if action not in seen:
                 seen.add(action)

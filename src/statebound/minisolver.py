@@ -717,7 +717,8 @@ class Grounder:
         self.sort_consts: int | None = None  # sort constants ground so far
         self.selectors: list[int] = []  # per later batch, its selector variable
         self.guard: tuple[int, ...] = ()  # the batch being ground: (not selector,)
-        self.bool_var: dict[str, int] = {}
+        self.bool_var: dict[str, int] = {}  # the script's Boolean constants
+        self.true_var: int | None = None  # true at level 0, for true and false
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
         self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
         self.value_var: dict[tuple[str, int], int] = {}
@@ -1031,12 +1032,10 @@ class Grounder:
         raise SmtUnsupportedError(f"cannot compile node {kind!r}")
 
     def _const_literal(self, truth: bool) -> int:
-        var = self.bool_var.get("@const_true")
-        if var is None:
-            var = self.sat.new_var()
-            self.bool_var["@const_true"] = var
-            self.sat.add_clause([var << 1])
-        return var << 1 if truth else (var << 1) ^ 1
+        if self.true_var is None:
+            self.true_var = self.sat.new_var()
+            self.sat.add_clause([self.true_var << 1])
+        return self.true_var << 1 if truth else (self.true_var << 1) ^ 1
 
     def assert_top(self, node: tuple) -> None:
         """Assert ``node`` under the batch's guard: a conjunction conjunct by
@@ -1081,17 +1080,12 @@ class Grounder:
     def solve(self, deadline: float | None = None, batches: list[int] | range = ()) -> str:
         """Decide the base and the later batches numbered in ``batches``
         (positions in ``selectors``), under their selectors as assumptions;
-        a batch not listed is off unless ``fix`` switched it on."""
+        a batch not listed is off. A sat answer's model stays readable
+        until the grounder is next changed or solved."""
         if not self.sat.ok:
             return "unsat"
         on = (self.selectors[b] << 1 for b in batches)
         return "sat" if self.sat.solve(deadline, *on) else "unsat"
-
-    def fix(self, batches: list[int] | range) -> None:
-        """Switch the later batches numbered in ``batches`` on for good:
-        their selectors become true at level 0."""
-        for b in batches:
-            self.sat.add_clause([self.selectors[b] << 1])
 
     def bool_values(self, names: list[str]) -> dict[str, bool]:
         """The model's value of each Boolean constant named; one that no

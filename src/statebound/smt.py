@@ -381,22 +381,21 @@ class SolverSession:
     A query's document carries its steps 0..k. The session grounds each
     step not loaded yet as one batch, from its terms: the base with no
     guard, every later step under a selector of its own. The CDCL solver
-    then decides the query under the selectors of steps 1..k not yet fixed,
-    as assumptions, and keeps the clauses, activities and phases it already
-    has. A sat answer fixes those selectors true at level 0, since the
-    search never asks below its largest sat k. So each step is ground once
-    per search, and a bisection back down loads nothing.
+    then decides the query under the selectors of steps 1..k as
+    assumptions, and keeps the clauses, activities and phases it already
+    has. A selector is only ever an assumption, so queries for any k, in
+    any order, extend one grounder: each step is ground once per search,
+    and a bisection back down loads nothing.
 
     It starts over from the document's steps when one of them is not the
-    object loaded at its place, when k is below a fixed step, and after a
-    timeout or error. A document that carries no steps (a hand-built one) or
-    whose steps the grounder refuses is answered from its text, fresh.
+    object loaded at its place, and after a timeout or error. A document
+    that carries no steps (a hand-built one) or whose steps the grounder
+    refuses is answered from its text, fresh.
     """
 
     def __init__(self) -> None:
         self._grounder: minisolver.Grounder | None = None  # None until a query is decided
         self._steps: tuple[Step, ...] = ()  # the steps loaded into it
-        self._fixed = 0  # steps 1.._fixed are on for good
 
     def check(self, doc: SmtDocument, deadline: float) -> tuple[str, dict[str, bool] | None, str]:
         """(status, Boolean model, reason) for ``doc``, as ``_check_text``."""
@@ -404,8 +403,8 @@ class SolverSession:
         if not steps:
             return _check_text(doc, deadline)
         grounder, self._grounder = self._grounder, None  # until doc is decided
-        if grounder is None or k < self._fixed or not all(map(operator.is_, steps, self._steps)):
-            grounder, self._steps, self._fixed = minisolver.Grounder(minisolver.Script()), (), 0
+        if grounder is None or not all(map(operator.is_, steps, self._steps)):
+            grounder, self._steps = minisolver.Grounder(minisolver.Script()), ()
         try:
             for step in steps[len(self._steps) :]:
                 for command in step.declared:
@@ -415,14 +414,10 @@ class SolverSession:
         except (minisolver.SmtUnsupportedError, minisolver.SmtFormatError):
             return _check_text(doc, deadline)
         self._steps = max(self._steps, steps, key=len)
-        on = range(self._fixed, k)  # the selectors of steps _fixed + 1..k
-        status, model = grounder.solve(deadline, on), None
-        if status == "sat":
-            if doc.get_model:  # read before fix() backtracks to level 0
-                names = [cmd[1] for step in steps for cmd in step.declared if cmd[2:] == ((), "Bool")]
-                model = grounder.bool_values(names)
-            grounder.fix(on)
-            self._fixed = k
+        status, model = grounder.solve(deadline, range(k)), None  # the selectors of steps 1..k
+        if status == "sat" and doc.get_model:
+            names = [cmd[1] for step in steps for cmd in step.declared if cmd[2:] == ((), "Bool")]
+            model = grounder.bool_values(names)
         self._grounder = grounder
         return status, model, ""
 

@@ -7,8 +7,8 @@ import pytest
 
 from statebound import cli, minisolver, oracle, smt
 from statebound.cli import main
-from statebound.gen import gen_lotus
-from statebound.io import serialize_system
+from statebound.gen import GeneratorSpec, gen_lotus, gen_random
+from statebound.io import parse_document, serialize_system
 
 
 def run(capsys, *argv):
@@ -314,6 +314,30 @@ class TestConjecture:
         )
         assert code == 0
         assert "counterexamples=0" in out
+
+    def test_counterexample_is_dumped(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli, "check_conjecture", lambda system: oracle.ConjectureVerdict("counterexample", td=2, rd=3)
+        )
+        out_dir = tmp_path / "found"
+        code, out, _ = run(
+            capsys,
+            "conjecture", "--seeds", "7..7", "--vars", "3", "--actions", "4",
+            "--max-pre", "1", "--out", str(out_dir),
+        )
+        path = out_dir / "conjecture_counterexample_seed7.json"
+        assert code == 0
+        assert out.splitlines() == [
+            f"counterexample at seed 7: td=2 rd=3 -> {path}",
+            "holds=0 vacuous=0 counterexamples=1",
+        ]
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        assert doc.metadata == {
+            "family": "random", "rng": "splitmix64", "seed": 7, "vars": 3,
+            "actions": 4, "max_pre": 1, "max_eff": 2, "td": 2, "rd": 3,
+        }
+        spec = GeneratorSpec("random", seed=7, num_vars=3, num_actions=4, max_pre=1, max_eff=2)
+        assert doc.system == gen_random(spec)
 
     def test_vars_cap(self, capsys):
         code, _, _ = run(capsys, "conjecture", "--seeds", "1..2", "--vars", "9")

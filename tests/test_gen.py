@@ -138,13 +138,6 @@ class TestRandom:
         system = gen_random(GeneratorSpec("random", seed=5, num_vars=5, num_actions=10))
         assert all(len(a.eff) >= 1 for a in system.actions)
 
-    def test_empty_effects_when_requested(self):
-        spec = GeneratorSpec(
-            "random", seed=11, num_vars=3, num_actions=20, max_eff=1, allow_empty_eff=True
-        )
-        system = gen_random(spec)
-        assert any(len(a.eff) == 0 for a in system.actions)
-
     def test_retry_budget_exhaustion(self):
         # only 2 distinct single-variable effect actions exist with no pre
         spec = GeneratorSpec(

@@ -117,6 +117,14 @@ class TestProtocol:
         text = "(declare-sort |S t| 0)(declare-fun |c d| () |S t|)(check-sat)(get-model)"
         assert minisolver.interpret(text) == ("sat", ["  (define-fun |c d| () |S t| |@S t!val!0|)"])
 
+    @pytest.mark.parametrize("get_model", ["", "(get-model)"])
+    def test_script_may_name_the_constant_true(self, get_model):
+        # The grounder's own variable for true and false is not a script's
+        # Boolean constant, whatever the script calls one.
+        text = f"(declare-fun @const_true () Bool)(assert (or false (not @const_true)))(check-sat){get_model}"
+        lines = ["  (define-fun @const_true () Bool false)"] if get_model else []
+        assert minisolver.check_text(text) == ("sat", lines, "")
+
 
 class TestReader:
     """``parse_sexprs``: whitespace is space, tab, CR and LF only, a comment
@@ -329,9 +337,10 @@ class TestAssumptions:
         assert solver.solve(None, 2, 3) is False
         assert solver.ok
 
-    def test_unsat_under_assumptions_then_sat_without(self):
-        # Pigeonhole 4 into 3 only when every pigeon's selector is assumed.
-        holes, pigeons = 3, 4
+    @staticmethod
+    def pigeonhole(holes, pigeons):
+        """A solver for pigeonhole ``pigeons`` into ``holes``, each pigeon
+        placed only when its selector is true, and the selectors."""
         solver = CdclSolver()
         select = [solver.new_var() for _ in range(pigeons)]
         var = [[solver.new_var() for _ in range(holes)] for _ in range(pigeons)]
@@ -341,6 +350,11 @@ class TestAssumptions:
             for i1 in range(pigeons):
                 for i2 in range(i1 + 1, pigeons):
                     solver.add_clause([(var[i1][j] << 1) ^ 1, (var[i2][j] << 1) ^ 1])
+        return solver, select
+
+    def test_unsat_under_assumptions_then_sat_without(self):
+        # Pigeonhole 4 into 3 only when every pigeon's selector is assumed.
+        solver, select = self.pigeonhole(3, 4)
         assert solver.solve(None, *(s << 1 for s in select)) is False
         assert solver.ok and solver.learned
         assert solver.solve(None, *(s << 1 for s in select[:3])) is True
@@ -348,6 +362,47 @@ class TestAssumptions:
         solver.add_clause([select[3] << 1])
         assert solver.solve(None, *(s << 1 for s in select[:3])) is False
         assert solver.ok and solver.solve() is True
+
+    def test_answers_survive_reduction_and_rescale(self):
+        """Paths only long searches reach, driven directly: learned clauses
+        dropped at level 0, their stale watches skipped, and activities
+        rescaled past 1e100. Pigeonhole 5 into 4, each pigeon under a
+        selector, is sat under a set of selectors iff the selected pigeons
+        fit into the holes one each."""
+        holes, pigeons = 4, 5
+        solver, select = self.pigeonhole(holes, pigeons)
+        assert solver.solve(None, *(s << 1 for s in select)) is False
+        solver.cancel_until(0)
+        learned = len(solver.learned)
+        solver._reduce_learned()
+        assert 0 < len(solver.learned) < learned
+
+        def stale_watches():
+            return sum(solver.clauses[ci] is None for watchers in solver.watches for ci in watchers)
+
+        stale = stale_watches()
+        assert stale > 0
+        largest = []
+        pick = solver.pick_branch
+
+        def recording():
+            largest.append(len(solver.heap))
+            return pick()
+
+        solver.pick_branch = recording
+        solver.var_inc = 1e100  # the next conflict's bumps rescale
+        for chosen in itertools.chain.from_iterable(
+            itertools.combinations(range(pigeons), r) for r in range(pigeons, -1, -1)
+        ):
+            fits = any(True for _ in itertools.permutations(range(holes), len(chosen)))
+            assumed = [select[i] << 1 for i in chosen]
+            assert solver.solve(None, *assumed) is fits, chosen
+            others = [(select[i] << 1) ^ 1 for i in range(pigeons) if i not in chosen]
+            assert solver.solve(None, *others, *assumed) is fits, chosen
+            assert solver.solve() is True and solver.ok
+        assert solver.var_inc < 1e100 and max(solver.activity) < 1e100
+        assert stale_watches() < stale
+        assert max(largest) <= 2 * solver.num_vars
 
 
 class TestExtendedScripts:
@@ -420,13 +475,7 @@ class TestExtendedScripts:
         assert grounder.solve(None, [1]) == "sat"
         assert grounder.solve(None, [0, 1]) == "unsat"
         assert grounder.sat.ok
-        # A fixed batch is on without being listed, in every later solve.
-        grounder.fix([0])
-        assert grounder.solve() == "sat"
-        assert grounder.solve(None, [1]) == "unsat"
-        assert grounder.sat.ok
-        grounder.fix([1])
-        assert grounder.solve() == "unsat" and not grounder.sat.ok
+        assert grounder.solve(None, [1]) == grounder.solve(None, [0]) == grounder.solve() == "sat"
 
 
 def _enumerate_euf(consts, preds, constraints):

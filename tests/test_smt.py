@@ -587,6 +587,19 @@ class TestSolverSession:
         steps = smt.steps_of(system, encoding).upto(8)
         assert grounded == list(accumulate(len(step.terms) for step in steps))
 
+    def test_queries_in_any_order_share_one_grounder(self, clique2, monkeypatch):
+        """Each step stays under its selector as an assumption, so k = 1
+        after a sat k = 3, and k = 2 after an unsat k = 4, extend the same
+        grounder."""
+        starts = _fresh_starts(monkeypatch)
+        session = smt.SolverSession()
+        steps = smt.steps_of(clique2, "factored")
+        docs = [encode_factored(clique2, k, steps=steps) for k in (3, 1, 4, 2)]
+        answers = [session.check(doc, math.inf)[0] for doc in docs]
+        assert answers == [minisolver.check_text(doc.rendering)[0] for doc in docs]
+        assert answers == ["sat", "sat", "unsat", "sat"]
+        assert len(starts) == 1 + len(docs)  # the session's one, and a text check per query
+
     def test_query_after_a_timeout_starts_fresh(self, clique2, monkeypatch):
         starts = _fresh_starts(monkeypatch)
         session = smt.SolverSession()
