@@ -2,8 +2,9 @@
 through an external solver, compositional bounding over files or generated
 families, and the td/rd coincidence harness.
 
-Exit codes: 0 all requested outputs were produced, 2 configuration error,
-3 input parse error, 4 cap or solver hard failure.
+Exit codes: 0 all requested outputs were produced, 2 configuration error
+(an unreadable input or an unwritable output path among them), 3 input
+parse error, 4 cap or solver hard failure.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def cmd_rd(args: argparse.Namespace) -> int:
         if max_k < 1:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Every script is assembled from one set of steps: one graph, one table.
+        # Every script is assembled from one set of steps, built once, so the
+        # explicit encoding builds one transition graph.
         steps = steps_of(system, args.encoding, args.max_vars)
         for k in range(1, max_k + 1):
             doc = encode(system, k, args.encoding, args.max_vars, steps)
@@ -383,6 +385,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except sysio.SystemParseError as exc:
         print(_machine_reason(exc), file=sys.stderr)
         return EXIT_PARSE

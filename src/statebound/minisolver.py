@@ -9,8 +9,9 @@ decides the base and whichever later batches it switches on, as
 assumptions. The solver keeps the clauses, activities and phases it already
 has, and since assumptions are only decisions, every learned clause stays
 valid. ``smt`` keeps one grounder per ``rd`` search, and fills its script
-through ``Script.declare`` and ``Script.assertions`` with the declaration
-commands and terms each step adds, so no query of a search is read as text.
+with the s-expression trees each step adds, declarations through
+``Script.declare`` and assertions through ``Script.parse_term``, the two
+readers of a text's commands, so no query of a search is read as text.
 ``check_text`` reads a script's whole text into a fresh grounder instead,
 through the same ``Script.read`` of commands. The solver also runs as a
 separate process (``statebound-solve`` or ``python -m statebound.minisolver``),
@@ -616,7 +617,8 @@ class Script:
     # -- term parsing ---------------------------------------------------------
 
     def parse_term(self, sx) -> tuple:
-        """Parse into ('true'|'false'), ('bvar',n), ('not',t), ('and'|'or',ts),
+        """Parse a term, as ``parse_sexprs`` gives it or with tuples for its
+        lists, into ('true'|'false'), ('bvar',n), ('not',t), ('and'|'or',ts),
         ('eeq',a,b), ('papp',p,args); => / xor / = / distinct desugared."""
         if isinstance(sx, str):
             if sx == "true":

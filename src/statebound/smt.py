@@ -13,12 +13,13 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
 The query for k is the query for k - 1 plus one step. A ``Steps`` builder
 makes the base and each step once per search, every declaration and
-assertion both as its line and as what ``minisolver`` reads from it, and the
-encoders assemble a query's lines from them. The bundled solver
-(``SolverConfig.bundled()``, the default) runs in the calling thread, under
-a deadline it checks against the clock. Through a ``SolverSession`` it
-grounds each step once per search, from its terms, and no query is rendered
-or read as text; without one, it reads the rendered script. Any other
+assertion as an s-expression tree of strings and tuples, and the encoders
+assemble a query's trees from them; its script is those trees rendered.
+The bundled solver (``SolverConfig.bundled()``, the default) runs in the
+calling thread, under a deadline it checks against the clock. Through a
+``SolverSession`` it reads each step's trees once per search, as it would
+read their text, and grounds them, so no query is rendered or read as text;
+without one, it reads the rendered script. Any other
 command is spawned once per query, fed the rendered script, and the first
 token it prints is read back. Satisfiability is monotone in k, so one search
 narrows a bracket between the largest k known sat and the smallest k known
@@ -56,34 +57,33 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Step:
-    """What one step adds to a query, or the base of every query, as SMT-LIB
-    lines and as what ``minisolver`` reads from each: the command of a
-    declaration, as ``Script.declare`` reads it, and the term of an
-    assertion."""
+    """What one step adds to a query, or the base of every query, as
+    s-expression trees of strings and tuples: the commands of its
+    declarations, such as ``("declare-fun", "y2", (), "S")``, and the terms
+    of its assertions."""
 
-    declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
-    declared: tuple[tuple, ...]
-    terms: tuple[tuple, ...]
+    declarations: tuple
+    assertions: tuple
 
-    @classmethod
-    def of(cls, declarations: list[tuple], assertions: list[tuple]) -> "Step":
-        """The step of these (line, reading) pairs."""
-        decls, commands = zip(*declarations) if declarations else ((), ())
-        asserts, terms = zip(*assertions) if assertions else ((), ())
-        return cls(decls, asserts, commands, terms)
+
+def _render(tree) -> str:
+    """An s-expression tree as SMT-LIB text; a string is its own text."""
+    return tree if isinstance(tree, str) else "(" + " ".join(map(_render, tree)) + ")"
 
 
 @dataclass(frozen=True)
 class SmtDocument:
     """A self-contained SMT-LIB 2 script: set-logic, declarations, assertions
-    and exactly one (check-sat). ``steps`` are the steps 0..k an encoder
-    assembled it from, neither compared nor rendered; only ``_assembled``
-    sets them, so a document changed by ``dataclasses.replace`` has none."""
+    and exactly one (check-sat). A declaration is a command tree and an
+    assertion a term tree, as ``Step`` holds them; a string, such as a
+    hand-written line, renders as itself.
+    ``steps`` are the steps 0..k an encoder assembled it from, neither
+    compared nor rendered; only ``_assembled`` sets them, so a document
+    changed by ``dataclasses.replace`` has none."""
 
     logic: str
-    declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
+    declarations: tuple
+    assertions: tuple
     encoding: str  # "explicit" | "factored"
     k: int
     get_model: bool = False
@@ -91,8 +91,8 @@ class SmtDocument:
 
     @cached_property
     def rendering(self) -> str:
-        lines = [f"(set-logic {self.logic})", *self.declarations]
-        lines += [f"(assert {body})" for body in self.assertions]
+        lines = [f"(set-logic {self.logic})", *map(_render, self.declarations)]
+        lines += [f"(assert {_render(body)})" for body in self.assertions]
         lines.append("(check-sat)")
         if self.get_model:
             lines.append("(get-model)")
@@ -104,58 +104,21 @@ class SmtDocument:
 
 
 def _assembled(steps: tuple[Step, ...], decls: list, asserts: list, encoding: str, get_model: bool):
-    """The query for k = len(steps) - 1 of these lines of ``steps``, carrying them."""
+    """The query for k = len(steps) - 1 of these trees of ``steps``, carrying them."""
     doc = SmtDocument("QF_UF", tuple(decls), tuple(asserts), encoding, len(steps) - 1, get_model)
     object.__setattr__(doc, "steps", steps)
     return doc
 
 
-# Each helper below gives a (line, term) pair: an SMT-LIB term, and the tuple
-# that ``minisolver.Script.parse_term`` reads from it, desugared the same way.
-
-
-def _bool(name: str) -> tuple:
-    return name, ("bvar", name)
-
-
-def _not(x: tuple) -> tuple:
-    return f"(not {x[0]})", ("not", x[1])
-
-
-def _nary(op: str, unit: str, parts: list[tuple]) -> tuple:
+def _nary(op: str, unit: str, parts: list) -> str | tuple:
     """``(op parts...)``; ``unit`` for no parts, and the part itself for one."""
     if not parts:
-        return unit, (unit,)
-    if len(parts) == 1:
-        return parts[0]
-    return f"({op} " + " ".join(line for line, _ in parts) + ")", (op, tuple(t for _, t in parts))
-
-
-def _implies(a: tuple, b: tuple) -> tuple:
-    return f"(=> {a[0]} {b[0]})", ("or", (("not", a[1]), b[1]))
-
-
-def _iff(a: tuple, b: tuple) -> tuple:
-    """``(= a b)`` over Booleans."""
-    return f"(= {a[0]} {b[0]})", ("and", (("or", (("not", a[1]), b[1])), ("or", (a[1], ("not", b[1])))))
-
-
-def _xor(a: tuple, b: tuple) -> tuple:
-    return f"(xor {a[0]} {b[0]})", ("and", (("or", (a[1], b[1])), ("or", (("not", a[1]), ("not", b[1])))))
-
-
-def _equal(a: str, b: str) -> tuple:
-    """``(= a b)`` over two distinct sort constants."""
-    return f"(= {a} {b})", ("eeq", min(a, b), max(a, b))
-
-
-def _edge(a: str, b: str) -> tuple:
-    return f"(G {a} {b})", ("papp", "G", (a, b))
+        return unit
+    return parts[0] if len(parts) == 1 else (op, *parts)
 
 
 def _fun(name: str, sort: str, *args: str) -> tuple:
-    """A ``declare-fun`` line and its command."""
-    return f"(declare-fun {name} ({' '.join(args)}) {sort})", ("declare-fun", name, args, sort)
+    return ("declare-fun", name, args, sort)
 
 
 class Steps:
@@ -182,25 +145,22 @@ def _explicit_steps(system: System, max_vars: int) -> Steps:
     graph = build_transition_graph(system, max_vars=max_vars)
     states = [f"s{u}" for u in range(graph.num_states)]
 
-    def confined(y: str) -> tuple:
-        return _nary("or", "false", [_equal(y, s) for s in states])
+    def confined(y: str) -> str | tuple:
+        return _nary("or", "false", [("=", y, s) for s in states])
 
     def step(i: int) -> Step:
         y = f"y{i + 1}"
-        distinct = [_not(_equal(f"y{p}", y)) for p in range(1, i + 1)]
-        return Step.of([_fun(y, "S")], [_edge(f"y{i}", y), *distinct, confined(y)])
+        distinct = [("not", ("=", f"y{p}", y)) for p in range(1, i + 1)]
+        return Step((_fun(y, "S"),), (("G", f"y{i}", y), *distinct, confined(y)))
 
-    decls = [("(declare-sort S 0)", ("declare-sort", "S", "0")), *(_fun(s, "S") for s in states)]
+    decls = [("declare-sort", "S", "0"), *(_fun(s, "S") for s in states)]
     decls += [_fun("y1", "S"), _fun("G", "Bool", "S", "S")]
-    asserts = []
-    if len(states) >= 2:
-        pairs = [_not(_equal(a, b)) for i, a in enumerate(states) for b in states[i + 1 :]]
-        asserts.append((f"(distinct {' '.join(states)})", _nary("and", "true", pairs)[1]))
-    asserts += [_edge(states[u], states[v]) for u, succs in enumerate(graph.adj) for v in succs]
+    asserts = [("distinct", *states)] if len(states) >= 2 else []
+    asserts += [("G", states[u], states[v]) for u, succs in enumerate(graph.adj) for v in succs]
     for a, succs in zip(states, map(set, graph.adj)):
-        asserts += [_not(_edge(a, b)) for v, b in enumerate(states) if v not in succs]
+        asserts += [("not", ("G", a, b)) for v, b in enumerate(states) if v not in succs]
     asserts.append(confined("y1"))
-    return Steps(Step.of(decls, asserts), step)
+    return Steps(Step(tuple(decls), tuple(asserts)), step)
 
 
 def encode_explicit(
@@ -242,11 +202,9 @@ def _factored_steps(system: System) -> Steps:
     i + 1 in some variable."""
     domain, actions = system.domain, system.actions
 
-    def var(var_id: int, step: int) -> tuple:
-        return _bool(_var_symbol(var_id, step))
-
-    def literal(var_id: int, value: bool, step: int) -> tuple:
-        return var(var_id, step) if value else _not(var(var_id, step))
+    def literal(var_id: int, value: bool, step: int) -> str | tuple:
+        name = _var_symbol(var_id, step)
+        return name if value else ("not", name)
 
     def step(i: int) -> Step:
         decls = [_fun(_var_symbol(v, i + 1), "Bool") for v in domain]
@@ -255,14 +213,16 @@ def _factored_steps(system: System) -> Steps:
         for j, action in enumerate(actions):
             parts = [literal(v, val, i) for v, val in action.pre.items()]
             parts += [literal(v, val, i + 1) for v, val in action.eff.items()]
-            parts += [_iff(var(v, i), var(v, i + 1)) for v in domain if v not in action.eff]
-            asserts.append(_implies(_bool(_action_symbol(j, i)), _nary("and", "true", parts)))
-        asserts.append(_nary("or", "false", [_bool(_action_symbol(j, i)) for j in range(len(actions))]))
+            frame = [v for v in domain if v not in action.eff]
+            parts += [("=", _var_symbol(v, i), _var_symbol(v, i + 1)) for v in frame]
+            asserts.append(("=>", _action_symbol(j, i), _nary("and", "true", parts)))
+        asserts.append(_nary("or", "false", [_action_symbol(j, i) for j in range(len(actions))]))
         for p in range(1, i + 1):
-            asserts.append(_nary("or", "false", [_xor(var(v, p), var(v, i + 1)) for v in domain]))
-        return Step.of(decls, asserts)
+            differ = [("xor", _var_symbol(v, p), _var_symbol(v, i + 1)) for v in domain]
+            asserts.append(_nary("or", "false", differ))
+        return Step(tuple(decls), tuple(asserts))
 
-    return Steps(Step.of([_fun(_var_symbol(v, 1), "Bool") for v in domain], []), step)
+    return Steps(Step(tuple(_fun(_var_symbol(v, 1), "Bool") for v in domain), ()), step)
 
 
 def encode_factored(
@@ -378,8 +338,9 @@ class SolverSession:
     """The bundled solver's state across the queries of one search: one
     ``minisolver.Grounder`` and the steps loaded into it, 0 the base.
 
-    A query's document carries its steps 0..k. The session grounds each
-    step not loaded yet as one batch, from its terms: the base with no
+    A query's document carries its steps 0..k. The session reads each step
+    not loaded yet, through ``Script.declare`` and ``Script.parse_term`` as
+    the text would be read, and grounds it as one batch: the base with no
     guard, every later step under a selector of its own. The CDCL solver
     then decides the query under the selectors of steps 1..k as
     assumptions, and keeps the clauses, activities and phases it already
@@ -389,8 +350,9 @@ class SolverSession:
 
     It starts over from the document's steps when one of them is not the
     object loaded at its place, and after a timeout or error. A document
-    that carries no steps (a hand-built one) or whose steps the grounder
-    refuses is answered from its text, fresh.
+    that carries no steps (a hand-built one), or whose steps are refused,
+    by the reader as their text would be or by the grounder, is answered
+    from its text, fresh.
     """
 
     def __init__(self) -> None:
@@ -406,17 +368,18 @@ class SolverSession:
         if grounder is None or not all(map(operator.is_, steps, self._steps)):
             grounder, self._steps = minisolver.Grounder(minisolver.Script()), ()
         try:
+            script = grounder.script
             for step in steps[len(self._steps) :]:
-                for command in step.declared:
-                    grounder.script.declare(command)
-                grounder.script.assertions.extend(step.terms)
+                for command in step.declarations:
+                    script.declare(command)
+                script.assertions.extend(map(script.parse_term, step.assertions))
                 grounder.ground(deadline)
         except (minisolver.SmtUnsupportedError, minisolver.SmtFormatError):
             return _check_text(doc, deadline)
         self._steps = max(self._steps, steps, key=len)
         status, model = grounder.solve(deadline, range(k)), None  # the selectors of steps 1..k
         if status == "sat" and doc.get_model:
-            names = [cmd[1] for step in steps for cmd in step.declared if cmd[2:] == ((), "Bool")]
+            names = [cmd[1] for step in steps for cmd in step.declarations if cmd[2:] == ((), "Bool")]
             model = grounder.bool_values(names)
         self._grounder = grounder
         return status, model, ""

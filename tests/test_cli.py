@@ -361,6 +361,26 @@ class TestConfigErrors:
         code, _, _ = run(capsys, "topo", "--input", "/nonexistent/x.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["topo", "bound", "rd", "conjecture"])
+    def test_unwritable_output(self, capsys, tmp_path, monkeypatch, command):
+        """An output path under a file, or a directory that is a file, is a
+        configuration error, reported after the results."""
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setattr(
+            cli, "check_conjecture", lambda system: oracle.ConjectureVerdict("counterexample", td=2, rd=3)
+        )
+        lotus = ["--gen", "lotus", "--n", "3"]
+        argv = {
+            "topo": ["topo", *lotus, "--csv", str(blocker / "x.csv")],
+            "bound": ["bound", *lotus, "--csv", str(blocker / "x.csv")],
+            "rd": ["rd", *lotus, "--emit-smt", str(blocker)],
+            "conjecture": ["conjecture", "--seeds", "7..7", "--vars", "3", "--out", str(blocker)],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("source", [["--input", "missing.json"], ["--gen", "lotus", "--n", "3"]])
     def test_batch_with_one_system_is_config_error(self, capsys, tmp_path, source):
         batch = tmp_path / "problems"

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import math
 import sys
-from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -188,32 +187,27 @@ _DIGEST_SYSTEMS = {  # name -> (system, top k)
 }
 
 
-def _read_script(text: str) -> tuple[list[tuple], list[tuple]]:
-    """The declarations of a script, as the commands ``Script.declare``
-    reads, each list a tuple, and its assertions, as ``Script.parse_term``
-    reads them."""
-    script, declared, terms = minisolver.Script(), [], []
-    for command in minisolver.parse_sexprs(text):
-        if command[0] in ("declare-sort", "declare-fun"):
-            declared.append(tuple(tuple(a) if isinstance(a, list) else a for a in command))
-            script.declare(command)
-        elif command[0] == "assert":
-            terms.append(script.parse_term(command[1]))
-    return declared, terms
+def _as_tuples(tree):
+    """An s-expression as ``minisolver.parse_sexprs`` reads it, each list a tuple."""
+    return tree if isinstance(tree, str) else tuple(map(_as_tuples, tree))
 
 
 @pytest.mark.parametrize("encoding", smt.ENCODINGS)
-def test_steps_read_as_their_lines(encoding):
-    """What the session loads for a query, taken together, is what the
-    bundled solver reads from the query's text, line for line."""
+def test_text_reads_back_as_the_trees(encoding):
+    """A query's rendering, read back, is the document's own trees, command
+    for command and in order."""
     for seed in range(1, 6):
         system = make_random(equivalence_family(seed))
         steps = smt.steps_of(system, encoding)
         for k in range(1, recurrence_diameter_bruteforce(system) + 2):
             doc = smt.encode(system, k, encoding, steps=steps)
-            declared, terms = _read_script(doc.rendering)
-            assert Counter(call for step in doc.steps for call in step.declared) == Counter(declared)
-            assert Counter(term for step in doc.steps for term in step.terms) == Counter(terms), (seed, k)
+            read = _as_tuples(minisolver.parse_sexprs(doc.rendering))
+            assert read == (
+                ("set-logic", "QF_UF"),
+                *doc.declarations,
+                *(("assert", a) for a in doc.assertions),
+                ("check-sat",),
+            ), (seed, k)
 
 
 @pytest.mark.parametrize("name,encoding", sorted(_RENDERING_DIGESTS))
@@ -522,7 +516,7 @@ def _solved_fresh(monkeypatch):
 
 class TestSolverSession:
     """rd_via_smt keeps one bundled-solver session per search: each query
-    grounds only its steps not loaded yet, from their terms, into the same
+    grounds only its steps not loaded yet, from their trees, into the same
     grounder, and a bisection back down loads nothing."""
 
     @pytest.mark.parametrize(
@@ -585,7 +579,7 @@ class TestSolverSession:
         (grounder,) = starts
         assert len(grounder.selectors) == 8
         steps = smt.steps_of(system, encoding).upto(8)
-        assert grounded == list(accumulate(len(step.terms) for step in steps))
+        assert grounded == list(accumulate(len(step.assertions) for step in steps))
 
     def test_queries_in_any_order_share_one_grounder(self, clique2, monkeypatch):
         """Each step stays under its selector as an assumption, so k = 1
@@ -621,12 +615,12 @@ class TestSolverSession:
         starts = _fresh_starts(monkeypatch)
         session = smt.SolverSession()
         two = encode_explicit(clique2, 2)
-        confining = "(or (= y3 s0) (= y3 s1) (= y3 s2) (= y3 s3))"
+        confining = ("or", *(("=", "y3", f"s{u}") for u in range(4)))
         outside = dataclasses.replace(
             two,
             assertions=(
                 *(a for a in two.assertions if a != confining),
-                *(f"(not (= y3 s{u}))" for u in range(4)),
+                *(("not", ("=", "y3", f"s{u}")) for u in range(4)),
             ),
         )
         assert not outside.steps and confining in two.assertions
@@ -641,6 +635,15 @@ class TestSolverSession:
         starts_before = len(starts)
         assert session.check(three, math.inf)[0] == "sat"
         assert len(starts) == starts_before  # k = 3 extends k = 4's grounder
+
+    def test_steps_are_checked_as_their_text(self):
+        """A step that names an undeclared constant is refused, as the text
+        that renders it is."""
+        base = smt.Step((("declare-fun", "a", (), "Bool"),), ())
+        step = smt.Step((), (("and", "a", "b"),))
+        doc = smt._assembled((base, step), [*base.declarations], [*step.assertions], "factored", False)
+        answer = smt.SolverSession().check(doc, math.inf)
+        assert answer == smt._check_text(doc, math.inf) == ("unknown", None, "unknown symbol b")
 
     @pytest.mark.parametrize("schedule", smt.SCHEDULES)
     def test_refused_steps_are_answered_from_the_text(self, schedule, monkeypatch):
