@@ -189,7 +189,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
         # explicit encoding builds one transition graph.
         steps = steps_of(system, args.encoding, args.max_vars)
         for k in range(1, max_k + 1):
-            doc = encode(system, k, args.encoding, args.max_vars, steps)
+            doc = encode(system, k, args.encoding, steps)
             (out_dir / doc.script_name()).write_text(doc.rendering, encoding="utf-8")
         print(f"wrote {max_k} scripts to {out_dir}")
         return EXIT_OK
@@ -237,7 +237,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         loaders = {
             str(path): partial(_read_system, path, args.format)
             for path in sorted(batch_dir.iterdir())
-            if path.suffix in (".json", ".txt", ".fts")
+            if path.suffix in (".json", ".txt", ".fts") and path.is_file()
         }
         if not loaders:
             raise _CliError(f"no .json/.txt/.fts files in {batch_dir}", EXIT_CONFIG)

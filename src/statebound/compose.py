@@ -312,9 +312,10 @@ def _base_case_detailed(
     )
 
 
-def base_case(subsystem: System, kind: BaseCaseKind, cfg: BoundConfig | None = None) -> int:
-    """The configured topological property of one (sub)system."""
-    return _base_case_detailed(subsystem, kind, cfg or BoundConfig(), ()).value
+def base_case(subsystem: System, kind: BaseCaseKind) -> int:
+    """The configured topological property of one (sub)system, under the
+    default ``BoundConfig``."""
+    return _base_case_detailed(subsystem, kind, BoundConfig(), ()).value
 
 
 def compose_values(values) -> int:

@@ -1149,11 +1149,15 @@ def interpret(text: str, deadline: float | None = None) -> tuple[str, list[str]]
 def check_text(text: str, deadline: float | None = None) -> tuple[str, list[str], str]:
     """The solver's answer to a script, as in ``interpret``: (status, model
     lines, reason). A script outside the supported fragment, or malformed,
-    is ``unknown`` with the reason; a passed deadline raises SolverTimeout."""
+    or with a term nested past the reader's recursion limit (an n-ary
+    ``xor`` or ``=>`` nests as deep as it has operands), is ``unknown``
+    with the reason; a passed deadline raises SolverTimeout."""
     try:
         status, lines = interpret(text, deadline)
     except (SmtUnsupportedError, SmtFormatError) as exc:
         return "unknown", [], str(exc)
+    except RecursionError:
+        return "unknown", [], "term nested too deeply"
     return status, lines, ""
 
 

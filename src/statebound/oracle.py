@@ -74,14 +74,14 @@ def exp_bound(system: System) -> int:
     return (1 << m) - 1
 
 
-def diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> int:
+def diameter(obj: System | TransitionGraph) -> int:
     """Longest shortest path over all ordered reachable state pairs.
 
     One BFS per source, which stops once every state has a distance: BFS
     finds states in nondecreasing distance order, so the last state found,
     then or when the queue runs dry, is at the source's eccentricity.
     """
-    graph = as_graph(obj, max_vars)
+    graph = as_graph(obj)
     adj = graph.adj
     n = graph.num_states
     best = 0
@@ -315,22 +315,22 @@ def _condensation_dp(graph: TransitionGraph) -> tuple[list[list[int]], list[int]
     return components, comp_of, value, next_comp
 
 
-def traversal_diameter(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> int:
+def traversal_diameter(obj: System | TransitionGraph) -> int:
     """One less than the most distinct states any single walk can visit."""
-    graph = as_graph(obj, max_vars)
+    graph = as_graph(obj)
     if graph.num_states == 0:
         return 0
     _, _, value, _ = _derived(graph, "condensation", _condensation_dp)
     return max(value) - 1
 
 
-def traversal_walk(obj: System | TransitionGraph, max_vars: int = DEFAULT_VAR_CAP) -> list[int]:
+def traversal_walk(obj: System | TransitionGraph) -> list[int]:
     """A concrete walk visiting traversal_diameter + 1 distinct vertices.
 
     Covers every vertex of each component along the optimal condensation
     path, moving between vertices by BFS inside the current component.
     """
-    graph = as_graph(obj, max_vars)
+    graph = as_graph(obj)
     components, comp_of, value, next_comp = _derived(graph, "condensation", _condensation_dp)
     start_comp = max(range(len(components)), key=lambda c: (value[c], -c))
     adj = graph.adj
@@ -433,15 +433,15 @@ class TopoReport:
 def compute_topo_report(
     obj: System | TransitionGraph,
     problem: str = "",
-    max_vars: int = DEFAULT_VAR_CAP,
     budget: int = DEFAULT_RD_BUDGET,
 ) -> TopoReport:
     """Compute exp/d/rd/td on the explicit state space, timing each.
 
-    A prebuilt graph is used as it is, so ``graph_ms`` then times no build.
+    A system's graph is built within the default variable cap; a prebuilt
+    graph is used as it is, so ``graph_ms`` then times no build.
     """
     timings: dict[str, float] = {}
-    graph, timings["graph_ms"] = timed_ms(as_graph, obj, max_vars)
+    graph, timings["graph_ms"] = timed_ms(as_graph, obj)
     exp, timings["exp_ms"] = timed_ms(exp_bound, graph.system)
     d, timings["d_ms"] = timed_ms(diameter, graph)
     rd, timings["rd_ms"] = timed_ms(recurrence_diameter_bruteforce, graph, budget=budget)

@@ -13,8 +13,9 @@ Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
 The query for k is the query for k - 1 plus one step. A ``Steps`` builder
 makes the base and each step once per search, every declaration and
-assertion as an s-expression tree of strings and tuples, and the encoders
-assemble a query's trees from them; its script is those trees rendered.
+assertion as an s-expression tree of strings and tuples. A query is steps
+0..k in order: their declarations, then their assertions, each step's in
+the order it holds them; its script is those trees rendered.
 The bundled solver (``SolverConfig.bundled()``, the default) runs in the
 calling thread, under a deadline it checks against the clock. Through a
 ``SolverSession`` it reads each step's trees once per search, as it would
@@ -77,9 +78,10 @@ class SmtDocument:
     and exactly one (check-sat). A declaration is a command tree and an
     assertion a term tree, as ``Step`` holds them; a string, such as a
     hand-written line, renders as itself.
-    ``steps`` are the steps 0..k an encoder assembled it from, neither
-    compared nor rendered; only ``_assembled`` sets them, so a document
-    changed by ``dataclasses.replace`` has none."""
+    ``steps`` are the steps 0..k an encoder made the document from; its
+    declarations, then its assertions, are theirs in step order. They are
+    neither compared nor rendered; only ``_assembled`` sets them, so a
+    document changed by ``dataclasses.replace`` has none."""
 
     logic: str
     declarations: tuple
@@ -103,9 +105,12 @@ class SmtDocument:
         return f"phi{tag}_k{self.k}.smt2"
 
 
-def _assembled(steps: tuple[Step, ...], decls: list, asserts: list, encoding: str, get_model: bool):
-    """The query for k = len(steps) - 1 of these trees of ``steps``, carrying them."""
-    doc = SmtDocument("QF_UF", tuple(decls), tuple(asserts), encoding, len(steps) - 1, get_model)
+def _assembled(steps: tuple[Step, ...], encoding: str, get_model: bool) -> SmtDocument:
+    """The query for k = len(steps) - 1, carrying ``steps``: the declarations
+    of steps 0..k, then their assertions, in the order the session loads them."""
+    decls = tuple(tree for step in steps for tree in step.declarations)
+    asserts = tuple(tree for step in steps for tree in step.assertions)
+    doc = SmtDocument("QF_UF", decls, asserts, encoding, len(steps) - 1, get_model)
     object.__setattr__(doc, "steps", steps)
     return doc
 
@@ -164,25 +169,13 @@ def _explicit_steps(system: System, max_vars: int) -> Steps:
 
 
 def encode_explicit(
-    system: System,
-    k: int,
-    max_vars: int = DEFAULT_VAR_CAP,
-    get_model: bool = False,
-    steps: Steps | None = None,
+    system: System, k: int, get_model: bool = False, steps: Steps | None = None
 ) -> SmtDocument:
     """Whole-state-space encoding: satisfiable iff a simple path with k edges
-    exists. The script enumerates every ordered state pair. It is assembled
-    from ``steps``, or from a builder made here, which builds the explicit
+    exists. The script enumerates every ordered state pair. It is steps
+    0..k of ``steps``, or of a builder made here, which builds the explicit
     transition graph, when None."""
-    steps = (steps or _explicit_steps(system, max_vars)).upto(k)
-    base, later = steps[0], steps[1:]
-    # The base's declarations end with y1 and G; its assertions with y1's confinement.
-    decls = [*base.declarations[:-1], *(s.declarations[0] for s in later), base.declarations[-1]]
-    asserts = [*base.assertions[:-1], *(s.assertions[0] for s in later)]
-    # (not (= y_p y_q)) for p < q, which step q - 1 adds as its p-th assertion
-    asserts += [steps[q - 1].assertions[p] for p in range(1, k + 2) for q in range(p + 1, k + 2)]
-    asserts += [s.assertions[-1] for s in steps]
-    return _assembled(steps, decls, asserts, "explicit", get_model)
+    return _assembled((steps or steps_of(system, "explicit")).upto(k), "explicit", get_model)
 
 
 def _var_symbol(var_id: int, step: int) -> str:
@@ -231,18 +224,9 @@ def encode_factored(
     """Factored encoding over per-step Boolean constants: an action constant
     implies its preconditions now, its effects next, and frame equivalences
     for untouched variables; some action fires each step; every pair of steps
-    differs in some variable. Assembled from ``steps``, or from a builder
+    differs in some variable. It is steps 0..k of ``steps``, or of a builder
     made here when None."""
-    steps = (steps or _factored_steps(system)).upto(k)
-    later = steps[1:]
-    nv, na = len(system.domain), len(system.actions)
-    decls = [s.declarations[x] for x in range(nv) for s in steps]
-    decls += [s.declarations[nv + j] for j in range(na) for s in later]
-    asserts = [s.assertions[j] for s in later for j in range(na)]
-    asserts += [s.assertions[na] for s in later]
-    # the differences of steps p < q, which step q - 1 adds after its na + 1 others
-    asserts += [steps[q - 1].assertions[na + p] for p in range(1, k + 2) for q in range(p + 1, k + 2)]
-    return _assembled(steps, decls, asserts, "factored", get_model)
+    return _assembled((steps or steps_of(system, "factored")).upto(k), "factored", get_model)
 
 
 def steps_of(system: System, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> Steps:
@@ -257,18 +241,12 @@ def steps_of(system: System, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> 
 ENCODINGS = ("explicit", "factored")
 
 
-def encode(
-    system: System,
-    k: int,
-    encoding: str,
-    max_vars: int = DEFAULT_VAR_CAP,
-    steps: Steps | None = None,
-) -> SmtDocument:
+def encode(system: System, k: int, encoding: str, steps: Steps | None = None) -> SmtDocument:
     """The query for k in ``encoding``, assembled from ``steps`` when given.
     The encoders are looked up as module globals at each call, so a wrapper
     set on them applies here too."""
     if encoding == "explicit":
-        return encode_explicit(system, k, max_vars=max_vars, steps=steps)
+        return encode_explicit(system, k, steps=steps)
     if encoding == "factored":
         return encode_factored(system, k, steps=steps)
     raise ValueError(f"unknown encoding {encoding!r}")
@@ -513,7 +491,7 @@ def rd_via_smt(
     session = SolverSession()
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(system, k, encoding, max_vars, steps), cfg, session)
+        verdict = run_solver(encode(system, k, encoding, steps), cfg, session)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

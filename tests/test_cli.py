@@ -278,6 +278,20 @@ class TestBound:
         rows = csv_rows(target)
         assert len(rows) == 1  # the good problem still produced a row
 
+    def test_batch_skips_directories(self, capsys, tmp_path):
+        batch = tmp_path / "problems"
+        batch.mkdir()
+        (batch / "lotus.json").write_text(serialize_system(gen_lotus(2), "json"), encoding="utf-8")
+        (batch / "sub.json").mkdir()
+        target = tmp_path / "out.csv"
+        code, _, err = run(
+            capsys,
+            "bound", "--batch", str(batch), "--base", "td",
+            "--bruteforce", "--csv", str(target),
+        )
+        assert code == 0 and "FAILED" not in err
+        assert [row["problem"] for row in csv_rows(target)] == ["lotus"]
+
     def test_array_for_object_is_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

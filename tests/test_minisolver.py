@@ -31,6 +31,10 @@ def _render(tree) -> str:
     return tree if isinstance(tree, str) else "(" + " ".join(map(_render, tree)) + ")"
 
 
+_WIDE = "".join(f"(declare-fun a{i} () Bool)" for i in range(2000))
+_OPERANDS = " ".join(f"a{i}" for i in range(2000))
+
+
 class TestProtocol:
     def test_empty_script_sat(self):
         assert solve_text("(set-logic QF_UF)(check-sat)")[0] == "sat"
@@ -73,9 +77,10 @@ class TestProtocol:
     def test_comments_ignored(self):
         assert solve_text("; a comment\n(check-sat)\n")[0] == "sat"
 
-    # Scripts this one-check solver would otherwise answer wrongly: push and
-    # pop would be skipped, and a later assertion or check-sat merged into
-    # the one check over every assertion.
+    # Scripts this one-check solver would otherwise answer wrongly or crash
+    # on: push and pop would be skipped, a later assertion or check-sat
+    # merged into the one check over every assertion, and a term nested past
+    # the recursion limit would raise.
     @pytest.mark.parametrize(
         "script,reason",
         [
@@ -87,8 +92,18 @@ class TestProtocol:
             ),
             ("(check-sat)(check-sat)", "'check-sat' after (check-sat)"),
             ("(declare-sort S 0)(declare-sort S 0)(check-sat)", "redeclaration of sort S"),
+            # An n-ary xor or => is read as n nested binary terms.
+            (f"{_WIDE}(assert (xor {_OPERANDS}))(check-sat)", "term nested too deeply"),
+            (f"{_WIDE}(assert (=> {_OPERANDS}))(check-sat)", "term nested too deeply"),
+            (
+                "(declare-fun a () Bool)(assert " + "(not " * 3000 + "a" + ")" * 3001 + "(check-sat)",
+                "term nested too deeply",
+            ),
         ],
-        ids=["push", "pop", "assert-after-check", "second-check", "repeated-sort"],
+        ids=[
+            "push", "pop", "assert-after-check", "second-check", "repeated-sort",
+            "wide-xor", "wide-implies", "deep-not",
+        ],
     )
     def test_unsupported_sequences_are_unknown(self, script, reason):
         status, model, why = minisolver.check_text(script)

