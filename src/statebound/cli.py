@@ -282,6 +282,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         seed_range = range(int(first), int(last) + 1)
     except ValueError as exc:
         raise _CliError(f"--seeds must look like A..B: {exc}", EXIT_CONFIG) from exc
+    if not seed_range:
+        raise _CliError(f"--seeds {args.seeds} is empty: its end is below its start", EXIT_CONFIG)
     if args.vars > 8:
         raise _CliError("--vars is capped at 8 for the exhaustive check", EXIT_CONFIG)
     counts = {"holds": 0, "vacuous": 0, "counterexample": 0}

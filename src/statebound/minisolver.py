@@ -46,11 +46,13 @@ table entry, a value literal or a known truth value; a predicate application
 gets one per value combination of its unpinned arguments. In positive
 polarity an unpinned last argument is ground by table rows instead: one
 clause that it takes a value whose entry is not false, and one per variable
-entry; each row is read once, skipping the entries known false. So the
-explicit encoding's ``(G y_i y_{i+1})``, with both steps confined to the n
-states, is n clauses. An atom asserted at the top level has no variable of
-its own: its clauses are guarded by the batch's selector instead, or by
-nothing in the base. Nor does a top-level ``or`` that holds one conjunction
+entry; each row is read once, skipping the entries known false. An atom
+asserted at the top level has no variable of its own: its clauses are
+guarded by the batch's selector instead, or by nothing in the base. Nor
+does an equality with a pinned side anywhere: it is the other side's value
+literal, or a constant. So the explicit encoding's successor clause
+``(or (not (= y_i a)) (= y_{i+1} b) ...)`` is one clause of value literals
+and the selector. Nor does a top-level ``or`` that holds one conjunction
 (the factored encoding's ``(=> a (and ...))``): it becomes one clause per
 conjunct. An ``and`` needed only positively writes an ``or`` child as one
 clause, so an ``xor`` needs one variable, not three. The Boolean core is a
@@ -139,6 +141,11 @@ class CdclSolver:
     first-UIP learning with recursive minimization, VSIDS, Luby restarts and
     length-based learned-clause deletion at restarts.
 
+    A clause is a list of literals, its watched two first. The watch lists
+    and ``reason`` hold the clause lists themselves (``reason`` is None for
+    a decision or a level-0 unit). A deleted learned clause is emptied, and
+    ``propagate`` drops it from a watch list when it meets it there.
+
     The VSIDS order is a lazy heap of (-activity, var) entries. ``queued[var]``
     says the heap holds an entry at var's current activity; ``cancel_until``
     pushes a variable it unassigns only when that flag is clear, so every
@@ -149,12 +156,12 @@ class CdclSolver:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[list[int] | None] = []
-        self.learned: list[int] = []
-        self.watches: list[list[int]] = [[], []]  # index 0/1 unused (var 0)
+        self.clauses: list[list[int]] = []  # every clause stored, learned ones too
+        self.learned: list[list[int]] = []
+        self.watches: list[list[list[int]]] = [[], []]  # index 0/1 unused (var 0)
         self.value: list[int] = [0]  # per var: -1 unset else 0/1; index 0 unused
         self.level: list[int] = [0]
-        self.reason: list[int] = [-1]
+        self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
         self.phase: list[int] = [0]
         self.trail: list[int] = []
@@ -169,7 +176,7 @@ class CdclSolver:
         self.num_vars += 1
         self.value.append(_UNSET)
         self.level.append(0)
-        self.reason.append(-1)
+        self.reason.append(None)
         self.activity.append(0.0)
         self.phase.append(0)
         self.watches.append([])
@@ -192,41 +199,37 @@ class CdclSolver:
             return
         if self.trail_lim:
             self.cancel_until(0)
-        out = []
-        seen = set()
+        out: list[int] = []
+        value = self.value
         for lit in lits:
-            if lit in seen:
-                continue
-            if lit ^ 1 in seen:
-                return  # tautology
-            val = self.value[lit >> 1]
+            val = value[lit >> 1]
             if val != _UNSET:
                 if val == 1 - (lit & 1):
                     return  # satisfied at level 0
                 continue  # permanently false literal
-            seen.add(lit)
+            if lit in out:
+                continue
+            if lit ^ 1 in out:
+                return  # tautology
             out.append(lit)
         if not out:
             self.ok = False
             return
         if len(out) == 1:
-            if not self.enqueue(out[0], -1):
+            if not self.enqueue(out[0], None):
                 self.ok = False
             elif self.propagate() is not None:
                 self.ok = False
             return
         self._attach(out)
 
-    def _attach(self, lits: list[int]) -> int:
-        """Store a clause of two or more literals, watch its first two, and
-        return its index."""
-        idx = len(self.clauses)
+    def _attach(self, lits: list[int]) -> None:
+        """Store a clause of two or more literals and watch its first two."""
         self.clauses.append(lits)
-        self.watches[lits[0]].append(idx)
-        self.watches[lits[1]].append(idx)
-        return idx
+        self.watches[lits[0]].append(lits)
+        self.watches[lits[1]].append(lits)
 
-    def enqueue(self, lit: int, reason: int) -> bool:
+    def enqueue(self, lit: int, reason: list[int] | None) -> bool:
         val = self.lit_value(lit)
         if val != _UNSET:
             return val == 1
@@ -237,23 +240,23 @@ class CdclSolver:
         self.trail.append(lit)
         return True
 
-    def propagate(self) -> int | None:
-        clauses = self.clauses
+    def propagate(self) -> list[int] | None:
+        """Propagate the trail from ``qhead``; the clause found false, or None."""
         watches = self.watches
         value = self.value
         level = self.level
         reason = self.reason
         trail = self.trail
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            falsified = lit ^ 1
+        qhead = self.qhead
+        current = len(self.trail_lim)
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             watchers = watches[falsified]
             i = 0
             while i < len(watchers):
-                ci = watchers[i]
-                clause = clauses[ci]
-                if clause is None:
+                clause = watchers[i]
+                if not clause:  # deleted
                     watchers[i] = watchers[-1]
                     watchers.pop()
                     continue
@@ -271,7 +274,7 @@ class CdclSolver:
                     if value[lk >> 1] != lk & 1:  # unset or true
                         clause[1] = lk
                         clause[k] = falsified
-                        watches[lk].append(ci)
+                        watches[lk].append(clause)
                         watchers[i] = watchers[-1]
                         watchers.pop()
                         moved = True
@@ -279,13 +282,15 @@ class CdclSolver:
                 if moved:
                     continue
                 if fv != _UNSET:
-                    return ci  # all literals false
+                    self.qhead = qhead
+                    return clause  # all literals false
                 var = first >> 1
                 value[var] = 1 - (first & 1)
-                level[var] = len(self.trail_lim)
-                reason[var] = ci
+                level[var] = current
+                reason[var] = clause
                 trail.append(first)
                 i += 1
+        self.qhead = qhead
         return None
 
     def bump(self, var: int) -> None:
@@ -310,7 +315,7 @@ class CdclSolver:
         for _, v in self.heap:
             self.queued[v] = 1
 
-    def analyze(self, confl: int) -> tuple[list[int], int]:
+    def analyze(self, confl: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = []
         seen = self._seen
         path_count = 0
@@ -318,8 +323,7 @@ class CdclSolver:
         index = len(self.trail)
         current = len(self.trail_lim)
         while True:
-            clause = self.clauses[confl]
-            for q in clause if p is None else clause[1:]:
+            for q in confl if p is None else confl[1:]:
                 var = q >> 1
                 if not seen[var] and self.level[var] > 0:
                     seen[var] = 1
@@ -358,19 +362,18 @@ class CdclSolver:
         """True when the reason graph shows ``lit`` is implied by the other
         learnt literals (standard recursive clause minimization). Marks made
         on success stay in ``_seen`` and are handed back for cleanup."""
-        if self.reason[lit >> 1] < 0:
+        if self.reason[lit >> 1] is None:
             return False
         seen = self._seen
         stack = [lit]
         added: list[int] = []
         while stack:
             top = stack.pop()
-            clause = self.clauses[self.reason[top >> 1]]
-            for q in clause[1:]:
+            for q in self.reason[top >> 1][1:]:
                 var = q >> 1
                 if seen[var] or self.level[var] == 0:
                     continue
-                if self.reason[var] < 0:
+                if self.reason[var] is None:
                     for v in added:
                         seen[v] = 0
                     return False
@@ -389,7 +392,7 @@ class CdclSolver:
             var = lit >> 1
             self.phase[var] = self.value[var]
             self.value[var] = _UNSET
-            self.reason[var] = -1
+            self.reason[var] = None
             if not queued[var]:
                 queued[var] = 1
                 heappush(self.heap, (-self.activity[var], var))
@@ -411,23 +414,18 @@ class CdclSolver:
         return 0
 
     def _reduce_learned(self) -> None:
-        """Drop the longer half of non-binary, non-reason learned clauses."""
+        """Drop the longer half of non-binary, non-reason learned clauses,
+        each by emptying it."""
 
-        def locked(ci: int) -> bool:
-            head = self.clauses[ci][0] >> 1
-            return self.value[head] != _UNSET and self.reason[head] == ci
+        def locked(clause: list[int]) -> bool:
+            head = clause[0] >> 1
+            return self.value[head] != _UNSET and self.reason[head] is clause
 
-        candidates = [
-            ci
-            for ci in self.learned
-            if self.clauses[ci] is not None
-            and len(self.clauses[ci]) > 2
-            and not locked(ci)
-        ]
-        candidates.sort(key=lambda ci: len(self.clauses[ci]))
-        for ci in candidates[len(candidates) // 2 :]:
-            self.clauses[ci] = None
-        self.learned = [ci for ci in self.learned if self.clauses[ci] is not None]
+        candidates = [c for c in self.learned if len(c) > 2 and not locked(c)]
+        candidates.sort(key=len)
+        for clause in candidates[len(candidates) // 2 :]:
+            clause.clear()
+        self.learned = [c for c in self.learned if c]
 
     def solve(self, deadline: float | None = None, *assumptions: int) -> bool:
         """Decide the clauses with every literal of ``assumptions`` true;
@@ -460,11 +458,11 @@ class CdclSolver:
                 learnt, back_level = self.analyze(confl)
                 self.cancel_until(back_level)
                 if len(learnt) == 1:
-                    self.enqueue(learnt[0], -1)
+                    self.enqueue(learnt[0], None)
                 else:
-                    idx = self._attach(learnt)
-                    self.learned.append(idx)
-                    self.enqueue(learnt[0], idx)
+                    self._attach(learnt)
+                    self.learned.append(learnt)
+                    self.enqueue(learnt[0], learnt)
                 self.var_inc *= 1.052
                 if conflicts >= conflicts_until_restart:
                     conflicts = 0
@@ -485,7 +483,7 @@ class CdclSolver:
                     if lit == 0:
                         return True
                 self.trail_lim.append(len(self.trail))
-                self.enqueue(lit, -1)  # a no-op for an assumption already true
+                self.enqueue(lit, None)  # a no-op for an assumption already true
 
     @staticmethod
     def _luby(i: int) -> int:
@@ -912,19 +910,27 @@ class Grounder:
         else:
             self._ground_papp(node, head, positive)
 
-    def _ground_eeq(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
-        _, a, b = node
+    def _pinned_entry(self, a: str, b: str) -> int | bool | None:
+        """The entry of ``(= a b)`` when a side is pinned: a known truth
+        value when both are, else the other side's value literal (False for
+        a value it cannot take); None when neither side is pinned."""
         fa, fb = self.fixed.get(a), self.fixed.get(b)
         if fa is not None and fb is not None:
-            self._emit(head, (), fa == fb, positive)
-        elif fa is not None or fb is not None:
-            free, value = (b, fa) if fa is not None else (a, fb)
-            self._emit(head, (), self._value_literal(free, value), positive)
-        else:
-            # given a=v, the equality is b=v
-            for v in self.values[a]:
-                guard = (self._value_literal(a, v) ^ 1,)
-                self._emit(head, guard, self._value_literal(b, v), positive)
+            return fa == fb
+        if fa is not None:
+            return self._value_literal(b, fa)
+        return None if fb is None else self._value_literal(a, fb)
+
+    def _ground_eeq(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
+        _, a, b = node
+        entry = self._pinned_entry(a, b)
+        if entry is not None:
+            self._emit(head, (), entry, positive)
+            return
+        # given a=v, the equality is b=v
+        for v in self.values[a]:
+            guard = (self._value_literal(a, v) ^ 1,)
+            self._emit(head, guard, self._value_literal(b, v), positive)
 
     def _ground_papp(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
         """One clause per value combination of the arguments, guarded by the
@@ -979,7 +985,9 @@ class Grounder:
 
     def compile(self, node: tuple, need_pos: bool, need_neg: bool) -> int:
         """Return a literal equisatisfiable with ``node``; clauses are emitted
-        only for the polarities in which the node can be relevant."""
+        only for the polarities in which the node can be relevant. An
+        equality with a pinned side is its entry, with no variable of its
+        own: the other side's value literal, or a constant literal."""
         kind = node[0]
         if kind == "true":
             return self._const_literal(True)
@@ -989,6 +997,10 @@ class Grounder:
             return self._bool_var(node[1]) << 1
         if kind == "not":
             return self.compile(node[1], need_neg, need_pos) ^ 1
+        if kind == "eeq":
+            entry = self._pinned_entry(node[1], node[2])
+            if entry is not None:
+                return self._const_literal(entry) if isinstance(entry, bool) else entry
 
         state = self.memo.get(node)
         if state is None:

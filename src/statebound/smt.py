@@ -3,10 +3,10 @@ and the iterative search that turns them into the longest-simple-path length.
 
 Two encodings are emitted as solver-agnostic SMT-LIB 2 scripts:
 
-* explicit — an uninterpreted state sort with one constant per valid state,
-  an edge predicate tabulated over the whole state space, and a chain of k+1
-  pairwise-distinct step constants. Script size grows with the square of the
-  state-space size.
+* explicit — an uninterpreted state sort with one constant per valid state
+  and a chain of k+1 pairwise-distinct step constants; each step states the
+  transition graph's moves as one successor clause per state. Script size
+  grows with k * (n + |E|) for n states and |E| edges.
 * factored — Boolean per-step action and variable constants with frame
   equivalences, so the solver explores the state space lazily. Script size
   grows with k * (actions * variables + k * variables).
@@ -144,9 +144,10 @@ class Steps:
 
 def _explicit_steps(system: System, max_vars: int) -> Steps:
     """The base holds the state sort, one constant per state, asserted
-    distinct, the edge predicate tabulated over every ordered state pair,
-    and y1; step i adds y_{i+1}, the edge (y_i, y_{i+1}), y_{i+1} distinct
-    from y_1..y_i, and y_{i+1} confined to the states."""
+    distinct, and y1, confined to the states; step i adds y_{i+1}, one
+    successor clause per state a, ``(or (not (= y_i a)) (= y_{i+1} b) ...)``
+    over the successors b of a (``(not (= y_i a))`` for a state with none),
+    y_{i+1} distinct from y_1..y_i, and y_{i+1} confined to the states."""
     graph = build_transition_graph(system, max_vars=max_vars)
     states = [f"s{u}" for u in range(graph.num_states)]
 
@@ -154,16 +155,16 @@ def _explicit_steps(system: System, max_vars: int) -> Steps:
         return _nary("or", "false", [("=", y, s) for s in states])
 
     def step(i: int) -> Step:
-        y = f"y{i + 1}"
+        prev, y = f"y{i}", f"y{i + 1}"
+        moves = [
+            _nary("or", "false", [("not", ("=", prev, a)), *(("=", y, states[v]) for v in succs)])
+            for a, succs in zip(states, graph.adj)
+        ]
         distinct = [("not", ("=", f"y{p}", y)) for p in range(1, i + 1)]
-        return Step((_fun(y, "S"),), (("G", f"y{i}", y), *distinct, confined(y)))
+        return Step((_fun(y, "S"),), (*moves, *distinct, confined(y)))
 
-    decls = [("declare-sort", "S", "0"), *(_fun(s, "S") for s in states)]
-    decls += [_fun("y1", "S"), _fun("G", "Bool", "S", "S")]
+    decls = [("declare-sort", "S", "0"), *(_fun(s, "S") for s in states), _fun("y1", "S")]
     asserts = [("distinct", *states)] if len(states) >= 2 else []
-    asserts += [("G", states[u], states[v]) for u, succs in enumerate(graph.adj) for v in succs]
-    for a, succs in zip(states, map(set, graph.adj)):
-        asserts += [("not", ("G", a, b)) for v, b in enumerate(states) if v not in succs]
     asserts.append(confined("y1"))
     return Steps(Step(tuple(decls), tuple(asserts)), step)
 
@@ -172,7 +173,9 @@ def encode_explicit(
     system: System, k: int, get_model: bool = False, steps: Steps | None = None
 ) -> SmtDocument:
     """Whole-state-space encoding: satisfiable iff a simple path with k edges
-    exists. The script enumerates every ordered state pair. It is steps
+    exists. Each step states the moves of the transition graph as one
+    successor clause per state, so the script holds k * (n + |E|) atoms
+    for n states and |E| edges. It is steps
     0..k of ``steps``, or of a builder made here, which builds the explicit
     transition graph, when None."""
     return _assembled((steps or steps_of(system, "explicit")).upto(k), "explicit", get_model)
@@ -390,13 +393,17 @@ def _solve_in_process(
 ) -> tuple[str, str, dict | None]:
     """The bundled solver in the calling thread. Its outcomes map as a
     process's would: a passed deadline is a timeout, an unsupported or
-    malformed script ``unknown``, any other exception a solver error."""
+    malformed script ``unknown``, and so is a term nested past the
+    recursion limit, which rendering or reading a step's tree may meet; any
+    other exception is a solver error."""
     deadline = time.monotonic() + timeout_ms / 1000.0
     check = _check_text if session is None else session.check
     try:
         status, model, reason = check(doc, deadline)
     except minisolver.SolverTimeout:
         return "timeout", "", None
+    except RecursionError:
+        return "unknown", "term nested too deeply", None
     except Exception as exc:  # a crash, as a solver process might have had
         return "solver-error", repr(exc), None
     return status, reason or status, model

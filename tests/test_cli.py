@@ -361,6 +361,12 @@ class TestConjecture:
         code, _, _ = run(capsys, "conjecture", "--seeds", "oops")
         assert code == 2
 
+    def test_reversed_seed_range(self, capsys):
+        """A range whose end is below its start would check no seed."""
+        code, out, err = run(capsys, "conjecture", "--seeds", "3..1")
+        assert code == 2 and "holds=" not in out
+        assert "--seeds 3..1 is empty" in err
+
 
 class TestConfigErrors:
     def test_missing_input_and_gen(self, capsys):

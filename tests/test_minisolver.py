@@ -393,7 +393,7 @@ class TestAssumptions:
         assert 0 < len(solver.learned) < learned
 
         def stale_watches():
-            return sum(solver.clauses[ci] is None for watchers in solver.watches for ci in watchers)
+            return sum(not clause for watchers in solver.watches for clause in watchers)
 
         stale = stale_watches()
         assert stale > 0
@@ -529,6 +529,29 @@ def _enumerate_euf(consts, preds, constraints):
 
 
 class TestUninterpretedSorts:
+    def test_pinned_equality_in_a_disjunction_adds_no_variable(self):
+        """Inside an ``or``, ``(= x s1)`` is x's value literal for s1 itself,
+        with no Tseitin variable: the clause holds the value literals."""
+        decls = (
+            "(declare-sort S 0)(declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)"
+            "(declare-fun x () S)(declare-fun p () Bool)(assert (distinct s0 s1 s2))"
+        )
+
+        def grounded(assertion):
+            grounder = minisolver.Grounder(minisolver.Script())
+            grounder.script.read(f"{decls}(assert {assertion})(check-sat)")
+            grounder.ground()
+            return grounder
+
+        bare = grounded("p")
+        grounder = grounded("(or p (= x s1) (not (= s2 x)))")
+        assert grounder.sat.num_vars == bare.sat.num_vars
+        value = grounder.value_var
+        p = grounder.bool_var["p"]
+        want = [p << 1, value["x", 1] << 1, (value["x", 2] << 1) ^ 1]
+        assert sorted(grounder.sat.clauses[-1]) == sorted(want)
+        assert grounder.solve() == "sat"
+
     def test_distinct_forces_universe(self):
         text = (
             "(declare-sort S 0)"
@@ -720,7 +743,7 @@ _LATER_ATOMS = (
         pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (124, 324, 0), id="seed5-explicit-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (32, 57, 0), id="clique2-factored-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (46, 86, 0), id="clique2-factored-k4"),
-        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (50, 91, 2), id="partial-table"),
+        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (48, 89, 2), id="partial-table"),
         pytest.param(lambda: _IMPLIED_FRAME, "sat", (4, 3, 0), id="implied-frame"),
         pytest.param(lambda: _XOR_DISTINCT, "sat", (6, 5, 0), id="xor-distinct"),
         pytest.param(lambda: _LATER_ATOMS, "sat", (43, 53, 0), id="later-batch-atoms"),

@@ -36,24 +36,32 @@ class TestExplicitDocument:
             assert f"(declare-fun s{i} () S)" in text
         for i in (1, 2, 3):
             assert f"(declare-fun y{i} () S)" in text
-        assert "(declare-fun G (S S) Bool)" in text
+        assert "G" not in text  # no edge predicate: each step states its moves
         assert text.count("(check-sat)") == 1
         assert "(get-model)" not in text
 
     def test_edge_and_nonedge_assertions(self, star3):
-        doc = encode_explicit(star3, 1)
-        text = doc.rendering
-        assert "(assert (G s0 s1))" in text
-        assert "(assert (not (G s0 s0)))" in text
-        assert "(assert (not (G s1 s0)))" in text
-        # 16 ordered pairs, 3 edges
-        assert text.count("(assert (not (G ") == 13
+        """The step states the edges and non-edges as successor clauses: one
+        ``or`` for the hub, the one state with successors, and a
+        ``(not (= y1 s))`` for each of the three sinks."""
+        text = encode_explicit(star3, 1).rendering
+        assert "(assert (or (not (= y1 s0)) (= y2 s1) (= y2 s2) (= y2 s3)))" in text
+        for sink in (1, 2, 3):
+            assert f"(assert (not (= y1 s{sink})))" in text
+        assert text.count("(assert (or (not (= y1 ") == 1
+        assert text.count("(assert (not (= y1 s") == 3
+        assert "G" not in text
 
     def test_distinct_and_membership(self, clique2):
         text = encode_explicit(clique2, 1).rendering
         assert "(assert (distinct s0 s1 s2 s3))" in text
         assert "(assert (or (= y1 s0) (= y1 s1) (= y1 s2) (= y1 s3)))" in text
         assert "(assert (not (= y1 y2)))" in text
+
+    def test_script_grows_with_the_edges(self):
+        """Lotus 255 has 256 states and 510 edges: its k = 1 script holds no
+        table over the 65,536 ordered state pairs."""
+        assert encode_explicit(gen_lotus(255), 1).rendering.count("\n") < 600
 
     def test_rejects_k_zero(self, clique2):
         with pytest.raises(ValueError):
@@ -160,19 +168,19 @@ class TestRunSolver:
 # does, the declarations of steps 0..k and then their assertions, each
 # step's in the order the step holds them; these bytes pin that order.
 _RENDERING_DIGESTS = {
-    ("lotus3", "explicit"): "e615922fcb25329fbfe78f6cf432ec844c054dee1a645d84922aa795cf1a1348",
+    ("lotus3", "explicit"): "35ff8676eb1ca305622ef4b884db4b94d6a8047cfdaea08bb229ce38293e6df6",
     ("lotus3", "factored"): "88989ea8a2c752a1301b240c58e54f50c1881509858a7fda1e38ffdaf7de8682",
-    ("clique3", "explicit"): "c6b0cb25f0c56718ace5ee9eb16df53aba46e5026910739847825b71dcd5df18",
+    ("clique3", "explicit"): "7b515313ddd7f6fd472d2cc9f5de3cd9c36e8d3881e745e1a79373b307ac4ac4",
     ("clique3", "factored"): "18ac22dea5c55fb8c722a86b25cba442eca33568fbd5860ae518302fd30e9c98",
-    ("star4", "explicit"): "bc83c855fe0042e0008b40927c4fa6567c8a0707baae7725a2e297a6df91af08",
+    ("star4", "explicit"): "7cb53b7eb42aac3b053c776736ec60c90de7b834f24cb66d1beffc6fb36c2365",
     ("star4", "factored"): "7355a20a8749b481b6afa36f7ed64d6c6900fc99bca887cbf0d37bdb3f36291d",
-    ("random3", "explicit"): "d5f026f6405c7b87c111319597b5cd101fc7929aa7b4073d0f2b66e6f9361853",
+    ("random3", "explicit"): "a4170fd7cf8bd0f5afe7ca0e1cfea71349a5e60224fdaf297bdff590af6aabfd",
     ("random3", "factored"): "2b50df7d8aece2537a04fea38e894c901cc543ea2b63741567fde37e7f95c4f8",
-    ("lotus5", "explicit"): "67f0db3f6b01563cdda0e48a1759433af53a2c8885f31a5fdce6c213e40ee6b8",
+    ("lotus5", "explicit"): "1a665c05476db5924787c5339feaee6a864550b2766461539e973a8a459ab6f1",
     ("lotus5", "factored"): "1def7216b7cce28d0fb76c5641e4be61728af25d2245339993b2b18ff5455317",
-    ("clique2", "explicit"): "61a8dc44a0d27c5dfade377415ad0ef24611c538ee412242e63f3f8a7ed44467",
+    ("clique2", "explicit"): "77a384e468b597469019bf1a4de164e95f4ccedb07f3562f7c8d699a1d7aa257",
     ("clique2", "factored"): "31d42988194f3017af49db2ef0a5503c2e6053e31a63a74ed25c318a35dab419",
-    ("random3-to-k9", "explicit"): "0740008d076eb2d3c58b32b58c12ce773c04918b9844c28f8ad2e5cb95af7247",
+    ("random3-to-k9", "explicit"): "4a7eb4790b7cf717719477a83c144e4ddecec023e259cd163073380c58519343",
     ("random3-to-k9", "factored"): "2d8696dfe7f0e9b5aaf28eed3758dfa2ab7e2a94ce72349388bca4d18e0c5679",
 }
 _RANDOM3 = GeneratorSpec("random", seed=3, num_vars=5, num_actions=6)
@@ -496,12 +504,12 @@ class TestInProcessBundled:
 
     def test_solver_crash_is_solver_error(self, clique2, monkeypatch):
         def crash(text, deadline=None):
-            raise RecursionError("too deep")
+            raise AssertionError("internal check failed")
 
         monkeypatch.setattr(minisolver, "check_text", crash)
         verdict = run_solver(encode_factored(clique2, 1), SolverConfig.bundled())
         assert verdict.status == "solver-error"
-        assert "too deep" in verdict.raw
+        assert "internal check failed" in verdict.raw
 
     def test_one_argument_entry_points(self):
         text = "(declare-fun a () Bool)(assert a)(check-sat)"
@@ -625,7 +633,9 @@ class TestSolverSession:
         lines are read, as a fresh solver reads them, and the session's
         grounder is left as it was. y3 is confined to the four states in the
         k = 2 query; put outside them, which a universe of seven values
-        allows, it is sat. v0_s5 is declared only at k = 4."""
+        allows, it is unsat, since y2's successor clauses confine y3 too,
+        where the session's grounder for k = 2 answers sat. v0_s5 is
+        declared only at k = 4."""
         starts = _fresh_starts(monkeypatch)
         session = smt.SolverSession()
         two = encode_explicit(clique2, 2)
@@ -639,7 +649,7 @@ class TestSolverSession:
         )
         assert not outside.steps and confining in two.assertions
         assert session.check(two, math.inf)[0] == "sat"
-        assert session.check(outside, math.inf) == ("sat", None, "")
+        assert session.check(outside, math.inf) == ("unsat", None, "")
         steps = smt.steps_of(clique2, "factored")
         one, three, four = (encode_factored(clique2, k, steps=steps) for k in (1, 3, 4))
         stray = dataclasses.replace(one, assertions=(*one.assertions, "v0_s5"))
@@ -658,6 +668,20 @@ class TestSolverSession:
         doc = smt._assembled((base, step), "factored", False)
         answer = smt.SolverSession().check(doc, math.inf)
         assert answer == smt._check_text(doc, math.inf) == ("unknown", None, "unknown symbol b")
+
+    def test_deep_step_is_unknown(self):
+        """A step nested past the recursion limit is ``unknown``, with or
+        without a session, as its text is."""
+        term = "a"
+        for _ in range(3000):
+            term = ("not", term)
+        base = smt.Step((("declare-fun", "a", (), "Bool"),), ())
+        doc = smt._assembled((base, smt.Step((), (term,))), "factored", False)
+        text = "(declare-fun a () Bool)(assert " + "(not " * 3000 + "a" + ")" * 3001 + "(check-sat)"
+        assert minisolver.check_text(text) == ("unknown", [], "term nested too deeply")
+        for session in (None, smt.SolverSession()):
+            verdict = run_solver(doc, SolverConfig.bundled(), session)
+            assert (verdict.status, verdict.raw) == ("unknown", "term nested too deeply")
 
     @pytest.mark.parametrize("schedule", smt.SCHEDULES)
     def test_refused_steps_are_answered_from_the_text(self, schedule, monkeypatch):
