@@ -212,7 +212,9 @@ def cmd_rd(args: argparse.Namespace) -> int:
     marker = "exact" if result.exact else "lower-bound"
     print(f"rd={result.rd} ({marker}) problem={name} encoding={result.encoding}")
     for k, verdict in result.queries:
-        print(f"  k={k} {verdict.status} {verdict.elapsed_ms:.0f}ms")
+        # A bound answer names its cause: "k=8 unsat (td=7) 0ms".
+        cause = f" ({verdict.raw})" if verdict.raw not in ("", verdict.status) else ""
+        print(f"  k={k} {verdict.status}{cause} {verdict.elapsed_ms:.0f}ms")
     return EXIT_OK
 
 

@@ -12,8 +12,9 @@ to right as bound = bound + (bound + 1) * next.
 A cluster's transition graph is built once and shared by td and the
 longest-simple-path search. rd comes from that search while it stays within
 its work budget; a configured solver's factored search answers only past
-it, or past the variable cap under tag ``rd``. A ``b1``/``b2`` cluster past
-the cap has no td to trigger rd, so it takes the state-count bound.
+it, on the same graph, or past the variable cap under tag ``rd``. A
+``b1``/``b2`` cluster past the cap has no td to trigger rd, so it takes the
+state-count bound.
 """
 
 from __future__ import annotations
@@ -242,7 +243,9 @@ def _rd_detailed(
     The exhaustive search on the cluster's graph answers first, within
     ``cfg.rd_budget`` work units. The factored SMT search answers only past
     the budget, or when the graph is over ``cfg.max_vars`` (``graph`` None),
-    and only when a solver is configured. Only tag ``rd`` gets here without
+    and only when a solver is configured. Past the budget it is handed the
+    graph, so it answers every k above the cluster's td, already computed,
+    without a query. Only tag ``rd`` gets here without
     a graph: a hybrid's trigger needs td, so a ``b1``/``b2`` cluster over
     the cap falls to the state-count bound. A cluster whose methods all
     give out has no value: it falls back to td.
@@ -259,7 +262,7 @@ def _rd_detailed(
         return None, 0, cause
     try:
         result = rd_via_smt(
-            subsystem,
+            graph or subsystem,
             encoding="factored",
             cfg=cfg.solver,
             schedule=cfg.schedule,

@@ -25,6 +25,13 @@ command is spawned once per query, fed the rendered script, and the first
 token it prints is read back. Satisfiability is monotone in k, so one search
 narrows a bracket between the largest k known sat and the smallest k known
 unsat; the linear or binary schedule only picks the next k to ask.
+
+A simple path of k edges visits k + 1 distinct states, so rd <= td. A
+search that has the explicit transition graph, because it was given one or
+because its encoding is explicit, answers every k above the graph's td
+unsat without encoding or solving it: a bound answer, logged as the solver
+would log that k. A factored search given a system has no graph and asks
+the solver for every k.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from functools import cached_property
 from typing import Callable
 
 from . import minisolver
-from .core import DEFAULT_VAR_CAP, Action, FullState, System, build_transition_graph, timed_ms
-from .oracle import exp_bound
+from .core import DEFAULT_VAR_CAP, Action, FullState, System, TransitionGraph, timed_ms
+from .oracle import as_graph, exp_bound, traversal_diameter
 
 SOLVER_ENV_VAR = "STATEBOUND_SOLVER"
 DEFAULT_TIMEOUT_MS = 60_000
@@ -142,13 +149,12 @@ class Steps:
         return tuple(self._built[: k + 1])
 
 
-def _explicit_steps(system: System, max_vars: int) -> Steps:
-    """The base holds the state sort, one constant per state, asserted
-    distinct, and y1, confined to the states; step i adds y_{i+1}, one
-    successor clause per state a, ``(or (not (= y_i a)) (= y_{i+1} b) ...)``
+def _explicit_steps(graph: TransitionGraph) -> Steps:
+    """The base holds the state sort, one constant per state of ``graph``,
+    asserted distinct, and y1, confined to the states; step i adds y_{i+1},
+    one successor clause per state a, ``(or (not (= y_i a)) (= y_{i+1} b) ...)``
     over the successors b of a (``(not (= y_i a))`` for a state with none),
     y_{i+1} distinct from y_1..y_i, and y_{i+1} confined to the states."""
-    graph = build_transition_graph(system, max_vars=max_vars)
     states = [f"s{u}" for u in range(graph.num_states)]
 
     def confined(y: str) -> str | tuple:
@@ -232,12 +238,16 @@ def encode_factored(
     return _assembled((steps or steps_of(system, "factored")).upto(k), "factored", get_model)
 
 
-def steps_of(system: System, encoding: str, max_vars: int = DEFAULT_VAR_CAP) -> Steps:
-    """The step builder of ``encoding`` for ``system``; an explicit one builds its graph here."""
+def steps_of(
+    obj: System | TransitionGraph, encoding: str, max_vars: int = DEFAULT_VAR_CAP
+) -> Steps:
+    """The step builder of ``encoding`` for a system or its transition
+    graph. An explicit one reads the graph, built here from a system; a
+    factored one reads the system, a graph's own."""
     if encoding == "explicit":
-        return _explicit_steps(system, max_vars)
+        return _explicit_steps(as_graph(obj, max_vars))
     if encoding == "factored":
-        return _factored_steps(system)
+        return _factored_steps(obj.system if isinstance(obj, TransitionGraph) else obj)
     raise ValueError(f"unknown encoding {encoding!r}")
 
 
@@ -307,7 +317,10 @@ class SolverConfig:
 class SolverVerdict:
     """One solver answer: sat/unsat/unknown/timeout/solver-error plus the raw
     first token (for ``unknown``, the solver's reason when it gives one) and,
-    when requested and available, the Boolean model."""
+    when requested and available, the Boolean model. A bound answer, an
+    ``unsat`` that ``rd_via_smt`` gives without asking the solver because k
+    exceeds the traversal diameter td, has ``raw`` ``"td=<td>"`` and
+    ``elapsed_ms`` 0."""
 
     status: str
     elapsed_ms: float
@@ -474,23 +487,39 @@ class RdResult:
 
 
 def rd_via_smt(
-    system: System,
+    obj: System | TransitionGraph,
     encoding: str = "factored",
     cfg: SolverConfig | None = None,
     schedule: str = "linear",
     max_vars: int = DEFAULT_VAR_CAP,
 ) -> RdResult:
-    """Compute the longest-simple-path length by repeated solver queries.
+    """Compute the longest-simple-path length of a system, or of the system
+    of a transition graph, by repeated solver queries.
 
     Satisfiability is monotone in k, so the search keeps a bracket: ``low``
     is the largest k known sat, ``high`` the smallest k known unsat, and it
     asks until they are adjacent. The schedule only picks the next k: the
     linear one asks low + 1; the binary one doubles low (capped at exp + 1)
     until an unsat k is found, then bisects.
+
+    The search has the transition graph when it is given one, or when the
+    encoding is explicit, which builds it (within ``max_vars``) from the
+    system. A simple path of k edges visits k + 1 distinct states, so no k
+    above the graph's traversal diameter td is sat: with the graph, each
+    such k is answered ``unsat`` without encoding or solving, and logged as
+    a bound answer (``SolverVerdict.raw`` ``"td=<td>"``). The schedule still
+    picks the same k, so the (k, status) log is the one the solver would
+    give. A factored search given a system builds no graph and asks the
+    solver for every k.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}")
-    steps = steps_of(system, encoding, max_vars)  # every query's steps, built once
+    graph = None
+    if encoding == "explicit" or isinstance(obj, TransitionGraph):
+        graph = as_graph(obj, max_vars)  # one graph for the steps and td
+    system = obj if graph is None else graph.system
+    steps = steps_of(graph or system, encoding, max_vars)  # every query's steps, built once
+    td = None if graph is None else traversal_diameter(graph)
     if cfg is None:
         cfg = SolverConfig.from_env()
     queries: list[tuple[int, SolverVerdict]] = []
@@ -498,7 +527,10 @@ def rd_via_smt(
     session = SolverSession()
 
     def query(k: int) -> str:
-        verdict = run_solver(encode(system, k, encoding, steps), cfg, session)
+        if td is not None and k > td:
+            verdict = SolverVerdict("unsat", 0.0, raw=f"td={td}")
+        else:
+            verdict = run_solver(encode(system, k, encoding, steps), cfg, session)
         queries.append((k, verdict))
         if verdict.status in ("solver-error", "unknown"):
             raise SolverError(

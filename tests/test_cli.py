@@ -116,6 +116,24 @@ class TestRd:
         )
         assert code == 0 and "rd=2 (exact)" in out
 
+    @pytest.mark.parametrize(
+        "schedule,asked",
+        [("linear", [1, 2, 3, 4, 5, 6, 7, 8]), ("binary", [1, 2, 4, 8, 6, 7])],
+        ids=["linear", "binary"],
+    )
+    def test_bound_answer_names_its_cause(self, capsys, schedule, asked):
+        """Clique 3 has rd = td = 7: k = 8 is answered from td, and only its
+        line says so."""
+        code, out, _ = run(
+            capsys,
+            "rd", "--gen", "clique", "--m", "3", "--encoding", "explicit", "--schedule", schedule,
+        )
+        first, *lines = out.splitlines()
+        assert code == 0 and first.startswith("rd=7 (exact) ")
+        want = [f"  k={k} unsat (td=7)" if k == 8 else f"  k={k} sat" for k in asked]
+        assert [line.rsplit(" ", 1)[0] for line in lines] == want  # the time cut off
+        assert "  k=8 unsat (td=7) 0ms" in lines
+
     def test_bruteforce_flag(self, capsys):
         code, out, _ = run(capsys, "rd", "--gen", "lotus", "--n", "3", "--bruteforce")
         assert code == 0 and "rd=2 (bruteforce)" in out
@@ -147,9 +165,9 @@ class TestRd:
 
     def test_emit_smt_explicit_builds_one_graph(self, capsys, tmp_path, monkeypatch):
         builds = []
-        build = smt.build_transition_graph
+        build = oracle.build_transition_graph
         monkeypatch.setattr(
-            smt, "build_transition_graph", lambda *a, **kw: builds.append(a) or build(*a, **kw)
+            oracle, "build_transition_graph", lambda *a, **kw: builds.append(a) or build(*a, **kw)
         )
         gen_args = ["--gen", "random", "--seed", "3", "--vars", "10", "--actions", "6"]
         code, _, _ = run(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statebound import oracle
+from statebound import compose, oracle, smt
 from statebound.compose import (
     BASE_TAGS,
     BaseCaseKind,
@@ -178,6 +178,35 @@ class TestBaseCase:
             cluster = report.per_cluster[0]
             assert (cluster.property_used, cluster.cause, report.rd_queries) == outcome
             assert report.total == 3
+
+    def test_solver_past_the_budget_searches_the_cluster_graph(self, clique2, monkeypatch):
+        """Past the budget the factored search gets the cluster's graph, so
+        td is computed once and k = 4, above it, never reaches the solver;
+        the log, the value and the query count stay as the solver gives
+        them. Clique 2 has rd = td = exp = 3."""
+        asked, searched, built = [], [], []
+        solve, search, condense = smt.run_solver, compose.rd_via_smt, oracle._condensation_dp
+
+        def solving(doc, cfg, session=None):
+            asked.append(doc.k)
+            return solve(doc, cfg, session)
+
+        def searching(*args, **kwargs):
+            searched.append(search(*args, **kwargs))
+            return searched[-1]
+
+        monkeypatch.setattr(smt, "run_solver", solving)
+        monkeypatch.setattr(compose, "rd_via_smt", searching)
+        monkeypatch.setattr(oracle, "_condensation_dp", lambda graph: built.append(graph) or condense(graph))
+        cfg = BoundConfig(solver=SolverConfig.bundled(), schedule="binary", rd_budget=1)
+        (cluster,) = compositional_bound(clique2, BaseCaseKind("rd"), cfg).per_cluster
+        (result,) = searched
+        log = [(k, v.status, v.raw) for k, v in result.queries]
+        assert log == [(1, "sat", "sat"), (2, "sat", "sat"), (4, "unsat", "td=3"), (3, "sat", "sat")]
+        assert asked == [1, 2, 3]
+        assert (cluster.value, cluster.property_used, cluster.cause) == (3, "rd", None)
+        assert cluster.rd_queries == 4
+        assert len(built) == 1
 
     def test_over_budget_cluster_degrades_in_time(self):
         """Seed 4 of the bound-batch family has an 8-variable cluster, td 99,

@@ -6,7 +6,7 @@ from itertools import accumulate
 
 import pytest
 
-from statebound import minisolver, smt
+from statebound import minisolver, oracle, smt
 from statebound.compose import BaseCaseKind, BoundConfig, compositional_bound
 from statebound.core import Action, PartialState, System, build_transition_graph, execute
 from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
@@ -253,11 +253,11 @@ def test_rendering_digests(name, encoding):
 
 class TestRdViaSmt:
     def test_explicit_search_builds_one_graph(self, monkeypatch):
-        """Every query of one explicit search shares one graph and table."""
+        """Every query of one explicit search, and its td, share one graph."""
         built = []
-        build = smt.build_transition_graph
+        build = oracle.build_transition_graph
         monkeypatch.setattr(
-            smt, "build_transition_graph", lambda *a, **kw: built.append(a) or build(*a, **kw)
+            oracle, "build_transition_graph", lambda *a, **kw: built.append(a) or build(*a, **kw)
         )
         system = make_random(equivalence_family(5))
         result = rd_via_smt(system, "explicit", SolverConfig.bundled(), "binary")
@@ -326,6 +326,69 @@ class TestRdViaSmt:
             rd_via_smt(clique2, "tabular", solver_cfg)
         with pytest.raises(ValueError):
             rd_via_smt(clique2, "factored", solver_cfg, schedule="golden")
+
+
+def _solver_asked(monkeypatch) -> list:
+    """Patch run_solver so that the k of every query it gets is recorded."""
+    asked, solve = [], smt.run_solver
+
+    def recording(doc, cfg, session=None):
+        asked.append(doc.k)
+        return solve(doc, cfg, session)
+
+    monkeypatch.setattr(smt, "run_solver", recording)
+    return asked
+
+
+class TestTdBound:
+    """A search that has the transition graph answers every k above its td
+    unsat without the solver, and logs it as a bound answer; these tests
+    check each such answer instead of trusting it."""
+
+    @pytest.mark.parametrize("schedule", smt.SCHEDULES)
+    def test_explicit_search_asks_nothing_above_td(self, schedule, monkeypatch):
+        """Every k above td is a bound answer that the query's text, read by
+        a fresh solver, also refutes; every k up to td goes to the solver."""
+        cfg, checked = SolverConfig.bundled(), 0
+        for seed in range(1, 21):
+            system = make_random(equivalence_family(seed))
+            td = oracle.traversal_diameter(system)
+            asked = _solver_asked(monkeypatch)
+            result = rd_via_smt(system, "explicit", cfg, schedule)
+            monkeypatch.undo()
+            assert result.exact and result.rd == recurrence_diameter_bruteforce(system), seed
+            assert asked == [k for k, _ in result.queries if k <= td], seed
+            for k, verdict in result.queries:
+                if k > td:
+                    assert verdict == SolverVerdict("unsat", 0.0, raw=f"td={td}"), (seed, k)
+                    assert minisolver.check_text(encode_explicit(system, k).rendering)[0] == "unsat"
+                    checked += 1
+        assert checked >= 15
+
+    @pytest.mark.parametrize("schedule", smt.SCHEDULES)
+    def test_factored_search_on_a_graph_matches_the_system(self, schedule, monkeypatch):
+        """Given the graph, the factored search cuts above td and keeps the
+        system's rd, exactness and (k, status) log; given the system, it
+        builds no graph and sends every k to the solver."""
+        cfg, cut = SolverConfig.bundled(), 0
+        for seed in range(1, 21):
+            system = make_random(equivalence_family(seed))
+            graph = build_transition_graph(system)
+            td = oracle.traversal_diameter(graph)
+            asked = _solver_asked(monkeypatch)
+            monkeypatch.setattr(oracle, "build_transition_graph", None)  # no graph may be built
+            there = rd_via_smt(system, "factored", cfg, schedule)
+            assert asked == [k for k, _ in there.queries], seed
+            asked.clear()
+            here = rd_via_smt(graph, "factored", cfg, schedule)
+            monkeypatch.undo()
+            assert (here.rd, here.exact) == (there.rd, there.exact), seed
+            assert [(k, v.status) for k, v in here.queries] == [
+                (k, v.status) for k, v in there.queries
+            ], seed
+            assert asked == [k for k, _ in here.queries if k <= td], seed
+            cut += len(here.queries) - len(asked)
+        assert cut >= 15
 
 
 _STATUS = {"s": "sat", "u": "unsat", "t": "timeout", "e": "solver-error", "?": "unknown"}
@@ -583,9 +646,11 @@ class TestSolverSession:
 
     @pytest.mark.parametrize("encoding", smt.ENCODINGS)
     def test_binary_search_grounds_each_step_once(self, encoding, monkeypatch):
-        """Seed 2 asks k = 1, 2, 4, 8, 6, 5: one grounder, the base and each
-        step up to 8 ground once, one selector per step, and the bisection
-        back down to 6 and 5 grounds nothing."""
+        """Seed 2's binary search asks k = 1, 2, 4, 8, 6, 5: one grounder,
+        the base and each step up to 8 ground once, one selector per step,
+        and the bisection back down to 6 and 5 grounds nothing. An explicit
+        search answers 8, 6 and 5 from its td of 4, so the explicit
+        documents go to one session here, in the search's order."""
         starts = _fresh_starts(monkeypatch)
         ground = minisolver.Grounder.ground
         grounded = []  # the script's assertions at each ground
@@ -596,8 +661,14 @@ class TestSolverSession:
 
         monkeypatch.setattr(minisolver.Grounder, "ground", recording)
         system = make_random(equivalence_family(2))
-        result = rd_via_smt(system, encoding, SolverConfig.bundled(), "binary")
-        assert [k for k, _ in result.queries] == [1, 2, 4, 8, 6, 5] and result.rd == 4
+        cfg, asked = SolverConfig.bundled(), [1, 2, 4, 8, 6, 5]
+        if encoding == "factored":
+            log = rd_via_smt(system, encoding, cfg, "binary").queries
+        else:
+            session, steps = smt.SolverSession(), smt.steps_of(system, encoding)
+            docs = [encode_explicit(system, k, steps=steps) for k in asked]
+            log = [(doc.k, run_solver(doc, cfg, session)) for doc in docs]
+        assert [(k, v.status) for k, v in log] == [(k, "sat" if k <= 4 else "unsat") for k in asked]
         (grounder,) = starts
         assert len(grounder.selectors) == 8
         steps = smt.steps_of(system, encoding).upto(8)
@@ -687,7 +758,9 @@ class TestSolverSession:
     def test_refused_steps_are_answered_from_the_text(self, schedule, monkeypatch):
         """A one-state system's explicit step asserts (= y2 s0), not an or of
         equalities, so y2 is left unconfined: the grounder refuses the step
-        and the query is answered from its text."""
+        and the query is answered from its text. Its td is 0, so its search
+        answers k = 1 without a query under either schedule, and the k = 1
+        document goes to a session here."""
         check_text, texts = smt._check_text, []
 
         def recording(doc, deadline):
@@ -695,10 +768,13 @@ class TestSolverSession:
             return check_text(doc, deadline)
 
         monkeypatch.setattr(smt, "_check_text", recording)
-        result = rd_via_smt(System.from_names(["v1"], ()), "explicit", SolverConfig.bundled(), schedule)
+        system, cfg = System.from_names(["v1"], ()), SolverConfig.bundled()
+        result = rd_via_smt(system, "explicit", cfg, schedule)
         assert (result.rd, result.exact) == (0, True)
-        assert [(k, v.status) for k, v in result.queries] == [(1, "unsat")]
-        assert texts == [1]
+        assert [(k, v.status, v.raw) for k, v in result.queries] == [(1, "unsat", "td=0")]
+        assert texts == []
+        verdict = run_solver(encode_explicit(system, 1), cfg, smt.SolverSession())
+        assert (verdict.status, texts) == ("unsat", [1])
 
     def test_extended_query_answers_and_models(self, clique2):
         session = smt.SolverSession()
