@@ -1,6 +1,7 @@
 """Self-contained SMT-LIB 2 solver for the quantifier-free fragment this
-package emits: Boolean constants plus uninterpreted sorts whose terms are all
-constants (QF_UF without non-constant function terms of sort kind).
+package emits: Boolean constants, and uninterpreted sorts whose terms are
+all constants, compared by ``=`` and ``distinct``. A function symbol with
+arguments is outside it.
 
 A ``Grounder`` turns a ``Script``'s assertions into CNF batch by batch, into
 one CDCL solver. The first batch is the base; the top-level clauses of each
@@ -32,21 +33,16 @@ Uninterpreted sorts are decided by finite-domain grounding: a quantifier-free
 formula whose sort-valued terms are all constants is satisfiable iff it is
 satisfiable over a universe no larger than the number of those constants, so
 each constant gets a one-hot value encoding. Every batch is set up by one
-loader. In the base, a top-level ``(assert (distinct c1 ... cn))`` over
-constants pins those constants to fixed distinct values (sound up to renaming
-the universe), and top-level predicate literals over pinned constants become
-table facts; a later batch pins nothing and absorbs no fact. In every batch,
-a top-level ``or`` of equalities between a sort constant the batch declares
-and pinned constants confines that constant to their values; several such
-disjunctions intersect, and the constant gets value literals for the values
-left only. A later batch must so confine each sort constant it declares.
-Every atom is then
-ground one way: by clauses that tie it, under a guard of value literals, to a
-table entry, a value literal or a known truth value; a predicate application
-gets one per value combination of its unpinned arguments. In positive
-polarity an unpinned last argument is ground by table rows instead: one
-clause that it takes a value whose entry is not false, and one per variable
-entry; each row is read once, skipping the entries known false. An atom
+loader. In the base, the first top-level ``(distinct c1 ... cn)`` of each
+sort pins c1 ... cn to the values 0 ... n-1 (sound up to renaming the
+universe); a later batch pins nothing. Any other ``distinct`` is ground as
+its pairwise disequalities. In every batch, a top-level ``or`` of equalities
+between a sort constant the batch declares and pinned constants confines
+that constant to their values; several such disjunctions intersect, and the
+constant gets value literals for the values left only. A later batch must so
+confine each sort constant it declares. Every equality between constants is
+then ground one way: by clauses that tie it, under a guard of one side's
+value literal, to the other side's value literal for that value. An atom
 asserted at the top level has no variable of its own: its clauses are
 guarded by the batch's selector instead, or by nothing in the base. Nor
 does an equality with a pinned side anywhere: it is the other side's value
@@ -66,7 +62,7 @@ import re
 import sys
 import time
 from heapq import heapify, heappop, heappush
-from itertools import islice, product
+from itertools import islice
 
 # The clock deadlines are read against.
 _clock = time.monotonic
@@ -523,6 +519,13 @@ def _conjunction(pairs: list[tuple]) -> tuple:
     return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
 
 
+def _pairwise(names: tuple[str, ...]) -> tuple:
+    """The disequalities of a ``distinct`` term's distinct names, as one term."""
+    return _conjunction(
+        [("not", ("eeq", min(a, b), max(a, b))) for i, a in enumerate(names) for b in names[i + 1 :]]
+    )
+
+
 class Script:
     """Declarations and assertions of one SMT-LIB script."""
 
@@ -530,7 +533,6 @@ class Script:
         self.bool_consts: dict[str, None] = {}  # in declaration order
         self.sorts: dict[str, list[str]] = {}
         self.const_sort: dict[str, str] = {}
-        self.predicates: dict[str, list[str]] = {}  # name -> argument sorts
         self.assertions: list[tuple] = []
 
     # -- command reading -------------------------------------------------------
@@ -592,32 +594,27 @@ class Script:
         self.sorts[name] = []
 
     def declare_fun(self, name: str, args: list, ret: str) -> None:
-        if name in self.const_sort or name in self.predicates or name in self.bool_consts:
+        if name in self.const_sort or name in self.bool_consts:
             raise SmtFormatError(f"redeclaration of {name}")
-        if not args:
-            if ret == "Bool":
-                self.bool_consts[name] = None
-            elif ret in self.sorts:
-                self.sorts[ret].append(name)
-                self.const_sort[name] = ret
-            else:
-                raise SmtUnsupportedError(f"unsupported constant sort {ret}")
-            return
-        if ret != "Bool":
-            raise SmtUnsupportedError("non-Bool function symbols are not supported")
-        arg_sorts = []
-        for a in args:
-            if not isinstance(a, str) or a not in self.sorts:
-                raise SmtUnsupportedError("predicates may only take declared sorts")
-            arg_sorts.append(a)
-        self.predicates[name] = arg_sorts
+        if args:
+            raise SmtUnsupportedError("function symbols with arguments are not supported")
+        if ret == "Bool":
+            self.bool_consts[name] = None
+        elif ret in self.sorts:
+            self.sorts[ret].append(name)
+            self.const_sort[name] = ret
+        else:
+            raise SmtUnsupportedError(f"unsupported constant sort {ret}")
 
     # -- term parsing ---------------------------------------------------------
 
     def parse_term(self, sx) -> tuple:
         """Parse a term, as ``parse_sexprs`` gives it or with tuples for its
         lists, into ('true'|'false'), ('bvar',n), ('not',t), ('and'|'or',ts),
-        ('eeq',a,b), ('papp',p,args); => / xor / = / distinct desugared."""
+        ('eeq',a,b) or ('distinct',names); => / xor / = desugared. A
+        ``distinct`` over sort constants of one sort stays one term, however
+        many names it holds: a repeated name makes it false, and fewer than
+        two names true."""
         if isinstance(sx, str):
             if sx == "true":
                 return _TRUE
@@ -671,32 +668,21 @@ class Script:
                 ]
             )
         if head == "distinct":
-            if all(isinstance(a, str) and a in self.const_sort for a in args):
-                return _conjunction(
-                    [
-                        ("not", self._elem_eq(args[i], args[j]))
-                        for i in range(len(args))
-                        for j in range(i + 1, len(args))
-                    ]
-                )
-            raise SmtUnsupportedError("'distinct' is only supported on sort constants")
-        if isinstance(head, str) and head in self.predicates:
-            sig = self.predicates[head]
-            if len(args) != len(sig):
-                raise SmtFormatError(f"wrong arity for {head}")
-            names = []
-            for a, want in zip(args, sig):
-                if not isinstance(a, str) or self.const_sort.get(a) != want:
-                    raise SmtUnsupportedError(
-                        f"predicate {head} applied to a non-constant argument"
-                    )
-                names.append(a)
-            return ("papp", head, tuple(names))
+            if not all(isinstance(a, str) and a in self.const_sort for a in args):
+                raise SmtUnsupportedError("'distinct' is only supported on sort constants")
+            for a in args[1:]:
+                self._same_sort(args[0], a)
+            if len(set(args)) < len(args):
+                return _FALSE
+            return ("distinct", tuple(args)) if len(args) >= 2 else _TRUE
         raise SmtUnsupportedError(f"unsupported operator {head!r}")
 
-    def _elem_eq(self, a: str, b: str) -> tuple:
+    def _same_sort(self, a: str, b: str) -> None:
         if self.const_sort[a] != self.const_sort[b]:
             raise SmtFormatError(f"'=' on constants of different sorts: {a}, {b}")
+
+    def _elem_eq(self, a: str, b: str) -> tuple:
+        self._same_sort(a, b)
         if a == b:
             return _TRUE
         return ("eeq", min(a, b), max(a, b))
@@ -722,9 +708,7 @@ class Grounder:
         self.fixed: dict[str, int] = {}  # constant -> pinned universe value
         self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
         self.value_var: dict[tuple[str, int], int] = {}
-        self.table: dict[tuple, object] = {}  # (pred, values) -> var index or bool
         self.sort_size: dict[str, int] = {}
-        self.rows: dict[tuple, list[int]] = {}  # see _row
         # memo: node -> [var, pos_done, neg_done]
         self.memo: dict[tuple, list] = {}
 
@@ -733,44 +717,33 @@ class Grounder:
     def _load(self) -> list[tuple]:
         """Set up the assertions added since the last check as a batch, and
         return its top-level conjuncts left to assert. Only the base fixes
-        the sort sizes, pins constants and absorbs facts: a later batch's
-        fact whose table entry is already a variable must become a clause. A
-        later batch gets its selector instead. In every batch, an ``or`` of
-        equalities between a sort constant the batch declares and pinned
-        constants confines that constant to their values, and is taken as
-        its value encoding. A later batch must so confine each sort constant
-        it declares, which keeps the universe as the base fixed it."""
+        the sort sizes and pins constants: the first top-level ``distinct``
+        of each sort pins its constants to the values 0 ... n-1 in order,
+        and is dropped, as the pinning implies it. A later batch gets its
+        selector instead. In every batch, an ``or`` of equalities between a
+        sort constant the batch declares and pinned constants confines that
+        constant to their values, and is taken as its value encoding. A
+        later batch must so confine each sort constant it declares, which
+        keeps the universe as the base fixed it."""
         start, self.grounded = self.grounded, len(self.script.assertions)
         conjuncts = [c for node in self.script.assertions[start:] for c in _flatten("and", node, [])]
         # the sort constants this batch declares, in declaration order
         new = dict.fromkeys(islice(self.script.const_sort, self.sort_consts or 0, None))
         if self.sort_consts is None:
+            # Pinning is sound up to renaming the universe.
+            pinned_sorts: set[str] = set()
+            kept = []
+            for node in conjuncts:
+                if node[0] == "distinct" and (sort := self.script.const_sort[node[1][0]]) not in pinned_sorts:
+                    pinned_sorts.add(sort)
+                    self.fixed.update((c, v) for v, c in enumerate(node[1]))
+                else:
+                    kept.append(node)
+            conjuncts = kept
             for sort, consts in self.script.sorts.items():
                 self.sort_size[sort] = max(1, len(consts))
-
-            # Constants asserted pairwise distinct at the top level may be pinned
-            # to fixed universe values, which is sound up to renaming the
-            # universe. Build the family greedily in declaration order.
-            diseq: dict[str, set[tuple[str, str]]] = {}
-            for node in conjuncts:
-                if node[0] == "not" and node[1][0] == "eeq":
-                    _, a, b = node[1]
-                    diseq.setdefault(self.script.const_sort[a], set()).add((a, b))
-            for sort, consts in self.script.sorts.items():
-                pairs = diseq.get(sort, set())
-                family: list[str] = []
-                for const in consts:
-                    if all(
-                        (min(const, other), max(const, other)) in pairs
-                        for other in family
-                    ):
-                        family.append(const)
-                if len(family) >= 2:
-                    for value, const in enumerate(family):
-                        self.fixed[const] = value
                 every = tuple(range(self.sort_size[sort]))
                 self.values.update((c, every) for c in consts if c not in self.fixed)
-            conjuncts = [c for c in conjuncts if not self._absorbed(c)]
         else:
             self.selectors.append(self.sat.new_var())
             self.guard = ((self.selectors[-1] << 1) ^ 1,)
@@ -813,22 +786,6 @@ class Grounder:
             allowed.add(self.fixed[b])
         return free, allowed
 
-    def _absorbed(self, node: tuple) -> bool:
-        """Whether the base may drop ``node``: a disequality of pinned
-        constants holds by construction, and a predicate literal over pinned
-        constants becomes a table fact."""
-        truth = node[0] != "not"
-        atom = node if truth else node[1]
-        if atom[0] == "eeq":
-            return not truth and atom[1] in self.fixed and atom[2] in self.fixed
-        if atom[0] != "papp" or not all(a in self.fixed for a in atom[2]):
-            return False
-        # The base has no table variable yet: every entry is a known value.
-        key = (atom[1], tuple(self.fixed[a] for a in atom[2]))
-        if self.table.setdefault(key, truth) != truth:
-            self.sat.ok = False
-        return True
-
     # -- variable helpers -------------------------------------------------------
 
     def _bool_var(self, name: str) -> int:
@@ -869,46 +826,33 @@ class Grounder:
                 self.sat.add_clause([lits[i] ^ 1, chain[i] << 1])
             self.sat.add_clause([lits[size - 1] ^ 1, (chain[size - 2] << 1) ^ 1])
 
-    def _table_literal(self, pred: str, values: tuple[int, ...]) -> int | bool:
-        """The table entry of ``pred`` at ``values``: a known truth value, or
-        the literal of its variable (created on first use)."""
-        entry = self.table.get((pred, values))
-        if entry is None:
-            entry = self.sat.new_var()
-            self.table[(pred, values)] = entry
-        return entry if isinstance(entry, bool) else entry << 1
-
     # -- atom grounding ----------------------------------------------------------
     #
-    # Every atom clause but a row clause ties the atom to one entry (a table
-    # entry, a value literal or a known truth value) under a guard of negated
-    # value literals, in the polarity being ground, and ``_emit`` writes them
-    # all. Each clause starts with a head: the negated literal of the atom's
-    # Tseitin variable, or that literal itself in negative polarity; for an
-    # atom asserted at the top level, the batch's guard, since its selector
-    # serves as the atom's literal. A guard only holds literals of values a
-    # constant can take. ``_encode_free_constants`` creates a batch's value
-    # literals before its first atom, so the only variables made here are
-    # table entries, in combination order. Only a top-level atom's clauses
-    # are guarded: the others only define a Tseitin literal, which a batch
-    # that is off leaves free.
+    # An atom is an equality of two sort constants. Each of its clauses ties
+    # it to one entry (a value literal or a known truth value) in the
+    # polarity being ground, and ``_emit`` writes them all: with a pinned
+    # side, the other side's value literal, unguarded; with neither side
+    # pinned, per value v of the first side, the second side's literal for
+    # v, guarded by the negated literal of the first side's. Each clause
+    # starts with a head: the negated literal of the atom's Tseitin
+    # variable, or that literal itself in negative polarity; for an atom
+    # asserted at the top level, the batch's guard, since its selector
+    # serves as the atom's literal. ``_encode_free_constants`` creates a
+    # batch's value literals before its first atom, so no variable is made
+    # here. Only a top-level atom's clauses are guarded: the others only
+    # define a Tseitin literal, which a batch that is off leaves free. A
+    # ``distinct`` that pins nothing is its pairwise disequalities.
 
     def _emit(
         self, head: tuple[int, ...], guard: tuple[int, ...], entry: int | bool, positive: bool
     ) -> None:
-        """The clause for one combination: ``head`` or ``guard`` or the
-        entry in the polarity being ground, where ``entry`` is a literal or a
+        """The clause for one entry: ``head`` or ``guard`` or the entry in
+        the polarity being ground, where ``entry`` is a literal or a
         known truth value."""
         if not isinstance(entry, bool):
             self.sat.add_clause([*head, *guard, entry if positive else entry ^ 1])
         elif entry != positive:
             self.sat.add_clause([*head, *guard])
-
-    def _ground_atom(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
-        if node[0] == "eeq":
-            self._ground_eeq(node, head, positive)
-        else:
-            self._ground_papp(node, head, positive)
 
     def _pinned_entry(self, a: str, b: str) -> int | bool | None:
         """The entry of ``(= a b)`` when a side is pinned: a known truth
@@ -931,48 +875,6 @@ class Grounder:
         for v in self.values[a]:
             guard = (self._value_literal(a, v) ^ 1,)
             self._emit(head, guard, self._value_literal(b, v), positive)
-
-    def _ground_papp(self, node: tuple, head: tuple[int, ...], positive: bool) -> None:
-        """One clause per value combination of the arguments, guarded by the
-        negated value literals of the unpinned ones. In positive polarity an
-        unpinned last argument is ground by rows instead: per combination of
-        the other arguments, one clause that the last takes a value whose
-        entry is not false, and one per variable entry that it holds there."""
-        _, pred, args = node
-        choices = [
-            [(self.fixed[a], ())]
-            if a in self.fixed
-            else [(v, (self._value_literal(a, v) ^ 1,)) for v in self.values[a]]
-            for a in args
-        ]
-        last = choices.pop() if positive and args[-1] not in self.fixed else None
-        if last is not None:
-            negated = {v: not_v for v, (not_v,) in last}
-        for row in product(*choices):
-            values = tuple(v for v, _ in row)
-            guard = tuple(g for _, gs in row for g in gs)
-            if last is None:
-                self._emit(head, guard, self._table_literal(pred, values), positive)
-                continue
-            allowed = []
-            for v in self._row(pred, values):
-                not_v = negated.get(v)
-                if not_v is not None:
-                    allowed.append(not_v ^ 1)
-                    self._emit(head, (*guard, not_v), self._table_literal(pred, (*values, v)), True)
-            if len(allowed) < len(last):  # else implied by exactly-one
-                self.sat.add_clause([*head, *guard, *allowed])
-
-    def _row(self, pred: str, values: tuple[int, ...]) -> list[int]:
-        """The last-argument values at which ``pred``'s entry, with the other
-        arguments at ``values``, is not known false. Only the base's facts
-        make an entry false, so the row is read once."""
-        row = self.rows.get((pred, values))
-        if row is None:
-            size = self.sort_size[self.script.predicates[pred][-1]]
-            row = [v for v in range(size) if self.table.get((pred, (*values, v))) is not False]
-            self.rows[(pred, values)] = row
-        return row
 
     # -- Tseitin with polarity tracking -------------------------------------------
     #
@@ -997,6 +899,8 @@ class Grounder:
             return self._bool_var(node[1]) << 1
         if kind == "not":
             return self.compile(node[1], need_neg, need_pos) ^ 1
+        if kind == "distinct":
+            return self.compile(_pairwise(node[1]), need_pos, need_neg)
         if kind == "eeq":
             entry = self._pinned_entry(node[1], node[2])
             if entry is not None:
@@ -1015,11 +919,11 @@ class Grounder:
         state[1] = pos_done or need_pos
         state[2] = neg_done or need_neg
 
-        if kind in ("eeq", "papp"):
+        if kind == "eeq":
             if emit_pos:
-                self._ground_atom(node, (lit ^ 1,), True)
+                self._ground_eeq(node, (lit ^ 1,), True)
             if emit_neg:
-                self._ground_atom(node, (lit,), False)
+                self._ground_eeq(node, (lit,), False)
             return lit
         if kind == "and" and not need_neg:
             for child in node[1]:
@@ -1053,10 +957,13 @@ class Grounder:
 
     def assert_top(self, node: tuple) -> None:
         """Assert ``node`` under the batch's guard: a conjunction conjunct by
-        conjunct, an ``or`` that holds one conjunction as one clause per
-        conjunct, an atom by its guarded clauses, and anything else as one
-        clause of Tseitin literals."""
+        conjunct, a ``distinct`` as its disequalities, an ``or`` that holds
+        one conjunction as one clause per conjunct, an atom by its guarded
+        clauses, and anything else as one clause of Tseitin literals."""
         kind = node[0]
+        if kind == "distinct":
+            self.assert_top(_pairwise(node[1]))
+            return
         if kind == "and":
             for child in node[1]:
                 self.assert_top(child)
@@ -1072,8 +979,8 @@ class Grounder:
             self.sat.add_clause([*(self.compile(d, True, False) for d in disjuncts), *self.guard])
             return
         atom, positive = (node[1], False) if kind == "not" else (node, True)
-        if atom[0] in ("eeq", "papp"):
-            self._ground_atom(atom, self.guard, positive)
+        if atom[0] == "eeq":
+            self._ground_eeq(atom, self.guard, positive)
             return
         self.sat.add_clause([self.compile(node, True, False), *self.guard])
 

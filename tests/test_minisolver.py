@@ -428,8 +428,8 @@ class TestExtendedScripts:
 
     _BASE = (
         "(declare-sort S 0)(declare-fun s0 () S)(declare-fun s1 () S)"
-        "(declare-fun y () S)(declare-fun G (S S) Bool)"
-        "(assert (distinct s0 s1))(assert (G y s1))(check-sat)"
+        "(declare-fun y () S)"
+        "(assert (distinct s0 s1))(assert (or (= y s0) (= y s1)))(check-sat)"
     )
 
     @staticmethod
@@ -440,17 +440,6 @@ class TestExtendedScripts:
             grounder.script.read(text)
             grounder.ground()
         return grounder
-
-    def test_later_fact_on_a_table_variable_is_a_clause(self):
-        # (G y s1) made the table entry G(s0, s1) a variable; the later fact
-        # on it must constrain that variable, not be absorbed and dropped.
-        later = "(assert (not (G s0 s1)))(assert (= y s0))(check-sat)"
-        grounder = self._grounded(self._BASE)
-        assert grounder.solve() == "sat"
-        grounder.script.read(later)
-        grounder.ground()
-        assert grounder.solve(None, [0]) == "unsat"
-        assert minisolver.interpret(self._BASE.removesuffix("(check-sat)") + later)[0] == "unsat"
 
     def test_later_sort_constant_is_unknown(self):
         grounder = self._grounded(self._BASE)
@@ -473,10 +462,11 @@ class TestExtendedScripts:
     def test_later_sort_constant_confined_in_its_batch(self):
         grounder = self._grounded(self._BASE)
         assert grounder.solve() == "sat"
-        later = "(declare-fun z () S)(assert (or (= z s0)))(assert (G z y))(check-sat)(get-model)"
+        later = "(declare-fun z () S)(assert (or (= z s0)))(assert (not (= z y)))(check-sat)(get-model)"
         assert grounder.script.read(later)
         grounder.ground()
-        assert grounder.solve(None, [0]) == "sat" and "  (define-fun z () S s0)" in grounder.model_lines()
+        assert grounder.solve(None, [0]) == "sat"
+        assert {"  (define-fun z () S s0)", "  (define-fun y () S s1)"} <= set(grounder.model_lines())
         assert grounder.values["z"] == (grounder.fixed["s0"],)  # confined to s0's value
         # z stays confined: the next batch cannot move it off s0.
         grounder.script.read("(assert (= z s1))(check-sat)")
@@ -493,38 +483,20 @@ class TestExtendedScripts:
         assert grounder.solve(None, [1]) == grounder.solve(None, [0]) == grounder.solve() == "sat"
 
 
-def _enumerate_euf(consts, preds, constraints):
-    """Brute-force EUF satisfiability over universes up to len(consts)."""
+def _atom_holds(op, args, assignment) -> bool:
+    if op == "distinct":
+        return len({assignment[a] for a in args}) == len(args)
+    return assignment[args[0]] == assignment[args[1]]
+
+
+def _enumerate_euf(consts, constraints):
+    """Brute-force satisfiability over universes up to len(consts) of
+    constraints (op, args, want), where op is ``=`` or ``distinct``."""
     n = len(consts)
     for values in itertools.product(range(n), repeat=n):
         assignment = dict(zip(consts, values))
-        pred_cells = sorted(
-            {
-                (p, tuple(assignment[a] for a in args))
-                for p, args, _ in constraints
-                if p is not None
-                for _ in [0]
-            }
-        )
-        # enumerate predicate truth on the touched cells only
-        cells = sorted(
-            {(p, tuple(assignment[a] for a in args)) for p, args, _ in constraints if p}
-        )
-        for bits in itertools.product([False, True], repeat=len(cells)):
-            table = dict(zip(cells, bits))
-            ok = True
-            for pred, args, want in constraints:
-                if pred is None:  # equality constraint: args=(a,b), want=equal?
-                    a, b = args
-                    if (assignment[a] == assignment[b]) != want:
-                        ok = False
-                        break
-                else:
-                    if table[(pred, tuple(assignment[a] for a in args))] != want:
-                        ok = False
-                        break
-            if ok:
-                return True
+        if all(_atom_holds(op, args, assignment) == want for op, args, want in constraints):
+            return True
     return False
 
 
@@ -583,42 +555,33 @@ class TestUninterpretedSorts:
         )
         assert solve_text(text)[0] == "unsat"
 
-    def test_predicate_congruence_with_pinned_args(self):
-        # G(s0, s1) and y pinned to (s0, s1) must agree with not-G(y1, y2)
-        text = (
-            "(declare-sort S 0)"
-            "(declare-fun s0 () S)(declare-fun s1 () S)"
-            "(declare-fun y1 () S)(declare-fun y2 () S)"
-            "(declare-fun G (S S) Bool)"
-            "(assert (distinct s0 s1))"
-            "(assert (G s0 s1))"
-            "(assert (= y1 s0))(assert (= y2 s1))"
-            "(assert (not (G y1 y2)))"
-            "(check-sat)"
-        )
-        assert solve_text(text)[0] == "unsat"
-
     def test_chain_through_edges(self):
-        # path constants must follow asserted G edges: s0 -> s1 -> s2 works
+        # path constants must follow the moves s0 -> s1 -> s2, stated as the
+        # explicit encoding states them: per step and state, one successor
+        # clause, and a state with no successor is not left
+        moves = "".join(
+            f"(assert (or (not (= y{i} s0)) (= y{i + 1} s1)))"
+            f"(assert (or (not (= y{i} s1)) (= y{i + 1} s2)))"
+            f"(assert (not (= y{i} s2)))"
+            for i in (1, 2)
+        )
         text = (
             "(declare-sort S 0)"
             "(declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)"
             "(declare-fun y1 () S)(declare-fun y2 () S)(declare-fun y3 () S)"
-            "(declare-fun G (S S) Bool)"
             "(assert (distinct s0 s1 s2))"
-            "(assert (G s0 s1))(assert (G s1 s2))"
-            "(assert (not (G s0 s2)))(assert (not (G s1 s0)))"
-            "(assert (not (G s2 s0)))(assert (not (G s2 s1)))"
-            "(assert (not (G s0 s0)))(assert (not (G s1 s1)))(assert (not (G s2 s2)))"
-            "(assert (G y1 y2))(assert (G y2 y3))"
+            f"{moves}"
             "(assert (not (= y1 y2)))(assert (not (= y1 y3)))(assert (not (= y2 y3)))"
             "(assert (or (= y1 s0) (= y1 s1) (= y1 s2)))"
             "(assert (or (= y2 s0) (= y2 s1) (= y2 s2)))"
             "(assert (or (= y3 s0) (= y3 s1) (= y3 s2)))"
             "(check-sat)(get-model)"
         )
-        status, _ = solve_text(text)
+        status, lines = minisolver.interpret(text)
         assert status == "sat"
+        assert [line for line in lines if "(define-fun y" in line] == [
+            f"  (define-fun y{i} () S s{i - 1})" for i in (1, 2, 3)
+        ]
 
     def test_empty_confinement_is_unsat(self):
         # Each disjunction confines x to pinned values; they share none.
@@ -649,50 +612,149 @@ class TestUninterpretedSorts:
 
     def test_random_euf_against_enumeration(self):
         rng = SplitMix64(99)
+        verdicts = []
         for _ in range(120):
             n_consts = 2 + rng.below(3)  # 2..4 constants
             consts = [f"c{i}" for i in range(n_consts)]
             n_constraints = 1 + rng.below(5)
             constraints = []
-            lines = [
-                "(declare-sort S 0)",
-                *(f"(declare-fun {c} () S)" for c in consts),
-                "(declare-fun P (S S) Bool)",
-            ]
+            lines = ["(declare-sort S 0)", *(f"(declare-fun {c} () S)" for c in consts)]
             for _ in range(n_constraints):
                 a = consts[rng.below(n_consts)]
                 b = consts[rng.below(n_consts)]
                 kind = rng.below(3)
                 positive = rng.below(2) == 1
                 if kind == 0:
-                    constraints.append((None, (a, b), positive))
+                    constraints.append(("=", (a, b), positive))
                     term = f"(= {a} {b})"
                 else:
-                    constraints.append(("P", (a, b), positive))
-                    term = f"(P {a} {b})"
+                    # The first positive distinct of the base pins its names.
+                    args = (a, b) if kind == 1 else (a, b, consts[rng.below(n_consts)])
+                    constraints.append(("distinct", args, positive))
+                    term = f"(distinct {' '.join(args)})"
                 lines.append(f"(assert {term if positive else f'(not {term})'})")
             lines.append("(check-sat)")
             got = solve_text("".join(lines))[0]
-            expect = "sat" if _enumerate_euf(consts, ["P"], constraints) else "unsat"
+            expect = "sat" if _enumerate_euf(consts, constraints) else "unsat"
             assert got == expect, "".join(lines)
+            verdicts.append(got)
+        assert verdicts.count("sat") >= 20 and verdicts.count("unsat") >= 20
 
 
-# A binary predicate over two free constants with a partial table (two
-# entries are facts), facts and equalities of pinned constants nested under
-# 'or' in both polarities, and equalities with one and two free sides.
-_PARTIAL_TABLE_SCRIPT = """(declare-sort S 0)
+class TestDistinct:
+    """A ``distinct`` over sort constants is one term. The first one of a
+    sort at the top level of the base pins its names; any other is its
+    pairwise disequalities."""
+
+    def test_explicit_base_distinct_pins_the_states(self):
+        grounder = minisolver.Grounder(minisolver.Script())
+        grounder.script.read(encode_explicit(_LOTUS3, 1).rendering)
+        states = tuple(f"s{i}" for i in range(4))
+        assert grounder.script.parse_term(("distinct", *states)) == ("distinct", states)
+        assert [t for t in grounder.script.assertions if t[0] == "distinct"] == [("distinct", states)]
+        grounder.ground()
+        assert grounder.fixed == {s: i for i, s in enumerate(states)}
+        assert grounder.solve() == "sat"
+
+    @pytest.mark.parametrize(
+        "args,term",
+        [
+            (("a", "b", "a"), ("false",)),
+            (("a",), ("true",)),
+            ((), ("true",)),
+            (("b", "a"), ("distinct", ("b", "a"))),
+        ],
+        ids=["repeated", "one-name", "no-name", "two-names"],
+    )
+    def test_parse(self, args, term):
+        script = minisolver.Script()
+        script.read("(declare-sort S 0)(declare-fun a () S)(declare-fun b () S)(check-sat)")
+        assert script.parse_term(("distinct", *args)) == term
+
+    def test_repeated_name_is_unsat(self):
+        text = "(declare-sort S 0)(declare-fun a () S)(declare-fun b () S)(assert (distinct a b a))(check-sat)"
+        assert minisolver.check_text(text) == ("unsat", [], "")
+        assert minisolver.check_text(text.replace("b a)", "b)")) == ("sat", [], "")
+
+    def test_mixed_sorts_are_unknown(self):
+        text = (
+            "(declare-sort S 0)(declare-sort T 0)"
+            "(declare-fun a () S)(declare-fun b () S)(declare-fun c () T)"
+            "(assert (distinct a b c))(check-sat)"
+        )
+        assert minisolver.check_text(text) == ("unknown", [], "'=' on constants of different sorts: a, c")
+
+    @staticmethod
+    def _holds(ast, values) -> bool:
+        op, *args = ast
+        if op == "not":
+            return not TestDistinct._holds(args[0], values)
+        if op in ("and", "or"):
+            results = [TestDistinct._holds(a, values) for a in args]
+            return all(results) if op == "and" else any(results)
+        return _atom_holds(op, args, values)
+
+    # Each kind once sat and once unsat, over four constants of one sort; in
+    # the base, a is pinned when a distinct at the top level comes first.
+    @pytest.mark.parametrize(
+        "base,later,status",
+        [
+            (
+                [("or", ("distinct", "a", "b", "c"), ("=", "a", "d")), ("=", "b", "c"), ("not", ("=", "a", "d"))],
+                [],
+                "unsat",
+            ),
+            (
+                [("or", ("distinct", "a", "b", "c"), ("=", "a", "d")), ("=", "b", "d"), ("not", ("=", "a", "d"))],
+                [],
+                "sat",
+            ),
+            ([("not", ("distinct", "a", "b", "c")), ("not", ("=", "a", "b")), ("not", ("=", "b", "c"))], [], "sat"),
+            ([("not", ("distinct", "a", "b")), ("not", ("=", "a", "b"))], [], "unsat"),
+            ([("distinct", "a", "b", "c"), ("distinct", "c", "d", "a"), ("=", "d", "b")], [], "sat"),
+            ([("distinct", "a", "b"), ("distinct", "b", "c", "d"), ("=", "a", "c"), ("=", "a", "d")], [], "unsat"),
+            ([("distinct", "a", "b")], [("distinct", "b", "c", "d"), ("=", "a", "c")], "sat"),
+            ([("distinct", "a", "b"), ("=", "c", "d")], [("distinct", "a", "c", "d")], "unsat"),
+        ],
+        ids=[
+            "nested-unsat", "nested-sat", "negated-sat", "negated-unsat",
+            "second-sat", "second-unsat", "later-sat", "later-unsat",
+        ],
+    )
+    def test_verdict_matches_enumeration(self, base, later, status):
+        consts = ("a", "b", "c", "d")
+        expect = any(
+            all(self._holds(ast, dict(zip(consts, values))) for ast in base + later)
+            for values in itertools.product(range(len(consts)), repeat=len(consts))
+        )
+        assert status == ("sat" if expect else "unsat")
+        decls = "(declare-sort S 0)" + "".join(f"(declare-fun {c} () S)" for c in consts)
+        texts = [decls + _asserted(base)] + ([_asserted(later)] if later else [])
+        grounder = minisolver.Grounder(minisolver.Script())
+        for text in texts:
+            grounder.script.read(text)
+            grounder.ground()
+        assert ("a" in grounder.fixed) == (base[0][0] == "distinct")
+        assert grounder.solve(None, range(len(grounder.selectors))) == status
+
+
+def _asserted(asts) -> str:
+    return "".join(f"(assert {_render(a)})" for a in asts) + "(check-sat)"
+
+
+# Beside the pinning distinct: a second one over free constants at the top
+# level, distincts nested under 'or' in both polarities, equalities of
+# pinned constants nested in both polarities, and equalities with one and
+# two free sides.
+_NESTED_DISTINCT_SCRIPT = """(declare-sort S 0)
 (declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)
 (declare-fun x () S)(declare-fun y () S)
 (declare-fun p () Bool)
-(declare-fun R (S S) Bool)
 (assert (distinct s0 s1 s2))
-(assert (R s0 s1))
-(assert (not (R s1 s1)))
-(assert (R x y))
-(assert (not (= x y)))
-(assert (or (R y x) (= x s2)))
-(assert (or (R s0 s1) (R x s0) p))
-(assert (or (not (R s1 s1)) (R y s1)))
+(assert (distinct x y s0))
+(assert (or (= y x) (= x s2)))
+(assert (or (distinct s1 x) (= x s0) p))
+(assert (or (not (distinct x y s1)) (= y s1)))
 (assert (or (not (= s0 s1)) (not p)))
 (assert (or (= s1 s2) (not p)))
 (check-sat)
@@ -704,8 +766,8 @@ _LOTUS3, _SEED5, _CLIQUE2 = gen_lotus(3), make_random(equivalence_family(5)), ge
 # One script per clause rule that writes no Tseitin variable: an implication
 # whose conjunction holds a Boolean equality, distributed into a clause per
 # conjunct; an or of xors, each and needed only positively; and, in a later
-# batch, a predicate atom and a negated equality ground straight under the
-# batch's selector.
+# batch, a distinct's disequalities and a negated equality ground straight
+# under the batch's selector.
 _IMPLIED_FRAME = """(declare-fun a () Bool)(declare-fun x () Bool)(declare-fun y () Bool)
 (declare-fun z () Bool)
 (assert (=> a (and z (= x y))))
@@ -720,12 +782,10 @@ _LATER_ATOMS = (
     """(declare-sort S 0)
 (declare-fun s0 () S)(declare-fun s1 () S)(declare-fun s2 () S)
 (declare-fun x () S)(declare-fun y () S)
-(declare-fun P (S S) Bool)
 (assert (distinct s0 s1 s2))
-(assert (P s0 s1))
 (check-sat)
 """,
-    """(assert (P x y))
+    """(assert (distinct x y s1))
 (assert (not (= x y)))
 (check-sat)
 """,
@@ -743,10 +803,10 @@ _LATER_ATOMS = (
         pytest.param(lambda: encode_explicit(_SEED5, 3).rendering, "sat", (124, 324, 0), id="seed5-explicit-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 3).rendering, "sat", (32, 57, 0), id="clique2-factored-k3"),
         pytest.param(lambda: encode_factored(_CLIQUE2, 4).rendering, "unsat", (46, 86, 0), id="clique2-factored-k4"),
-        pytest.param(lambda: _PARTIAL_TABLE_SCRIPT, "sat", (48, 89, 2), id="partial-table"),
+        pytest.param(lambda: _NESTED_DISTINCT_SCRIPT, "sat", (22, 37, 5), id="nested-distinct"),
         pytest.param(lambda: _IMPLIED_FRAME, "sat", (4, 3, 0), id="implied-frame"),
         pytest.param(lambda: _XOR_DISTINCT, "sat", (6, 5, 0), id="xor-distinct"),
-        pytest.param(lambda: _LATER_ATOMS, "sat", (43, 53, 0), id="later-batch-atoms"),
+        pytest.param(lambda: _LATER_ATOMS, "sat", (19, 36, 0), id="later-batch-atoms"),
     ],
 )
 def test_grounding_shape(script, status, shape, monkeypatch):

@@ -2,7 +2,8 @@
 rendered to SMT-LIB, decided by the solver, and compared with brute-force
 evaluation over every assignment; models returned on sat must evaluate to
 true. Boolean scripts test the CDCL core and its Tseitin encoding; scripts
-over an uninterpreted sort test pinning, confinement and row clauses."""
+over an uninterpreted sort test pinning, confinement and ``distinct``
+terms."""
 
 import itertools
 from collections import Counter
@@ -170,10 +171,17 @@ def test_deep_nesting():
             assert evaluate(ast, env), script
 
 
-# Sort scripts: pinned constants s0..s2 (when their distinct is asserted),
-# unpinned x and y, a Boolean p and a binary predicate P.
+# Sort scripts: pinned constants s0..s2 (when their distinct is asserted
+# first), unpinned x and y, and a Boolean p.
 PINNED = ["s0", "s1", "s2"]
 SORT_CONSTS = PINNED + ["x", "y"]
+
+
+def random_distinct(rng: SplitMix64, *names: str):
+    """``distinct`` over ``names`` and one or two random sort constants,
+    which may repeat a name."""
+    picked = [SORT_CONSTS[rng.below(len(SORT_CONSTS))] for _ in range(1 + rng.below(2))]
+    return ("distinct", *names, *picked)
 
 
 def random_sort_atom(rng: SplitMix64):
@@ -182,7 +190,7 @@ def random_sort_atom(rng: SplitMix64):
     choice = rng.below(6)
     if choice == 0:
         return "p"
-    return ("=" if choice <= 2 else "P", a, b)
+    return ("=", a, b) if choice <= 2 else random_distinct(rng, a)
 
 
 def random_sort_formula(rng: SplitMix64, depth: int):
@@ -205,7 +213,7 @@ def confining_or(rng: SplitMix64, const: str):
 
 def random_sort_conjunct(rng: SplitMix64):
     """A confining or, a shape that must not confine, a random formula or a
-    predicate literal."""
+    ``distinct`` literal."""
     x, y = ("x", "y") if rng.below(2) else ("y", "x")
     s = PINNED[rng.below(3)]
     choice = rng.below(8)
@@ -220,24 +228,22 @@ def random_sort_conjunct(rng: SplitMix64):
     if choice == 5:
         return random_sort_formula(rng, 2)
     if choice == 6:
-        return ("P", SORT_CONSTS[rng.below(len(SORT_CONSTS))], x)  # ground by rows
-    fact = ("P", s, PINNED[rng.below(3)])  # a table fact once s0..s2 are pinned
-    return ("not", fact) if rng.below(4) else fact
+        return random_distinct(rng, x)  # over a free constant
+    pinned = ("distinct", s, PINNED[rng.below(3)])  # a second one, over pinned constants
+    return ("not", pinned) if rng.below(4) else pinned
 
 
-def evaluate_sort(ast, values, table) -> bool:
+def evaluate_sort(ast, values, p: bool) -> bool:
     if ast == "p":
-        return table["p"]
+        return p
     op, *args = ast
     if op == "=":
         return values[args[0]] == values[args[1]]
-    if op == "P":
-        return table[tuple(values[a] for a in args)]
     if op == "distinct":
         return len({values[a] for a in args}) == len(args)
     if op == "not":
-        return not evaluate_sort(args[0], values, table)
-    results = [evaluate_sort(a, values, table) for a in args]
+        return not evaluate_sort(args[0], values, p)
+    results = [evaluate_sort(a, values, p) for a in args]
     return all(results) if op == "and" else any(results)
 
 
@@ -252,27 +258,12 @@ def partitions(count: int):
             yield (*head, v)
 
 
-def predicate_args(ast):
-    if isinstance(ast, str):
-        return
-    if ast[0] == "P":
-        yield ast[1:]
-    elif ast[0] in ("not", "and", "or"):
-        for a in ast[1:]:
-            yield from predicate_args(a)
-
-
 def brute_force_sort_sat(asts) -> bool:
-    """Over every assignment of the constants, and every truth value of p
-    and of the predicate cells the atoms touch under it."""
-    args = {pair for a in asts for pair in predicate_args(a)}
+    """Over every assignment of the constants and both truth values of p."""
     for assignment in partitions(len(SORT_CONSTS)):
         values = dict(zip(SORT_CONSTS, assignment))
-        cells = sorted({(values[a], values[b]) for a, b in args})
-        for bits in itertools.product([False, True], repeat=1 + len(cells)):
-            table = {"p": bits[0], **dict(zip(cells, bits[1:]))}
-            if all(evaluate_sort(a, values, table) for a in asts):
-                return True
+        if any(all(evaluate_sort(a, values, p) for a in asts) for p in (False, True)):
+            return True
     return False
 
 
@@ -283,7 +274,7 @@ def test_confined_sort_scripts_against_enumeration():
         asts = [random_sort_conjunct(rng) for _ in range(2 + rng.below(6))]
         if rng.below(4):
             asts.insert(0, ("distinct", *PINNED))
-        script = "(declare-sort S 0)(declare-fun p () Bool)(declare-fun P (S S) Bool)"
+        script = "(declare-sort S 0)(declare-fun p () Bool)"
         script += "".join(f"(declare-fun {c} () S)" for c in SORT_CONSTS)
         script += "".join(f"(assert {render(a)})" for a in asts)
         script += "(check-sat)"
@@ -294,15 +285,15 @@ def test_confined_sort_scripts_against_enumeration():
 
 
 def random_later_conjunct(rng: SplitMix64):
-    """Mostly a top-level predicate literal or negated equality, which a
+    """Mostly a top-level ``distinct`` literal or negated equality, which a
     later batch grounds straight under its selector; else any conjunct."""
     a = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
     b = SORT_CONSTS[rng.below(len(SORT_CONSTS))]
     choice = rng.below(5)
     if choice == 0:
-        return ("P", a, b)
+        return random_distinct(rng, a)
     if choice == 1:
-        return ("not", ("P", a, b))
+        return ("not", random_distinct(rng, a))
     if choice <= 3:
         return ("not", ("=", a, b))
     return random_sort_conjunct(rng)
@@ -314,7 +305,7 @@ def test_later_batches_against_enumeration():
     on, and must decide the base and those batches."""
     rng = SplitMix64(5150)
     verdicts = Counter()
-    head = "(declare-sort S 0)(declare-fun p () Bool)(declare-fun P (S S) Bool)"
+    head = "(declare-sort S 0)(declare-fun p () Bool)"
     head += "".join(f"(declare-fun {c} () S)" for c in SORT_CONSTS)
     for _ in range(120):
         base = [random_sort_conjunct(rng) for _ in range(rng.below(3))]

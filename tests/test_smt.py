@@ -538,7 +538,7 @@ class TestInProcessBundled:
     @pytest.mark.parametrize("cfg", [SolverConfig.bundled(), _SPAWNED], ids=["in-process", "spawned"])
     def test_unsupported_script_is_unknown(self, cfg, clique2, monkeypatch):
         verdict = run_solver(_unsupported(clique2, 1), cfg)
-        reason = "predicates may only take declared sorts"
+        reason = "function symbols with arguments are not supported"
         assert (verdict.status, verdict.raw) == ("unknown", reason)
         monkeypatch.setattr(smt, "encode_factored", _unsupported)
         with pytest.raises(SolverError) as info:
