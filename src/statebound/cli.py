@@ -109,6 +109,10 @@ def _read_system(path: Path, fmt: str | None) -> tuple[System, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_CONFIG) from exc
+    except UnicodeDecodeError as exc:
+        raise sysio.SystemParseError(
+            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
     return sysio.parse_system(text, fmt or sysio.detect_format(path.name)), path.stem
 
 
@@ -184,10 +188,11 @@ def cmd_rd(args: argparse.Namespace) -> int:
         max_k = args.max_k if args.max_k is not None else min(exp_bound(system), 12)
         if max_k < 1:
             raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
-        out_dir.mkdir(parents=True, exist_ok=True)
         # Every script is assembled from one set of steps, built once, so the
-        # explicit encoding builds one transition graph.
+        # explicit encoding builds one transition graph. They are built before
+        # the directory is made, so a failure leaves no directory behind.
         steps = steps_of(system, args.encoding, args.max_vars)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for k in range(1, max_k + 1):
             doc = encode(system, k, args.encoding, steps)
             (out_dir / doc.script_name()).write_text(doc.rendering, encoding="utf-8")
@@ -219,9 +224,7 @@ def cmd_rd(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    kind = BaseCaseKind(
-        tag=args.base, rd_state_cap=args.rd_state_cap, td_trigger=args.td_trigger
-    )
+    kind = BaseCaseKind(args.base)
     cfg = BoundConfig(
         solver=None if args.bruteforce else _solver_config(args),
         schedule=args.schedule,
@@ -345,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(bound)
     bound.add_argument("--batch", metavar="DIR", help="bound every system file in a directory")
     bound.add_argument("--base", choices=BASE_TAGS, default="b2")
-    bound.add_argument(
-        "--rd-state-cap", type=int, default=BaseCaseKind.rd_state_cap, help="b2 state-count cutoff"
-    )
-    bound.add_argument(
-        "--td-trigger", type=int, default=BaseCaseKind.td_trigger, help="b1 traversal-diameter cutoff"
-    )
     _add_solver_flags(bound)
     bound.add_argument("--bruteforce", action="store_true", help="never call a solver")
     bound.add_argument("--csv", metavar="PATH", help="write per-problem CSV rows")

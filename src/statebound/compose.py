@@ -3,11 +3,11 @@ composition of per-cluster topology values into a plan-length bound for the
 whole system.
 
 Clusters are the strongly connected components of the variable dependency
-graph in topological order. Each cluster's projected subsystem gets a base
-value (state-count bound, traversal diameter, longest simple path, or the
-hybrid b1/b2 selectors that only pay for the expensive longest-simple-path
-computation when cheap properties say it can help), and the values fold left
-to right as bound = bound + (bound + 1) * next.
+graph, ancestors first. Each cluster's projected subsystem gets a base value
+(state-count bound, traversal diameter, longest simple path, or the hybrid
+b1/b2 selectors that pay for the expensive longest-simple-path computation
+only past fixed td and state-count cutoffs), and the values fold as
+bound = bound + (bound + 1) * next: the product of (1 + value) minus 1.
 
 A cluster's transition graph is built once and shared by td and the
 longest-simple-path search. rd comes from that search while it stays within
@@ -19,7 +19,6 @@ state-count bound.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .core import (
@@ -35,6 +34,7 @@ from .core import (
 from .oracle import (
     DEFAULT_RD_BUDGET,
     MAX_BOUND,
+    TD_DECIDES_RD,
     SimplePathSearchTooLargeError,
     as_graph,
     exp_bound,
@@ -45,6 +45,9 @@ from .oracle import (
 from .smt import SCHEDULES, SolverConfig, SolverError, rd_via_smt
 
 BASE_TAGS = ("exp", "td", "rd", "b1", "b2")
+
+# b2 searches for rd only on clusters with at most this many states plus one.
+B2_STATE_CAP = 50
 
 
 def project(system: System, var_ids) -> System:
@@ -86,52 +89,29 @@ def dependency_graph(system: System) -> dict[int, set[int]]:
 
 @dataclass(frozen=True)
 class ClusterDecomposition:
-    """SCC clusters of the dependency graph in a deterministic topological
-    order (ancestors first, ties broken by smallest contained variable id)."""
+    """SCC clusters of the dependency graph, ancestors first, as Tarjan's
+    pass over ascending variable ids finishes them on the reversed graph.
+    Edges are (ancestor, dependent) index pairs into ``clusters``."""
 
     clusters: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]  # indices into clusters
+    edges: tuple[tuple[int, int], ...]
 
 
 def decompose(system: System) -> ClusterDecomposition:
     domain = system.domain
-    position = {v: i for i, v in enumerate(domain)}
+    # Tarjan finishes a component only after every component it reaches;
+    # over the variables each one depends on, that puts ancestors first.
     deps = dependency_graph(system)
-    adj = [sorted(position[v] for v in deps[u]) for u in domain]
-    sccs = strongly_connected_components(adj)
+    depends_on = [[i for i, u in enumerate(domain) if v in deps[u]] for v in domain]
+    sccs = strongly_connected_components(depends_on)
     comp_of = [0] * len(domain)
     for cid, members in enumerate(sccs):
         for pos in members:
             comp_of[pos] = cid
-    cluster_vars = [tuple(sorted(domain[pos] for pos in members)) for members in sccs]
-    cluster_edges: set[tuple[int, int]] = set()
-    for pos, succs in enumerate(adj):
-        for succ in succs:
-            if comp_of[pos] != comp_of[succ]:
-                cluster_edges.add((comp_of[pos], comp_of[succ]))
-
-    # Kahn's algorithm with a min-heap on the smallest variable id.
-    indegree = [0] * len(sccs)
-    out: dict[int, list[int]] = {i: [] for i in range(len(sccs))}
-    for u, v in sorted(cluster_edges):
-        out[u].append(v)
-        indegree[v] += 1
-    ready = [(cluster_vars[i][0], i) for i in range(len(sccs)) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, cid = heapq.heappop(ready)
-        order.append(cid)
-        for succ in out[cid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, (cluster_vars[succ][0], succ))
-    renumber = {cid: i for i, cid in enumerate(order)}
+    edges = {(comp_of[a], comp_of[d]) for d, ancestors in enumerate(depends_on) for a in ancestors}
     return ClusterDecomposition(
-        clusters=tuple(cluster_vars[cid] for cid in order),
-        edges=tuple(
-            sorted((renumber[u], renumber[v]) for u, v in cluster_edges)
-        ),
+        clusters=tuple(tuple(domain[pos] for pos in members) for members in sccs),
+        edges=tuple(sorted((a, d) for a, d in edges if a != d)),
     )
 
 
@@ -140,21 +120,16 @@ class BaseCaseKind:
     """Which topological property to compute on each cluster.
 
     ``b1`` pays for the longest-simple-path computation only when the
-    traversal diameter exceeds ``td_trigger``; ``b2`` additionally restricts
-    it to clusters with at most ``rd_state_cap`` + 1 states.
+    traversal diameter exceeds ``TD_DECIDES_RD``, below which rd equals it;
+    ``b2`` additionally restricts it to clusters with at most
+    ``B2_STATE_CAP`` + 1 states.
     """
 
     tag: str
-    rd_state_cap: int = 50
-    td_trigger: int = 2
 
     def __post_init__(self) -> None:
         if self.tag not in BASE_TAGS:
             raise ValueError(f"unknown base-case tag {self.tag!r}")
-        if self.rd_state_cap < 1:
-            raise ValueError("rd_state_cap must be at least 1")
-        if self.td_trigger < 0:
-            raise ValueError("td_trigger must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -296,8 +271,8 @@ def _base_case_detailed(
     if tag == "rd" or (
         tag in ("b1", "b2")
         and td is not None
-        and td > kind.td_trigger
-        and (tag == "b1" or exp_bound(subsystem) <= kind.rd_state_cap)
+        and td > TD_DECIDES_RD
+        and (tag == "b1" or exp_bound(subsystem) <= B2_STATE_CAP)
     ):
         (value, rd_queries, cause), rd_ms = timed_ms(_rd_detailed, subsystem, graph, cfg)
     if value is None:
@@ -323,7 +298,7 @@ def base_case(subsystem: System, kind: BaseCaseKind) -> int:
 
 def compose_values(values) -> int:
     """Fold per-cluster values: B := B + (B + 1) * v from B = 0, saturating.
-    The first step gives B = v."""
+    The first step gives B = v; in any order, the result is prod(1 + v) - 1."""
     total = 0
     for value in values:
         total = total + (total + 1) * value
@@ -338,8 +313,8 @@ def compositional_bound(
     cfg: BoundConfig | None = None,
     problem: str = "",
 ) -> BoundReport:
-    """Decompose, evaluate the base case per cluster, and fold the values in
-    topological order into one plan-length upper bound."""
+    """Decompose, evaluate the base case per cluster, and fold the values
+    into one plan-length upper bound."""
     cfg = cfg or BoundConfig()
 
     def cluster_bound(cluster: tuple[int, ...]) -> ClusterBound:

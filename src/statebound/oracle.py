@@ -53,6 +53,12 @@ MAX_BOUND = 2**63 - 1
 # idle 2-vCPU x86 host the budget takes 6 to 9 s of CPU.
 DEFAULT_RD_BUDGET = 2**24
 
+# td at most this forces rd = td. List the states of a walk over three
+# distinct states a, b, c by first visit: it steps a -> b, then enters c from
+# b, or from a after stepping back b -> a. Either a -> b -> c or b -> a -> c
+# is a simple path. Below td 2, the walk's first step, or none, is the path.
+TD_DECIDES_RD = 2
+
 
 class SimplePathSearchTooLargeError(RuntimeError):
     """The exhaustive longest-simple-path search ran over its work budget."""
@@ -402,12 +408,12 @@ class ConjectureVerdict:
 
 
 def check_conjecture(system: System) -> ConjectureVerdict:
-    """Check that td in {0, 1, 2} forces td == rd; vacuous when td > 2.
+    """Check that td <= ``TD_DECIDES_RD`` forces td == rd; vacuous above it.
     The graph is built within the default variable cap, and the search runs
     within the default work budget."""
     graph = build_transition_graph(system)
     td = traversal_diameter(graph)
-    if td > 2:
+    if td > TD_DECIDES_RD:
         return ConjectureVerdict(status="vacuous", td=td)
     rd, witness = longest_simple_path(graph)
     if rd == td:

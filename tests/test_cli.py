@@ -181,6 +181,18 @@ class TestRd:
             doc = smt.encode(system, k, "explicit")
             assert (tmp_path / doc.script_name()).read_text(encoding="utf-8") == doc.rendering
 
+    def test_emit_smt_failure_leaves_no_directory(self, capsys, tmp_path):
+        # 22 random variables leave 21 in use, over the explicit-state cap.
+        emit_dir = tmp_path / "scripts"
+        code, out, err = run(
+            capsys,
+            "rd", "--gen", "random", "--vars", "22", "--actions", "30",
+            "--encoding", "explicit", "--emit-smt", str(emit_dir),
+        )
+        assert code == 4 and out == ""
+        assert json.loads(err.strip())["error"] == "state-space-too-large"
+        assert not emit_dir.exists()
+
     def test_missing_solver_is_hard_failure(self, capsys):
         code, _, err = run(
             capsys,
@@ -478,3 +490,23 @@ class TestConfigErrors:
         code, _, err = run(capsys, "topo", "--input", str(bad))
         assert code == 3
         assert json.loads(err.strip())["error"] == "parse-error"
+
+    @pytest.mark.parametrize("command", ["topo", "bound"])
+    def test_non_utf8_input_is_parse_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"variables": ["v\xff"]}')
+        code, out, err = run(capsys, command, "--input", str(bad))
+        assert code == 3 and out == ""
+        reason = json.loads(err.strip())
+        assert reason["error"] == "parse-error"
+        assert "not UTF-8 at byte 17" in reason["detail"]
+
+    def test_non_utf8_batch_file_is_parse_error(self, capsys, tmp_path):
+        batch = tmp_path / "problems"
+        batch.mkdir()
+        (batch / "bad.json").write_bytes(b'{"variables": ["v\xff"]}')
+        (batch / "good.json").write_text(serialize_system(gen_lotus(2), "json"), encoding="utf-8")
+        code, out, err = run(capsys, "bound", "--batch", str(batch), "--bruteforce")
+        assert code == 3
+        assert "good: total=" in out
+        assert "bad.json: FAILED" in err and "not UTF-8 at byte 17" in err

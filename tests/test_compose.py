@@ -110,10 +110,12 @@ class TestDecompose:
     def test_clusters_partition_domain(self):
         for seed in range(1, 16):
             system = make_random(chain_family(seed))
-            clusters = decompose(system).clusters
-            flat = [v for cluster in clusters for v in cluster]
+            decomposition = decompose(system)
+            flat = [v for cluster in decomposition.clusters for v in cluster]
             assert sorted(flat) == list(system.domain)
             assert len(flat) == len(set(flat))
+            # ancestors first: every edge points to a later cluster
+            assert all(u < v for u, v in decomposition.edges), seed
 
 
 _SLEEPER = SolverConfig(
@@ -130,10 +132,13 @@ class TestBaseCase:
         assert base_case(clique2, BaseCaseKind("b1")) == 3
 
     def test_b2_branches(self, clique2):
-        assert base_case(clique2, BaseCaseKind("b2", rd_state_cap=50)) == 3
-        # cap 2 < Exp=3 forces the traversal-diameter path
-        report = compositional_bound(clique2, BaseCaseKind("b2", rd_state_cap=2))
-        assert report.total == 3
+        assert base_case(clique2, BaseCaseKind("b2")) == 3
+        # lotus 63 has 64 states, over B2_STATE_CAP + 1: b2 keeps td, where
+        # b1 finds rd = 2
+        lotus = gen_lotus(63)
+        assert base_case(lotus, BaseCaseKind("b1")) == 2
+        report = compositional_bound(lotus, BaseCaseKind("b2"))
+        assert report.total == 63
         assert report.per_cluster[0].property_used == "td"
 
     def test_exp_and_td_tags(self, star3):
@@ -143,10 +148,6 @@ class TestBaseCase:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             BaseCaseKind("wat")
-        with pytest.raises(ValueError):
-            BaseCaseKind("b2", rd_state_cap=0)
-        with pytest.raises(ValueError):
-            BaseCaseKind("b1", td_trigger=-1)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -225,67 +226,62 @@ class TestBaseCase:
         ]
 
 
-# Per base-case setting: the tag arguments, the configuration, the cause of
-# every degraded cluster, and system -> the outcome of each tag in BASE_TAGS
-# order, written property:value with a trailing "!" when the cluster is
-# degraded. toggles2 has two identical clusters; every cluster must match.
+# Per base-case setting: the configuration, the cause of every degraded
+# cluster, and system -> the outcome of each tag in BASE_TAGS order, written
+# property:value with a trailing "!" when the cluster is degraded. toggles2
+# has two identical clusters; every cluster must match. lotus63 has 64
+# states, over B2_STATE_CAP + 1, so b2 never searches it.
 _POLICY_TABLE = {
-    "defaults": ({}, BoundConfig(), None, {
+    "defaults": (BoundConfig(), None, {
         "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
         "star3": "exp:3 td:1 rd:1 td:1 td:1",
         "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
+        "lotus63": "exp:63 td:63 rd:2 rd:2 td:63",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
-    }),
-    "rd_state_cap=2": ({"rd_state_cap": 2}, BoundConfig(), None, {
-        "clique2": "exp:3 td:3 rd:3 rd:3 td:3",
-        "star3": "exp:3 td:1 rd:1 td:1 td:1",
-        "lotus7": "exp:7 td:7 rd:2 rd:2 td:7",
-        "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
-    }),
-    "td_trigger=0": ({"td_trigger": 0}, BoundConfig(), None, {
-        "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
-        "star3": "exp:3 td:1 rd:1 rd:1 rd:1",
-        "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
-        "toggles2": "exp:1 td:1 rd:1 rd:1 rd:1",
     }),
     # td and rd both exceed the variable cap on a two-variable cluster: the
     # state-count bound remains; toggles2's one-variable clusters fit
-    "max_vars=1": ({}, BoundConfig(max_vars=1), "max-vars", {
+    "max_vars=1": (BoundConfig(max_vars=1), "max-vars", {
         "clique2": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "star3": "exp:3 exp:3! exp:3! exp:3! exp:3!",
         "lotus7": "exp:7 exp:7! exp:7! exp:7! exp:7!",
+        "lotus63": "exp:63 exp:63! exp:63! exp:63! exp:63!",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
     # past the cap the solver answers tag rd, but a hybrid's trigger needs
     # td, which needs the graph; the b1/b2 cells pin that known gap (a FOUND
     # in CHANGES.md, ROADMAP item 4): such a cluster never asks the solver
     "max_vars=1 with a solver": (
-        {}, BoundConfig(max_vars=1, solver=SolverConfig.bundled()), "max-vars", {
+        BoundConfig(max_vars=1, solver=SolverConfig.bundled()), "max-vars", {
             "clique2": "exp:3 exp:3! rd:3 exp:3! exp:3!",
             "star3": "exp:3 exp:3! rd:1 exp:3! exp:3!",
             "lotus7": "exp:7 exp:7! rd:2 exp:7! exp:7!",
+            "lotus63": "exp:63 exp:63! rd:2 exp:63! exp:63!",
             "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
         },
     ),
     # no solver and the search over its budget: rd falls back to td
-    "rd_budget=1": ({}, BoundConfig(rd_budget=1), "budget", {
+    "rd_budget=1": (BoundConfig(rd_budget=1), "budget", {
         "clique2": "exp:3 td:3 td:3! td:3! td:3!",
         "star3": "exp:3 td:1 td:1! td:1 td:1",
         "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
+        "lotus63": "exp:63 td:63 td:63! td:63! td:63",
         "toggles2": "exp:1 td:1 td:1! td:1 td:1",
     }),
     # the search over its budget, then every solver query times out
-    "sleeper": ({}, BoundConfig(solver=_SLEEPER, rd_budget=1), "timeout", {
+    "sleeper": (BoundConfig(solver=_SLEEPER, rd_budget=1), "timeout", {
         "clique2": "exp:3 td:3 td:3! td:3! td:3!",
         "star3": "exp:3 td:1 td:1! td:1 td:1",
         "lotus7": "exp:7 td:7 td:7! td:7! td:7!",
+        "lotus63": "exp:63 td:63 td:63! td:63! td:63",
         "toggles2": "exp:1 td:1 td:1! td:1 td:1",
     }),
     # within the default budget the search answers, and the solver is not asked
-    "sleeper-within-budget": ({}, BoundConfig(solver=_SLEEPER), None, {
+    "sleeper-within-budget": (BoundConfig(solver=_SLEEPER), None, {
         "clique2": "exp:3 td:3 rd:3 rd:3 rd:3",
         "star3": "exp:3 td:1 rd:1 td:1 td:1",
         "lotus7": "exp:7 td:7 rd:2 rd:2 rd:2",
+        "lotus63": "exp:63 td:63 rd:2 rd:2 td:63",
         "toggles2": "exp:1 td:1 rd:1 td:1 td:1",
     }),
 }
@@ -293,14 +289,15 @@ _POLICY_TABLE = {
 
 @pytest.mark.parametrize("setting", list(_POLICY_TABLE))
 def test_base_case_policy_table(setting, request):
-    kind_args, cfg, cause, expected = _POLICY_TABLE[setting]
+    cfg, cause, expected = _POLICY_TABLE[setting]
     systems = {name: request.getfixturevalue(name) for name in ("clique2", "star3", "toggles2")}
     systems["lotus7"] = gen_lotus(7)
+    systems["lotus63"] = gen_lotus(63)
     for name, row in expected.items():
         for tag, cell in zip(BASE_TAGS, row.split()):
             used, value = cell.rstrip("!").split(":")
             want = (int(value), used, cause if cell.endswith("!") else None)
-            report = compositional_bound(systems[name], BaseCaseKind(tag, **kind_args), cfg)
+            report = compositional_bound(systems[name], BaseCaseKind(tag), cfg)
             got = {(c.value, c.property_used, c.cause) for c in report.per_cluster}
             assert got == {want}, (name, tag)
 
@@ -366,6 +363,21 @@ class TestComposeValues:
     )
     def test_fold_table(self, values, total):
         assert compose_values(values) == total
+
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=50) | st.integers(min_value=0, max_value=2**40),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_order_free_product(self, values):
+        # No total depends on the cluster order: the fold is prod(1 + v) - 1.
+        product = 1
+        for value in values:
+            product *= 1 + value
+        want = min(product - 1, MAX_BOUND)
+        assert compose_values(values) == compose_values(values[::-1]) == want
 
     @given(st.lists(st.integers(min_value=0, max_value=50), max_size=6))
     @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from statebound.core import Action, PartialState, System, build_transition_graph
 from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
 from statebound.oracle import (
     MAX_BOUND,
+    TD_DECIDES_RD,
     SimplePathSearchTooLargeError,
     check_conjecture,
     compute_topo_report,
@@ -316,6 +317,21 @@ class TestConjecture:
             counts[check_conjecture(system).status] += 1
         assert counts["counterexample"] == 0, counts
         assert counts["holds"] + counts["vacuous"] == 200
+
+    def test_small_td_decides_rd(self):
+        """Wherever td is at most TD_DECIDES_RD, the exhaustive search finds
+        rd equal to it: the fact that lets b1 and b2 skip the search."""
+        decided = 0
+        for seed in range(1, 301):
+            spec = GeneratorSpec(
+                "random", seed=seed, num_vars=2 + seed % 4, num_actions=1 + seed % 5
+            )
+            graph = build_transition_graph(gen_random(spec))
+            td = traversal_diameter(graph)
+            if td <= TD_DECIDES_RD:
+                decided += 1
+                assert recurrence_diameter_bruteforce(graph) == td, seed
+        assert decided >= 100, decided
 
 
 class TestChainInvariant:
