@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -56,6 +55,11 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int) -> None:
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # A batch worker process returns its failure pickled; the default
+        # rebuilds from ``args`` alone, which lacks ``code``.
+        return type(self), (str(self), self.code)
 
 
 def _machine_reason(exc: Exception) -> str:
@@ -223,6 +227,44 @@ def cmd_rd(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bound_one(load, kind: BaseCaseKind, cfg: BoundConfig) -> BoundReport | Exception:
+    """Loads and bounds one system. A failure is returned, not raised, so
+    that the batch goes on past it; module-level, so a worker process can
+    run it."""
+    try:
+        system, name = load()
+        return compositional_bound(system, kind, cfg, problem=name)
+    except Exception as exc:  # recorded, batch continues
+        return exc
+
+
+def _bound_all(loads: list, kind: BaseCaseKind, cfg: BoundConfig, jobs: int) -> list:
+    """``_bound_one`` over ``loads``, in order: in up to ``jobs`` worker
+    processes when two or more have work, else in this process."""
+    bound = partial(_bound_one, kind=kind, cfg=cfg)
+    workers = min(jobs, len(loads))
+    if workers < 2:
+        return list(map(bound, loads))
+    # Imported here, so that commands which never make a pool do not pay for
+    # it. Workers are forked where the platform can fork: a spawned worker
+    # imports the package afresh, and forkserver, the Linux default from
+    # Python 3.14, also leaves its server process behind. The pool forks all
+    # its workers before it starts its own thread.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    chunksize = -(-len(loads) // (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
+        return list(pool.map(bound, loads, chunksize=chunksize))
+
+
+def _batch_exit_code(exc: Exception) -> int:
+    if isinstance(exc, _CliError):
+        return exc.code
+    return EXIT_PARSE if isinstance(exc, sysio.SystemParseError) else EXIT_HARD
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     kind = BaseCaseKind(args.base)
     cfg = BoundConfig(
@@ -250,18 +292,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         loaded = _load_system(args)
         loaders = {loaded[1]: lambda: loaded}
 
-    def work(load) -> BoundReport | Exception:
-        try:
-            system, name = load()
-            return compositional_bound(system, kind, cfg, problem=name)
-        except Exception as exc:  # recorded, batch continues
-            return exc
-
-    # Queries to the in-process bundled solver hold the interpreter lock, so
-    # threads cannot overlap them; they only contend for it.
-    in_process = cfg.solver is not None and cfg.solver.in_process
-    with ThreadPoolExecutor(max_workers=1 if in_process else args.jobs) as pool:
-        outcomes = dict(zip(loaders, pool.map(work, loaders.values())))
+    outcomes = dict(zip(loaders, _bound_all(list(loaders.values()), kind, cfg, args.jobs)))
     reports = [o for o in outcomes.values() if isinstance(o, BoundReport)]
     failures = {label: o for label, o in outcomes.items() if isinstance(o, Exception)}
 
@@ -275,10 +306,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
         print(f"{label}: FAILED {exc}", file=sys.stderr)
     if args.csv:
         sysio.write_report(reports, args.csv)
-    if failures:
-        parse_failure = any(isinstance(e, sysio.SystemParseError) for e in failures.values())
-        return EXIT_PARSE if parse_failure else EXIT_HARD
-    return EXIT_OK
+    # The gravest failure sets the code: config, then parse, then hard.
+    return min(map(_batch_exit_code, failures.values()), default=EXIT_OK)
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
@@ -355,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="problems at once, in threads; with the in-process bundled solver "
-        "problems run one at a time",
+        help="batch files at once, each worker a process of its own",
     )
     _add_cap_flags(bound)
     bound.set_defaults(func=cmd_bound)

@@ -1,14 +1,21 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
+import os
+import pickle
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from statebound import cli, minisolver, oracle, smt
 from statebound.cli import main
-from statebound.gen import GeneratorSpec, gen_lotus, gen_random
-from statebound.io import parse_document, serialize_system
+from statebound.core import DomainMismatchError, StateSpaceTooLargeError
+from statebound.gen import GenerationError, GeneratorSpec, gen_lotus, gen_random
+from statebound.io import SystemParseError, parse_document, serialize_system
 
 
 def run(capsys, *argv):
@@ -20,6 +27,39 @@ def run(capsys, *argv):
 def csv_rows(path):
     with path.open(newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def lotus_batch(tmp_path, sizes):
+    batch = tmp_path / "problems"
+    batch.mkdir()
+    for n in sizes:
+        (batch / f"lotus_{n}.json").write_text(
+            serialize_system(gen_lotus(n), "json"), encoding="utf-8"
+        )
+    return batch
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands in for the process pool: records each pool's worker count and
+    maps in this process, so no worker process is started."""
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return workers
 
 
 class TestTopo:
@@ -222,12 +262,7 @@ class TestBound:
         assert rows[0]["rd_queries"] == "0"
 
     def test_batch_and_jobs_determinism(self, capsys, tmp_path):
-        batch = tmp_path / "problems"
-        batch.mkdir()
-        for n in (1, 2, 3):
-            (batch / f"lotus_{n}.json").write_text(
-                serialize_system(gen_lotus(n), "json"), encoding="utf-8"
-            )
+        batch = lotus_batch(tmp_path, (1, 2, 3))
         csv_one = tmp_path / "jobs1.csv"
         csv_two = tmp_path / "jobs2.csv"
         code1, _, _ = run(
@@ -241,6 +276,8 @@ class TestBound:
             "--bruteforce", "--csv", str(csv_two), "--jobs", "2",
         )
         assert code1 == code2 == 0
+        # The pool joins its workers before the command returns.
+        assert multiprocessing.active_children() == []
 
         def stable(path):
             rows = csv_rows(path)
@@ -249,21 +286,8 @@ class TestBound:
 
         assert stable(csv_one) == stable(csv_two)
 
-    def test_jobs_runs_in_process_solver_one_at_a_time(self, capsys, tmp_path, monkeypatch):
-        batch = tmp_path / "problems"
-        batch.mkdir()
-        for n in (2, 3, 4):
-            (batch / f"lotus_{n}.json").write_text(
-                serialize_system(gen_lotus(n), "json"), encoding="utf-8"
-            )
-        workers = []
-        pool = cli.ThreadPoolExecutor
-
-        def recording(max_workers):
-            workers.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+    def test_jobs_two_matches_jobs_one_per_solver(self, capsys, tmp_path):
+        batch = lotus_batch(tmp_path, (2, 3, 4))
         spawned = shlex.join([sys.executable, minisolver.__file__, "{script}"])
         rows = {}
         for label, solver in (
@@ -271,23 +295,100 @@ class TestBound:
             ("bundled", []),
             ("spawned", ["--solver-cmd", spawned]),
         ):
-            target = tmp_path / f"{label}.csv"
-            code, _, _ = run(
-                capsys,
-                "bound", "--batch", str(batch), "--base", "b1",
-                "--csv", str(target), "--jobs", "2", *solver,
-            )
-            assert code == 0
-            rows[label] = [
-                (row["problem"], row["total_bound"], row["rd_queries"])
-                for row in csv_rows(target)
-            ]
-        # Only the in-process solver is held to one thread.
-        assert workers == [2, 1, 2]
-        assert rows["bundled"] == rows["spawned"]
-        assert [total for _, total, _ in rows["bruteforce"]] == [
-            total for _, total, _ in rows["bundled"]
+            for jobs in ("1", "2"):
+                target = tmp_path / f"{label}_{jobs}.csv"
+                code, _, _ = run(
+                    capsys,
+                    "bound", "--batch", str(batch), "--base", "b1",
+                    "--csv", str(target), "--jobs", jobs, *solver,
+                )
+                assert code == 0
+                rows[label, jobs] = [
+                    (row["problem"], row["total_bound"], row["rd_queries"])
+                    for row in csv_rows(target)
+                ]
+            assert rows[label, "2"] == rows[label, "1"]
+        assert rows["bundled", "2"] == rows["spawned", "2"]
+        assert [total for _, total, _ in rows["bruteforce", "2"]] == [
+            total for _, total, _ in rows["bundled", "2"]
         ]
+
+    def test_pool_is_sized_by_the_files(self, capsys, tmp_path, pools):
+        batch = lotus_batch(tmp_path, (1, 2, 3))
+        single = tmp_path / "single"
+        single.mkdir()
+        (single / "lotus_2.json").write_text(
+            serialize_system(gen_lotus(2), "json"), encoding="utf-8"
+        )
+        for source, jobs in (
+            (["--batch", str(batch)], "1000"),
+            (["--batch", str(batch)], "1"),
+            (["--gen", "lotus", "--n", "3"], "2"),
+            (["--batch", str(single)], "2"),
+        ):
+            code, _, _ = run(capsys, "bound", *source, "--bruteforce", "--jobs", jobs)
+            assert code == 0
+        # Only the three-file batch makes a pool, of one worker per file.
+        assert pools == [3]
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            cli._CliError("cannot read x.json: denied", cli.EXIT_CONFIG),
+            SystemParseError("bad token", line=3, column=4),
+            smt.SolverError("solver failed", queries=((1, smt.SolverVerdict("unknown", 1.0)),)),
+            StateSpaceTooLargeError("2^60 states"),
+            oracle.SimplePathSearchTooLargeError("over budget"),
+            DomainMismatchError("unknown variable"),
+            GenerationError("retries exhausted"),
+            ValueError("bad value"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_worker_failures_survive_pickling(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc) and vars(back) == vars(exc)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unreadable_batch_file_is_config_error(self, capsys, tmp_path, monkeypatch, jobs):
+        batch = lotus_batch(tmp_path, (1, 2, 3))
+        read_text = Path.read_text
+
+        def refuse_one(path, *args, **kwargs):
+            if path.name == "lotus_2.json":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        # A forked worker inherits the patch.
+        monkeypatch.setattr(Path, "read_text", refuse_one)
+        target = tmp_path / "out.csv"
+        code, _, err = run(
+            capsys,
+            "bound", "--batch", str(batch), "--base", "b1",
+            "--bruteforce", "--csv", str(target), "--jobs", jobs,
+        )
+        assert code == 2
+        assert "lotus_2.json: FAILED cannot read" in err
+        assert [row["problem"] for row in csv_rows(target)] == ["lotus_1", "lotus_3"]
+
+    def test_piped_output_is_written_once(self, tmp_path):
+        batch = lotus_batch(tmp_path, (1, 2, 3, 4))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "statebound.cli", "bound", "--batch", str(batch),
+                 "--base", "b1", "--jobs", jobs],
+                stdout=subprocess.PIPE,
+                env=env,
+                check=True,
+                timeout=120,
+            ).stdout
+            for jobs in ("1", "2")
+        ]
+        assert outs[1] == outs[0]
+        assert outs[0].splitlines()[0].startswith(b"lotus_1: total=")
+        assert len(outs[0].splitlines()) == 4
 
     def test_batch_continues_past_bad_file(self, capsys, tmp_path):
         batch = tmp_path / "problems"
