@@ -11,11 +11,16 @@ stops at a path of td edges and cuts every branch that this ceiling shows
 cannot beat the best path so far. Once the search from a start vertex
 finishes, no path from it is longer than the best path, so that length
 becomes its ceiling; on a hub-shaped space the hub's finished start cuts
-every later start at the hub. A branch that survives is then cut by its
-residual reachable-vertex count, which stops counting as soon as it is large
-enough not to cut. The condensation and the search result are computed once
-per graph and kept on it. The diameter's BFS from a source stops once every
-state has a distance.
+every later start at the hub. The search works component by component: a
+simple path that leaves a component never comes back, so where it enters a
+new component at w, all it can still add is L(w), the longest simple path
+from w. L(w) is computed once, by a search from w cut against its own best,
+and kept for every later prefix that reaches w. A branch that survives the
+ceiling is then cut by a residual count: the unvisited vertices of its
+component that it can reach, plus the best ceiling it can leave the
+component to. The count stops as soon as it is large enough not to cut. The
+condensation and the search result are computed once per graph and kept on
+it. The diameter's BFS from a source stops once every state has a distance.
 
 The search runs under a work budget, not a state cap: the state count does
 not bound its work, which depends on how well the cuts fire. One work unit
@@ -108,23 +113,38 @@ def diameter(obj: System | TransitionGraph) -> int:
     return best
 
 
-def _unvisited_reach_count(
-    adj: Sequence[Sequence[int]], visited: bytearray, head: int, limit: int
-) -> int:
-    """Number of unvisited vertices reachable from ``head`` through unvisited
-    vertices only (the residual-graph pruning bound). Stops counting once it
-    exceeds ``limit``, which is all the caller needs to know."""
+def _reach_bound(
+    adj: Sequence[Sequence[int]],
+    comp_of: Sequence[int],
+    ceiling: Sequence[int],
+    visited: bytearray,
+    head: int,
+    limit: int,
+) -> tuple[int, int]:
+    """(visits, bound): the bound on the edges a path from ``head`` can still
+    add. It counts the unvisited vertices of head's component that are
+    reachable through unvisited vertices of it, and adds the best exit bound,
+    1 + ceiling[y] over the edges x -> y that leave the component from head
+    or a counted x. Stops once the bound exceeds ``limit``, which is all the
+    caller needs to know; visits is the number of vertices counted."""
+    comp = comp_of[head]
     stack = [head]
     seen: set[int] = set()
+    exit_len = 0
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not visited[v] and v not in seen:
+        for v in adj[stack.pop()]:
+            if visited[v] or v in seen:
+                continue
+            if comp_of[v] == comp:
                 seen.add(v)
-                if len(seen) > limit:
-                    return len(seen)
                 stack.append(v)
-    return len(seen)
+            elif ceiling[v] >= exit_len:
+                exit_len = ceiling[v] + 1
+            else:
+                continue
+            if len(seen) + exit_len > limit:
+                return len(seen), len(seen) + exit_len
+    return len(seen), len(seen) + exit_len
 
 
 def _derived(graph: TransitionGraph, key: str, compute):
@@ -142,59 +162,112 @@ def _search_longest_simple_path(graph: TransitionGraph, budget: int) -> tuple[in
     # component value: ceiling[v] edges at most, and td over all v.
     ceiling = [value[cid] - 1 for cid in comp_of]
     td = max(ceiling, default=0)
-    best_len = 0
-    best_path = [0] if n else []
     visited = bytearray(n)
-    path: list[int] = []
-    iters: list[Iterator[int]] = []  # the neighbours left to try, per path vertex
+    # entry vertex -> (segment, next entry): the first-found longest simple
+    # path from the entry runs through segment, inside the entry's component,
+    # then on along next's path, if next is not -1. Its length, L(entry), is
+    # then the entry's ceiling.
+    memo: dict[int, tuple[list[int], int]] = {}
     work = 0
-    for start in range(n):
-        if best_len >= td:
-            break  # nothing can beat a path of td edges
-        if ceiling[start] <= best_len:
-            continue
-        v = start
-        while v >= 0:
-            visited[v] = 1
-            path.append(v)
-            work += 1
-            length = len(path) - 1
-            if length > best_len:
-                best_len = length
-                best_path = path.copy()
-                if best_len >= td:
-                    break
-            limit = best_len - length
-            expand = ceiling[v] > limit
-            if expand:
-                reach = _unvisited_reach_count(adj, visited, v, limit)
-                work += reach
-                expand = reach > limit
-            if work > budget:
-                raise _over_budget(work, budget)
-            if expand:
-                iters.append(iter(adj[v]))
-            else:
-                visited[path.pop()] = 0
-            # Go on from the deepest path vertex with an unvisited neighbour left.
-            v = -1
-            while iters:
-                for w in iters[-1]:
-                    if not visited[w]:
-                        v = w
+
+    def search(starts: Sequence[int], top: int, best_len: int, best_seg: list[int]):
+        """DFS from each start in turn, from a best of ``best_len`` edges
+        along ``best_seg``, stopped by a path of ``top`` edges. Yields each
+        entry vertex whose L it needs before memo holds it, and returns
+        (length, segment, next entry) of the first longest path."""
+        nonlocal work
+        best_next = -1
+        path: list[int] = []
+        iters: list[Iterator[int]] = []  # the neighbours left to try, per path vertex
+        for start in starts:
+            if best_len >= top:
+                break  # nothing can beat a path of top edges
+            if ceiling[start] <= best_len:
+                continue
+            comp = comp_of[start]
+            v = start
+            while v >= 0:
+                visited[v] = 1
+                path.append(v)
+                work += 1
+                length = len(path) - 1
+                if length > best_len:
+                    best_len, best_seg, best_next = length, path.copy(), -1
+                    if best_len >= top:
                         break
-                if v >= 0:
+                limit = best_len - length
+                expand = ceiling[v] > limit
+                if expand:
+                    visits, bound = _reach_bound(adj, comp_of, ceiling, visited, v, limit)
+                    work += visits
+                    expand = bound > limit
+                if work > budget:
+                    raise _over_budget(work, budget)
+                if expand:
+                    iters.append(iter(adj[v]))
+                else:
+                    visited[path.pop()] = 0
+                # Go on from the deepest path vertex with an unvisited
+                # neighbour left in the component.
+                v = -1
+                while iters:
+                    for w in iters[-1]:
+                        if visited[w]:
+                            continue
+                        if comp_of[w] == comp:
+                            v = w
+                            break
+                        # w enters a downstream component, which no path
+                        # from w leaves to come back, so the longest path
+                        # through this edge is the path, then L(w).
+                        if len(path) + ceiling[w] > best_len:
+                            if w not in memo:
+                                yield w
+                            if len(path) + ceiling[w] > best_len:
+                                best_len, best_seg, best_next = len(path) + ceiling[w], path.copy(), w
+                                if best_len >= top:
+                                    break
+                    else:
+                        iters.pop()
+                        visited[path.pop()] = 0
+                        continue
                     break
-                iters.pop()
-                visited[path.pop()] = 0
-        # The search from start is done, and it cut only branches that could
-        # not beat the best: no simple path from start, so no residual path
-        # from it either, is longer than the best. The best is a path from
-        # start or was below start's ceiling, so this never raises it.
-        ceiling[start] = best_len
-    if work > budget:  # the push that reached td was not checked
+            # The search from start is done, and it cut only branches that
+            # could not beat the best: no simple path from start, so no
+            # residual path from it either, is longer than the best. The best
+            # is a path from start or was below start's ceiling, so this
+            # never raises it.
+            ceiling[start] = best_len
+        for u in path:  # a search stopped by a path of top edges leaves one
+            visited[u] = 0
+        return best_len, best_seg, best_next
+
+    # The suspended searches, each waiting for the one above it, and the
+    # entry vertex each computes L of; the bottom one is over every start.
+    searches = [search(range(n), td, 0, [0] if n else [])]
+    entries = [-1]
+    while True:
+        try:
+            w = next(searches[-1])
+        except StopIteration as done:
+            searches.pop()
+            best_len, path, nxt = done.value
+            entry = entries.pop()
+            if entry < 0:
+                break
+            memo[entry] = (path, nxt)
+            continue
+        # L(w) is exact: its search cuts against its own best, and it cannot
+        # meet the waiting paths, which lie upstream of w. It has found no
+        # path yet, so it pushes w, as the DFS would have.
+        searches.append(search((w,), ceiling[w], -1, []))
+        entries.append(w)
+    if work > budget:  # the push that reached top was not checked
         raise _over_budget(work, budget)
-    return best_len, best_path
+    while nxt >= 0:
+        segment, nxt = memo[nxt]
+        path.extend(segment)
+    return best_len, path
 
 
 def _over_budget(work: int, budget: int) -> SimplePathSearchTooLargeError:
@@ -215,12 +288,23 @@ def longest_simple_path(
     ceiling(v) = v's SCC-condensation value minus 1, the search stops once the
     best path has td edges, skips a start whose ceiling is at most the best,
     lowers a finished start's ceiling to the best, and cuts a branch whose
-    length plus ceiling, or else length plus residual reachable-vertex count,
-    is at most the best. Every cut drops only branches that cannot strictly
-    improve, so the result equals the unpruned search's.
+    length plus ceiling, or else length plus residual count, is at most the
+    best. The residual count is the number of unvisited vertices of the
+    branch's component that it can reach, plus the most that 1 + ceiling(y)
+    gives over the edges x -> y that leave the component from the head or a
+    counted x. An edge into another component at w is not descended: the
+    path's length plus 1 plus L(w), the longest simple path from w, is
+    recorded on strict improvement. L(w) and its first-found path are
+    computed once, when a path first reaches w and could beat the best, by
+    a search from w under the same rules, cut against its own best and
+    stopped at w's ceiling. No path from w returns upstream, so it cannot
+    meet the prefix. Searches waiting for an L are kept on an explicit
+    stack, not the call stack. Every cut drops only branches that cannot
+    strictly improve, so the result equals the unpruned search's.
     Raises ``SimplePathSearchTooLargeError`` once the search has spent more
-    than ``budget`` work units (pushes plus reach-count visits). A completed
-    result is kept on the graph: a second call does not search again.
+    than ``budget`` work units (pushes plus reach-count visits, the searches
+    from entries included). A completed result is kept on the graph: a
+    second call does not search again.
     """
     graph = as_graph(obj, max_vars)
     length, path = _derived(
@@ -241,7 +325,8 @@ def recurrence_diameter_bruteforce(
 
 def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; components are emitted in reverse topological order
-    (every component precedes the components that can reach it)."""
+    (every component precedes the components that can reach it), each with
+    its members ascending."""
     n = len(adj)
     index_of = [-1] * n
     lowlink = [0] * n
@@ -252,43 +337,40 @@ def strongly_connected_components(adj: Sequence[Sequence[int]]) -> list[list[int
     for root in range(n):
         if index_of[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            v, edge_pos = work.pop()
-            if edge_pos == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            neighbours = adj[v]
-            while edge_pos < len(neighbours):
-                w = neighbours[edge_pos]
-                edge_pos += 1
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        path = [root]  # the DFS path, with the neighbours left to try per vertex
+        iters = [iter(adj[root])]
+        while iters:
+            v = path[-1]
+            for w in iters[-1]:
                 if index_of[w] < 0:
-                    work.append((v, edge_pos))
-                    work.append((w, 0))
-                    advanced = True
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    path.append(w)
+                    iters.append(iter(adj[w]))
                     break
-                if on_stack[w]:
-                    if index_of[w] < lowlink[v]:
-                        lowlink[v] = index_of[w]
-            if advanced:
-                continue
-            if lowlink[v] == index_of[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    component.append(w)
-                    if w == v:
-                        break
-                component.sort()
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
+                if on_stack[w] and index_of[w] < lowlink[v]:
+                    lowlink[v] = index_of[w]
+            else:
+                path.pop()
+                iters.pop()
+                if lowlink[v] == index_of[v]:
+                    first = len(stack) - 1
+                    while stack[first] != v:
+                        first -= 1
+                    component = stack[first:]
+                    del stack[first:]
+                    for w in component:
+                        on_stack[w] = 0
+                    component.sort()
+                    components.append(component)
+                if path and lowlink[v] < lowlink[path[-1]]:
+                    lowlink[path[-1]] = lowlink[v]
     return components
 
 
@@ -296,9 +378,11 @@ def _condensation_dp(graph: TransitionGraph) -> tuple[list[list[int]], list[int]
     """Longest weighted path over the SCC condensation.
 
     Returns (components, comp id per vertex, best distinct-state count per
-    component, successor choice per component; -1 where the path ends).
+    component, successor choice per component; -1 where the path ends). The
+    successor is the one of highest value, the lowest id among those.
     """
-    components = strongly_connected_components(graph.adj)
+    adj = graph.adj
+    components = strongly_connected_components(adj)
     comp_of = [0] * graph.num_states
     for cid, members in enumerate(components):
         for v in members:
@@ -309,13 +393,12 @@ def _condensation_dp(graph: TransitionGraph) -> tuple[list[list[int]], list[int]
     for cid, members in enumerate(components):
         best_succ = -1
         best_val = 0
-        succs = sorted(
-            {comp_of[v] for u in members for v in graph.adj[u] if comp_of[v] != cid}
-        )
-        for sid in succs:
-            if value[sid] > best_val:
-                best_val = value[sid]
-                best_succ = sid
+        for u in members:
+            for v in adj[u]:
+                sid = comp_of[v]
+                if sid != cid and (value[sid] > best_val or (value[sid] == best_val and sid < best_succ)):
+                    best_val = value[sid]
+                    best_succ = sid
         value[cid] = len(members) + best_val
         next_comp[cid] = best_succ
     return components, comp_of, value, next_comp

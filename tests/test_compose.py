@@ -210,19 +210,19 @@ class TestBaseCase:
         assert len(built) == 1
 
     def test_over_budget_cluster_degrades_in_time(self):
-        """Seed 4 of the bound-batch family has an 8-variable cluster, td 99,
-        whose search needs more than 38M work units. Without a solver it
-        stops at the default budget, after 6 to 10 s, and the cluster falls
-        back to td."""
+        """Seed 45 of the bound-batch family has a 9-variable cluster, td
+        107, whose search needs more than the default budget. Without a
+        solver it stops there, after 6 to 10 s, and the cluster falls back
+        to td."""
         system = make_random(
-            GeneratorSpec("random", seed=4, num_vars=12, num_actions=12, max_pre=2, max_eff=2)
+            GeneratorSpec("random", seed=45, num_vars=12, num_actions=12, max_pre=2, max_eff=2)
         )
         started = time.perf_counter()
         report = compositional_bound(system, BaseCaseKind("b1"), BoundConfig(solver=None))
         assert time.perf_counter() - started < 60.0
         degraded = [c for c in report.per_cluster if c.degraded]
         assert [(len(c.var_names), c.value, c.property_used, c.cause) for c in degraded] == [
-            (8, 99, "td", "budget")
+            (9, 107, "td", "budget")
         ]
 
 

@@ -3,12 +3,15 @@ from collections import deque
 
 import pytest
 
+from statebound.compose import decompose, project
 from statebound.core import Action, PartialState, System, build_transition_graph
 from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
 from statebound.oracle import (
+    DEFAULT_RD_BUDGET,
     MAX_BOUND,
     TD_DECIDES_RD,
     SimplePathSearchTooLargeError,
+    _condensation_dp,
     check_conjecture,
     compute_topo_report,
     diameter,
@@ -226,6 +229,51 @@ class TestSearchMatchesReference:
         assert longest_simple_path(graph, budget=1) == (length, path[:-1])
 
 
+def _batch_cluster(seed):
+    """The largest cluster of bound-batch seed ``seed``, projected."""
+    system = gen_random(
+        GeneratorSpec("random", seed=seed, num_vars=12, num_actions=12, max_pre=2, max_eff=2)
+    )
+    return project(system, max(decompose(system).clusters, key=len))
+
+
+def _binary_counter(bits):
+    """Counts up from 0 to 2^bits - 1: each state has one successor, its
+    successor number, so each state is a component of its own."""
+    actions = tuple(
+        Action(PartialState((2 << i) - 1, (1 << i) - 1), PartialState((2 << i) - 1, 1 << i))
+        for i in range(bits)
+    )
+    return System.from_names([f"b{i}" for i in range(bits)], actions)
+
+
+class TestSearchAcrossComponents:
+    """A path that enters a new component at w goes on along L(w), the
+    longest simple path from w, computed once per entry."""
+
+    @pytest.mark.parametrize("seed, rd", [(4, 99), (5, 143), (34, 82), (35, 102), (48, 67)])
+    def test_batch_clusters_finish(self, seed, rd):
+        # Each ran over the default budget when every prefix searched the
+        # components below it again.
+        graph = build_transition_graph(_batch_cluster(seed))
+        length, path = longest_simple_path(graph, budget=DEFAULT_RD_BUDGET)
+        assert length == rd
+        assert len(path) == rd + 1 and len(set(path)) == len(path)
+        for u, v in zip(path, path[1:]):
+            assert v in graph.adj[u]
+
+    def test_chain_of_singletons_is_iterative(self):
+        # 4,096 singleton components in one chain: a search that recursed
+        # per component crossing would raise RecursionError.
+        graph = build_transition_graph(_binary_counter(12))
+        assert longest_simple_path(graph) == (4095, list(range(4096)))
+
+    def test_chain_seed_277_within_4096_units(self):
+        # The search without the memo took 117,675 work units here.
+        graph = build_transition_graph(make_random(chain_family(277)))
+        assert longest_simple_path(graph, budget=4096)[0] == 36
+
+
 class TestTraversalDiameter:
     def test_star_is_one(self, star3):
         assert traversal_diameter(star3) == 1
@@ -254,6 +302,101 @@ class TestTraversalDiameter:
             for u, v in zip(walk, walk[1:]):
                 assert v in graph.adj[u]
             assert len(set(walk)) == td + 1
+
+
+def reference_strongly_connected_components(adj):
+    """Tarjan over (vertex, next edge position) work items."""
+    n = len(adj)
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = bytearray(n)
+    stack, components, counter = [], [], 0
+    for root in range(n):
+        if index_of[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, edge_pos = work.pop()
+            if edge_pos == 0:
+                index_of[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = 1
+            advanced = False
+            neighbours = adj[v]
+            while edge_pos < len(neighbours):
+                w = neighbours[edge_pos]
+                edge_pos += 1
+                if index_of[w] < 0:
+                    work.append((v, edge_pos))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            if advanced:
+                continue
+            if lowlink[v] == index_of[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(component))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return components
+
+
+def reference_condensation(graph):
+    """(components, comp_of, value, next_comp), each component's successors
+    collected in a set and tried in ascending id order."""
+    components = reference_strongly_connected_components(graph.adj)
+    comp_of = [0] * graph.num_states
+    for cid, members in enumerate(components):
+        for v in members:
+            comp_of[v] = cid
+    value = [0] * len(components)
+    next_comp = [-1] * len(components)
+    for cid, members in enumerate(components):
+        best_succ, best_val = -1, 0
+        succs = sorted({comp_of[v] for u in members for v in graph.adj[u] if comp_of[v] != cid})
+        for sid in succs:
+            if value[sid] > best_val:
+                best_val, best_succ = value[sid], sid
+        value[cid] = len(members) + best_val
+        next_comp[cid] = best_succ
+    return components, comp_of, value, next_comp
+
+
+class TestCondensationMatchesReference:
+    def check(self, system):
+        graph = build_transition_graph(system)
+        assert _condensation_dp(graph) == reference_condensation(graph)
+
+    def test_chain_family(self):
+        for seed in range(1, 101):
+            self.check(make_random(chain_family(seed)))
+
+    def test_generator_families(self):
+        for m in range(1, 5):
+            self.check(gen_clique(m))
+        for n in (*range(1, 65), 255):
+            self.check(gen_lotus(n))
+        for n in range(3, 7):
+            self.check(gen_star(n))
+        self.check(System.from_names(["a"], ()))
+
+    def test_batch_clusters(self):
+        for seed in range(1, 51):
+            system = gen_random(
+                GeneratorSpec("random", seed=seed, num_vars=12, num_actions=12, max_pre=2, max_eff=2)
+            )
+            for cluster in decompose(system).clusters:
+                self.check(project(system, cluster))
 
 
 class TestSccHelper:
