@@ -4,7 +4,9 @@ families, and the td/rd coincidence harness.
 
 Exit codes: 0 all requested outputs were produced, 2 configuration error
 (an unreadable input or an unwritable output path among them), 3 input
-parse error, 4 cap or solver hard failure.
+parse error, 4 cap or solver hard failure. A file of ``bound --batch`` that
+fails takes the code its failure takes alone, and the batch the gravest of
+them: 2, then 3, then 4.
 """
 
 from __future__ import annotations
@@ -52,25 +54,29 @@ _COUNT_FLAGS = ("jobs", "max_vars", "rd_budget", "timeout_ms", "max_k")
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
-
-    def __reduce__(self):
-        # A batch worker process returns its failure pickled; the default
-        # rebuilds from ``args`` alone, which lacks ``code``.
-        return type(self), (str(self), self.code)
+    """A configuration error found by the front end itself."""
 
 
-def _machine_reason(exc: Exception) -> str:
-    kind = {
-        StateSpaceTooLargeError: "state-space-too-large",
-        SimplePathSearchTooLargeError: "simple-path-search-too-large",
-        SolverError: "solver-failure",
-        sysio.SystemParseError: "parse-error",
-        GenerationError: "generator-error",
-    }.get(type(exc), "error")
-    return json.dumps({"error": kind, "detail": str(exc)})
+# Each failure's exit code and machine kind; the first row the failure is an
+# instance of applies, alone and in a batch. A kind of None prints
+# ``error: <message>``, any other a JSON line of the kind and the message.
+# A failure that no row names is a bug: a traceback alone, exit 4 in a batch.
+_FAILURES: tuple[tuple[type[Exception], int, str | None], ...] = (
+    (_CliError, EXIT_CONFIG, None),
+    (OSError, EXIT_CONFIG, None),  # an output path that cannot be written
+    (sysio.SystemParseError, EXIT_PARSE, "parse-error"),
+    (GenerationError, EXIT_CONFIG, "generator-error"),
+    (ValueError, EXIT_CONFIG, "error"),
+    (StateSpaceTooLargeError, EXIT_HARD, "state-space-too-large"),
+    (SimplePathSearchTooLargeError, EXIT_HARD, "simple-path-search-too-large"),
+    (SolverError, EXIT_HARD, "solver-failure"),
+)
+
+
+def _failure(exc: Exception) -> tuple[int, str | None] | None:
+    """(exit code, machine kind) of ``exc`` by ``_FAILURES``; None when no
+    row names it."""
+    return next(((code, kind) for cls, code, kind in _FAILURES if isinstance(exc, cls)), None)
 
 
 def _add_input_flags(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +118,7 @@ def _read_system(path: Path, fmt: str | None) -> tuple[System, str]:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_CONFIG) from exc
+        raise _CliError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise sysio.SystemParseError(
             f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}"
@@ -135,7 +141,7 @@ def _random_spec(args: argparse.Namespace, seed: int) -> GeneratorSpec:
 def _load_system(args: argparse.Namespace) -> tuple[System, str]:
     """Returns (system, problem name)."""
     if args.input and args.gen:
-        raise _CliError("--input and --gen are mutually exclusive", EXIT_CONFIG)
+        raise _CliError("--input and --gen are mutually exclusive")
     if args.input:
         return _read_system(Path(args.input), args.format)
     if args.gen:
@@ -143,14 +149,15 @@ def _load_system(args: argparse.Namespace) -> tuple[System, str]:
         if args.gen == "random":
             return generate(_random_spec(args, args.seed)), f"random_s{args.seed}"
         if size is None:
-            raise _CliError(f"--gen {args.gen} needs --n (or --m for clique)", EXIT_CONFIG)
+            raise _CliError(f"--gen {args.gen} needs --n (or --m for clique)")
         spec = GeneratorSpec(family=args.gen, n=size)
         return generate(spec), f"{args.gen}_{size}"
-    raise _CliError("one of --input or --gen is required", EXIT_CONFIG)
+    raise _CliError("one of --input or --gen is required")
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    if args.solver_cmd:
+    """The flag's solver when it is given, blank or not; else the default."""
+    if args.solver_cmd is not None:
         return SolverConfig.from_string(args.solver_cmd, timeout_ms=args.timeout_ms)
     return SolverConfig.from_env(timeout_ms=args.timeout_ms)
 
@@ -184,14 +191,14 @@ def cmd_topo(args: argparse.Namespace) -> int:
 
 def cmd_rd(args: argparse.Namespace) -> int:
     if args.emit_smt and args.bruteforce:
-        raise _CliError("--emit-smt and --bruteforce are mutually exclusive", EXIT_CONFIG)
+        raise _CliError("--emit-smt and --bruteforce are mutually exclusive")
     system, name = _load_system(args)
 
     if args.emit_smt:
         out_dir = Path(args.emit_smt)
         max_k = args.max_k if args.max_k is not None else min(exp_bound(system), 12)
         if max_k < 1:
-            raise _CliError("nothing to emit: state space has a single state", EXIT_CONFIG)
+            raise _CliError("nothing to emit: state space has a single state")
         # Every script is assembled from one set of steps, built once, so the
         # explicit encoding builds one transition graph. They are built before
         # the directory is made, so a failure leaves no directory behind.
@@ -259,12 +266,6 @@ def _bound_all(loads: list, kind: BaseCaseKind, cfg: BoundConfig, jobs: int) -> 
         return list(pool.map(bound, loads, chunksize=chunksize))
 
 
-def _batch_exit_code(exc: Exception) -> int:
-    if isinstance(exc, _CliError):
-        return exc.code
-    return EXIT_PARSE if isinstance(exc, sysio.SystemParseError) else EXIT_HARD
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     kind = BaseCaseKind(args.base)
     cfg = BoundConfig(
@@ -277,17 +278,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
     # A bad batch file fails alone; a bad --input/--gen is a config error up front.
     if args.batch:
         if args.input or args.gen:
-            raise _CliError("--batch and --input/--gen are mutually exclusive", EXIT_CONFIG)
+            raise _CliError("--batch and --input/--gen are mutually exclusive")
         batch_dir = Path(args.batch)
         if not batch_dir.is_dir():
-            raise _CliError(f"--batch {batch_dir} is not a directory", EXIT_CONFIG)
+            raise _CliError(f"--batch {batch_dir} is not a directory")
         loaders = {
             str(path): partial(_read_system, path, args.format)
             for path in sorted(batch_dir.iterdir())
             if path.suffix in (".json", ".txt", ".fts") and path.is_file()
         }
         if not loaders:
-            raise _CliError(f"no .json/.txt/.fts files in {batch_dir}", EXIT_CONFIG)
+            raise _CliError(f"no .json/.txt/.fts files in {batch_dir}")
     else:
         loaded = _load_system(args)
         loaders = {loaded[1]: lambda: loaded}
@@ -307,7 +308,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if args.csv:
         sysio.write_report(reports, args.csv)
     # The gravest failure sets the code: config, then parse, then hard.
-    return min(map(_batch_exit_code, failures.values()), default=EXIT_OK)
+    return min(((_failure(exc) or (EXIT_HARD,))[0] for exc in failures.values()), default=EXIT_OK)
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
@@ -315,11 +316,11 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         first, last = args.seeds.split("..", 1)
         seed_range = range(int(first), int(last) + 1)
     except ValueError as exc:
-        raise _CliError(f"--seeds must look like A..B: {exc}", EXIT_CONFIG) from exc
+        raise _CliError(f"--seeds must look like A..B: {exc}") from exc
     if not seed_range:
-        raise _CliError(f"--seeds {args.seeds} is empty: its end is below its start", EXIT_CONFIG)
+        raise _CliError(f"--seeds {args.seeds} is empty: its end is below its start")
     if args.vars > 8:
-        raise _CliError("--vars is capped at 8 for the exhaustive check", EXIT_CONFIG)
+        raise _CliError("--vars is capped at 8 for the exhaustive check")
     counts = {"holds": 0, "vacuous": 0, "counterexample": 0}
     out_dir = Path(args.out) if args.out else Path.cwd()
     for seed in seed_range:
@@ -409,23 +410,16 @@ def main(argv=None) -> int:
             value = getattr(args, dest, None)
             if value is not None and value < 1:
                 flag = "--" + dest.replace("_", "-")
-                raise _CliError(f"{flag} must be at least 1", EXIT_CONFIG)
+                raise _CliError(f"{flag} must be at least 1")
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except sysio.SystemParseError as exc:
-        print(_machine_reason(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except (GenerationError, ValueError) as exc:
-        print(_machine_reason(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except (StateSpaceTooLargeError, SimplePathSearchTooLargeError, SolverError) as exc:
-        print(_machine_reason(exc), file=sys.stderr)
-        return EXIT_HARD
+    except Exception as exc:
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        code, kind = failure
+        line = f"error: {exc}" if kind is None else json.dumps({"error": kind, "detail": str(exc)})
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

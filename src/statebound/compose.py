@@ -223,10 +223,10 @@ def _rd_detailed(
     without a query. Only tag ``rd`` gets here without
     a graph: a hybrid's trigger needs td, so a ``b1``/``b2`` cluster over
     the cap falls to the state-count bound. A cluster whose methods all
-    give out has no value: it falls back to td.
+    give out has no value: it falls back to td. An action-less cluster
+    uses no variable, so its one-state graph is always built, and the
+    search answers 0 at once.
     """
-    if not subsystem.actions:
-        return 0, 0, None
     cause = "max-vars"
     if graph is not None:
         try:

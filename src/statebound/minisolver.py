@@ -513,9 +513,8 @@ def _flatten(kind: str, node: tuple, out: list[tuple]) -> list[tuple]:
 
 
 def _conjunction(pairs: list[tuple]) -> tuple:
-    """The pairwise terms of a chained ``=`` or a ``distinct``, as one term."""
-    if not pairs:
-        return _TRUE
+    """The pairwise terms of a chained ``=`` or a ``distinct``, as one term;
+    each has at least two operands, so ``pairs`` is never empty."""
     return pairs[0] if len(pairs) == 1 else ("and", tuple(pairs))
 
 
@@ -709,7 +708,7 @@ class Grounder:
         self.values: dict[str, tuple[int, ...]] = {}  # unpinned constant -> its values
         self.value_var: dict[tuple[str, int], int] = {}
         self.sort_size: dict[str, int] = {}
-        # memo: node -> [var, pos_done, neg_done]
+        # memo: node -> [var, positive done, negative done]
         self.memo: dict[tuple, list] = {}
 
     # -- setup ----------------------------------------------------------------
@@ -878,16 +877,19 @@ class Grounder:
 
     # -- Tseitin with polarity tracking -------------------------------------------
     #
-    # A compound node gets a variable, defined only in the polarities it is
+    # A compound node gets a variable, defined only in the polarity it is
     # needed in (Plaisted and Greenbaum, 1986), and only where no plain
-    # clause says the same. The top level asserts an atom by its guarded
-    # clauses (see above), and an ``or`` that holds one conjunction as one
-    # clause per conjunct; an ``and`` needed only positively writes each
+    # clause says the same. Every term is compiled in one polarity: the top
+    # level asks for its operands positively, and only ``not`` flips the
+    # polarity on the way down. A node met in both polarities, at different
+    # places, is defined once in each. The top level asserts an atom by its
+    # guarded clauses (see above), and an ``or`` that holds one conjunction
+    # as one clause per conjunct; an ``and`` needed positively writes each
     # ``or`` child's operands into that child's clause.
 
-    def compile(self, node: tuple, need_pos: bool, need_neg: bool) -> int:
-        """Return a literal equisatisfiable with ``node``; clauses are emitted
-        only for the polarities in which the node can be relevant. An
+    def compile(self, node: tuple, positive: bool) -> int:
+        """Return a literal equisatisfiable with ``node`` in the polarity
+        asked for; a node's clauses are emitted once per polarity. An
         equality with a pinned side is its entry, with no variable of its
         own: the other side's value literal, or a constant literal."""
         kind = node[0]
@@ -898,9 +900,9 @@ class Grounder:
         if kind == "bvar":
             return self._bool_var(node[1]) << 1
         if kind == "not":
-            return self.compile(node[1], need_neg, need_pos) ^ 1
+            return self.compile(node[1], not positive) ^ 1
         if kind == "distinct":
-            return self.compile(_pairwise(node[1]), need_pos, need_neg)
+            return self.compile(_pairwise(node[1]), positive)
         if kind == "eeq":
             entry = self._pinned_entry(node[1], node[2])
             if entry is not None:
@@ -910,42 +912,30 @@ class Grounder:
         if state is None:
             state = [self.sat.new_var(), False, False]
             self.memo[node] = state
-        var, pos_done, neg_done = state
-        emit_pos = need_pos and not pos_done
-        emit_neg = need_neg and not neg_done
-        lit = var << 1
-        if not emit_pos and not emit_neg:
+        lit = state[0] << 1
+        done = 1 if positive else 2
+        if state[done]:
             return lit
-        state[1] = pos_done or need_pos
-        state[2] = neg_done or need_neg
+        state[done] = True
 
         if kind == "eeq":
-            if emit_pos:
-                self._ground_eeq(node, (lit ^ 1,), True)
-            if emit_neg:
-                self._ground_eeq(node, (lit,), False)
+            self._ground_eeq(node, (lit ^ 1 if positive else lit,), positive)
             return lit
-        if kind == "and" and not need_neg:
+        if kind == "and" and positive:
             for child in node[1]:
                 parts = child[1] if child[0] == "or" else (child,)
-                self.sat.add_clause([lit ^ 1, *(self.compile(p, True, False) for p in parts)])
+                self.sat.add_clause([lit ^ 1, *(self.compile(p, True) for p in parts)])
             return lit
-        if kind in ("and", "or"):
-            children = [
-                self.compile(child, need_pos, need_neg) for child in node[1]
-            ]
-            if kind == "and":
-                if emit_pos:
-                    for child in children:
-                        self.sat.add_clause([lit ^ 1, child])
-                if emit_neg:
-                    self.sat.add_clause([lit] + [c ^ 1 for c in children])
+        if kind == "and":
+            self.sat.add_clause([lit, *(self.compile(c, False) ^ 1 for c in node[1])])
+            return lit
+        if kind == "or":
+            children = [self.compile(child, positive) for child in node[1]]
+            if positive:
+                self.sat.add_clause([lit ^ 1, *children])
             else:
-                if emit_pos:
-                    self.sat.add_clause([lit ^ 1] + children)
-                if emit_neg:
-                    for child in children:
-                        self.sat.add_clause([lit, child ^ 1])
+                for child in children:
+                    self.sat.add_clause([lit, child ^ 1])
             return lit
         raise SmtUnsupportedError(f"cannot compile node {kind!r}")
 
@@ -976,13 +966,13 @@ class Grounder:
                 for conjunct in conjunctions[0][1]:
                     self.assert_top(("or", (*rest, conjunct)) if rest else conjunct)
                 return
-            self.sat.add_clause([*(self.compile(d, True, False) for d in disjuncts), *self.guard])
+            self.sat.add_clause([*(self.compile(d, True) for d in disjuncts), *self.guard])
             return
         atom, positive = (node[1], False) if kind == "not" else (node, True)
         if atom[0] == "eeq":
             self._ground_eeq(atom, self.guard, positive)
             return
-        self.sat.add_clause([self.compile(node, True, False), *self.guard])
+        self.sat.add_clause([self.compile(node, True), *self.guard])
 
     # -- main entry -----------------------------------------------------------
 

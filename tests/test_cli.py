@@ -39,6 +39,40 @@ def lotus_batch(tmp_path, sizes):
     return batch
 
 
+# Each row of ``cli._FAILURES`` as a failure of that type: its exit code and
+# the line it prints alone.
+FAILURE_ROWS = [
+    (cli._CliError("boom"), 2, "error: boom"),
+    (OSError("disk full"), 2, "error: disk full"),
+    (
+        SystemParseError("bad token", line=3, column=4),
+        3,
+        '{"error": "parse-error", "detail": "bad token (line 3, column 4)"}',
+    ),
+    (
+        GenerationError("retries exhausted"),
+        2,
+        '{"error": "generator-error", "detail": "retries exhausted"}',
+    ),
+    (ValueError("bad value"), 2, '{"error": "error", "detail": "bad value"}'),
+    (
+        StateSpaceTooLargeError("2^60 states"),
+        4,
+        '{"error": "state-space-too-large", "detail": "2^60 states"}',
+    ),
+    (
+        oracle.SimplePathSearchTooLargeError("over budget"),
+        4,
+        '{"error": "simple-path-search-too-large", "detail": "over budget"}',
+    ),
+    (
+        smt.SolverError("solver failed", queries=((1, smt.SolverVerdict("unknown", 1.0)),)),
+        4,
+        '{"error": "solver-failure", "detail": "solver failed"}',
+    ),
+]
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Stands in for the process pool: records each pool's worker count and
@@ -332,9 +366,50 @@ class TestBound:
         assert pools == [3]
 
     @pytest.mark.parametrize(
+        "exc,code,line",
+        FAILURE_ROWS,
+        ids=[type(row[0]).__name__ for row in FAILURE_ROWS],
+    )
+    def test_failure_takes_one_code_alone_and_in_a_batch(
+        self, capsys, tmp_path, monkeypatch, exc, code, line
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        # A forked worker inherits the patches.
+        monkeypatch.setattr(cli, "compute_topo_report", fail)
+        monkeypatch.setattr(cli, "compositional_bound", fail)
+        assert run(capsys, "topo", "--gen", "lotus", "--n", "2")[::2] == (code, line + "\n")
+        assert run(capsys, "bound", "--gen", "lotus", "--n", "2")[::2] == (
+            code,
+            f"lotus_2: FAILED {exc}\n",
+        )
+        batch = lotus_batch(tmp_path, (1, 2))
+        failed = "".join(f"{batch / f'lotus_{n}.json'}: FAILED {exc}\n" for n in (1, 2))
+        for jobs in ("1", "2"):
+            assert run(capsys, "bound", "--batch", str(batch), "--jobs", jobs)[::2] == (code, failed)
+
+    def test_every_failure_row_is_checked(self):
+        assert [type(row[0]) for row in FAILURE_ROWS] == [row[0] for row in cli._FAILURES]
+
+    def test_unnamed_failure_is_hard_in_a_batch_and_raised_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "compute_topo_report", fail)
+        monkeypatch.setattr(cli, "compositional_bound", fail)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["topo", "--gen", "lotus", "--n", "2"])
+        batch = lotus_batch(tmp_path, (1,))
+        code, _, err = run(capsys, "bound", "--batch", str(batch))
+        assert code == 4 and err == f"{batch / 'lotus_1.json'}: FAILED bug\n"
+
+    @pytest.mark.parametrize(
         "exc",
         [
-            cli._CliError("cannot read x.json: denied", cli.EXIT_CONFIG),
+            cli._CliError("cannot read x.json: denied"),
             SystemParseError("bad token", line=3, column=4),
             smt.SolverError("solver failed", queries=((1, smt.SolverVerdict("unknown", 1.0)),)),
             StateSpaceTooLargeError("2^60 states"),
@@ -500,6 +575,43 @@ class TestConjecture:
 
 
 class TestConfigErrors:
+    def test_input_with_gen(self, capsys):
+        code, out, err = run(capsys, "topo", "--input", "x.json", "--gen", "lotus", "--n", "2")
+        assert (code, out, err) == (2, "", "error: --input and --gen are mutually exclusive\n")
+
+    def test_batch_on_a_file(self, capsys, tmp_path):
+        path = tmp_path / "lotus_2.json"
+        path.write_text(serialize_system(gen_lotus(2), "json"), encoding="utf-8")
+        code, out, err = run(capsys, "bound", "--batch", str(path), "--bruteforce")
+        assert (code, out, err) == (2, "", f"error: --batch {path} is not a directory\n")
+
+    def test_emit_smt_on_a_single_state(self, capsys, tmp_path):
+        path = tmp_path / "still.json"
+        path.write_text('{"variables": ["a"], "actions": []}', encoding="utf-8")
+        emit_dir = tmp_path / "scripts"
+        code, out, err = run(capsys, "rd", "--input", str(path), "--emit-smt", str(emit_dir))
+        assert (code, out) == (2, "")
+        assert err == "error: nothing to emit: state space has a single state\n"
+        assert not emit_dir.exists()
+
+    def test_generator_error_kind(self, capsys):
+        code, out, err = run(capsys, "topo", "--gen", "random", "--vars", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "generator-error",
+            "detail": "random system needs at least one variable",
+        }
+
+    @pytest.mark.parametrize("command", ["rd", "bound"])
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_solver_command(self, capsys, monkeypatch, command, blank):
+        # A given flag is used even when blank: it does not fall back to the
+        # environment's solver or the bundled one.
+        monkeypatch.delenv(smt.SOLVER_ENV_VAR, raising=False)
+        code, out, err = run(capsys, command, "--gen", "lotus", "--n", "2", "--solver-cmd", blank)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "error", "detail": "empty solver command"}
+
     def test_missing_input_and_gen(self, capsys):
         code, _, _ = run(capsys, "topo")
         assert code == 2

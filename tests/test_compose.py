@@ -19,6 +19,7 @@ from statebound.compose import (
 )
 from statebound.core import Action, PartialState, System
 from statebound.gen import GeneratorSpec, disjoint_union, gen_lotus
+from statebound.io import parse_system
 from statebound.oracle import MAX_BOUND, diameter, recurrence_diameter_bruteforce
 from statebound.smt import SolverConfig
 
@@ -208,6 +209,28 @@ class TestBaseCase:
         assert (cluster.value, cluster.property_used, cluster.cause) == (3, "rd", None)
         assert cluster.rd_queries == 4
         assert len(built) == 1
+
+    def test_action_less_cluster_is_searched_to_zero(self, monkeypatch):
+        """A variable read only in preconditions is a cluster with no
+        action; its one-state graph is built under any variable cap, and
+        the search answers 0 with no solver query."""
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("rd_via_smt called")
+
+        monkeypatch.setattr(compose, "rd_via_smt", no_solver)
+        system = parse_system("vars: a, b\npre: a -> eff: b\n", "compact")
+        cfg = BoundConfig(solver=SolverConfig.bundled(), max_vars=1)
+        report = compositional_bound(system, BaseCaseKind("rd"), cfg)
+        by_vars = {c.var_names: c for c in report.per_cluster}
+        cluster = by_vars[("a",)]
+        assert (cluster.value, cluster.property_used, cluster.rd_queries, cluster.cause) == (
+            0,
+            "rd",
+            0,
+            None,
+        )
+        assert report.rd_queries == 0 and not report.degraded
 
     def test_over_budget_cluster_degrades_in_time(self):
         """Seed 45 of the bound-batch family has a 9-variable cluster, td

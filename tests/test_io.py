@@ -1,8 +1,10 @@
 import csv
 import io as stdio
+import json
 
 import pytest
 
+from statebound.cli import main
 from statebound.compose import BaseCaseKind, compositional_bound
 from statebound.core import Action, PartialState, System
 from statebound.gen import GeneratorSpec, gen_clique, gen_lotus, gen_random, gen_star
@@ -164,6 +166,54 @@ class TestCompactParsing:
         system = System.from_names([], ())
         text = serialize_system(system, "compact")
         assert parse_system(text, "compact") == system
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "text,fmt,message,line,column",
+        [
+            ("vars: a, 1b\n", "compact", "invalid variable name '1b'", 1, 10),
+            ("[1]", "json", "top-level JSON value must be an object", None, None),
+            ("vars: a, b\npre: a,, b -> eff: a\n", "compact", "empty literal in pre", 2, 8),
+            ("vars: a\npre: a b -> eff: a\n", "compact", "bad literal 'a b'", 2, 6),
+            ("vars: a\n\nvars: b\n", "compact", "duplicate vars: header", 3, 1),
+            ("vars: a\npre: a eff: a\n", "compact", "action line needs '->'", 2, 13),
+            (
+                "vars: a\npre: a -> a\n",
+                "compact",
+                "action line must look like 'pre: ... -> eff: ...'",
+                2,
+                1,
+            ),
+            ("# nothing\n", "compact", "missing vars: header", None, None),
+        ],
+        ids=[
+            "invalid-name",
+            "non-object-top",
+            "empty-literal",
+            "bad-literal",
+            "duplicate-header",
+            "no-arrow",
+            "not-pre-arrow-eff",
+            "missing-header",
+        ],
+    )
+    def test_message_line_and_column(self, text, fmt, message, line, column):
+        with pytest.raises(SystemParseError) as info:
+            parse_system(text, fmt)
+        where = "" if line is None else f" (line {line}, column {column})"
+        assert str(info.value) == message + where
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_cli_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("vars: a\npre: a -> a\n", encoding="utf-8")
+        assert main(["topo", "--input", str(path)]) == 3
+        reason = json.loads(capsys.readouterr().err)
+        assert reason == {
+            "error": "parse-error",
+            "detail": "action line must look like 'pre: ... -> eff: ...' (line 2, column 1)",
+        }
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ so it gets checked three ways: protocol basics, CDCL versus brute-force
 enumeration on random CNFs, and finite-domain scripts versus brute-force
 model enumeration over small universes."""
 
+import io
 import itertools
 import re
 import subprocess
@@ -221,6 +222,55 @@ class TestExecutable:
         assert proc.returncode == 0 and proc.stdout.startswith("sat")
 
 
+class TestMainInProcess:
+    """``main`` and ``Grounder.model_lines`` as a solver process runs them."""
+
+    def test_file_argument(self, tmp_path, capsys):
+        path = tmp_path / "q.smt2"
+        path.write_text("(assert false)(check-sat)\n", encoding="utf-8")
+        assert minisolver.main([str(path)]) == 0
+        assert capsys.readouterr() == ("unsat\n", "")
+
+    @pytest.mark.parametrize(
+        "script,out,err",
+        [
+            ("(check-sat)", "sat\n", ""),
+            ("(push 1)(check-sat)", "unknown\n", "; unsupported command 'push'\n"),
+        ],
+    )
+    def test_stdin(self, monkeypatch, capsys, script, out, err):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+        assert minisolver.main([]) == 0
+        assert capsys.readouterr() == (out, err)
+
+    def test_unreadable_path(self, tmp_path, capsys):
+        assert minisolver.main([str(tmp_path / "missing.smt2")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "missing.smt2" in err
+
+    def test_model_names_bool_and_sort_constants(self, monkeypatch, capsys):
+        # s0 and s1 are pinned by the distinct; y is confined to them and
+        # then set to s1.
+        script = (
+            "(declare-sort S 0)(declare-fun s0 () S)(declare-fun s1 () S)"
+            "(declare-fun y () S)(declare-fun p () Bool)"
+            "(assert (distinct s0 s1))(assert (or (= y s0) (= y s1)))"
+            "(assert (= y s1))(assert p)(check-sat)(get-model)"
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+        assert minisolver.main([]) == 0
+        assert capsys.readouterr() == (
+            "sat\n"
+            "(\n"
+            "  (define-fun p () Bool true)\n"
+            "  (define-fun s0 () S s0)\n"
+            "  (define-fun s1 () S s1)\n"
+            "  (define-fun y () S s1)\n"
+            ")\n",
+            "",
+        )
+
+
 class TestCdclAgainstBruteForce:
     def test_random_cnfs(self):
         rng = SplitMix64(42)
@@ -377,6 +427,51 @@ class TestAssumptions:
         solver.add_clause([select[3] << 1])
         assert solver.solve(None, *(s << 1 for s in select[:3])) is False
         assert solver.ok and solver.solve() is True
+
+    def test_reduction_keeps_reasons_and_answers(self):
+        """``_reduce_learned`` run with learned clauses still the reasons of
+        assigned literals, on the trail a sat answer leaves. Pigeonhole 6
+        into 5, each pigeon under a selector, is sat under a set of
+        selectors iff it has at most 5. A reason is kept whole, no emptied
+        clause stays in ``learned``, and every later answer is a fresh
+        solver's."""
+        holes, pigeons = 5, 6
+        solver, select = self.pigeonhole(holes, pigeons)
+        assert solver.solve(None, *(s << 1 for s in select)) is False
+
+        def reasons():
+            return {
+                id(clause): list(clause)
+                for clause in solver.learned
+                if solver.value[clause[0] >> 1] != minisolver._UNSET
+                and solver.reason[clause[0] >> 1] is clause
+            }
+
+        # Sat answers until a reason is as long as the longer half of the
+        # learned clauses, which a reduction that did not keep reasons
+        # would empty.
+        for chosen in itertools.combinations(range(pigeons), holes):
+            assert solver.solve(None, *(select[i] << 1 for i in chosen)) is True
+            lengths = sorted(len(clause) for clause in solver.learned if len(clause) > 2)
+            before = reasons()
+            if any(len(clause) >= lengths[len(lengths) // 2] for clause in before.values()):
+                break
+        else:
+            pytest.fail("no trail holds a long learned reason")
+        learned = len(solver.learned)
+        solver._reduce_learned()
+        assert 0 < len(solver.learned) < learned
+        assert all(solver.learned)
+        kept = {id(clause): clause for clause in solver.learned}
+        assert {key: kept.get(key) for key in before} == before
+        for chosen in itertools.chain.from_iterable(
+            itertools.combinations(range(pigeons), r) for r in range(pigeons, -1, -1)
+        ):
+            assumed = [select[i] << 1 for i in chosen]
+            fresh, _ = self.pigeonhole(holes, pigeons)  # numbered as ``solver``
+            expected = fresh.solve(None, *assumed)
+            assert expected is (len(chosen) <= holes)
+            assert solver.solve(None, *assumed) is expected, chosen
 
     def test_answers_survive_reduction_and_rescale(self):
         """Paths only long searches reach, driven directly: learned clauses
